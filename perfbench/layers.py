@@ -50,7 +50,8 @@ END_TO_END = [
     ("trial_rounds_per_s", "1/s", "higher", 0.25,
      "simulated trial-rounds per second of a median op"),
     ("peak_rss_mb", "MB", "lower", 0.1,
-     "maximum RSS of the workload process (cli_cold: and its children)"),
+     "maximum RSS of the workload process (cli_cold: of the CLI processes "
+     "its ops start)"),
 ]
 
 _SWEEP = "op_ms_p50 on closed_sweep; warm_ms_p50, resume_ms_p50 on durable_sweep"

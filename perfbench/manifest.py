@@ -1,7 +1,7 @@
 """Write ``BENCHMARK.json`` from the benchmark's own tables.
 
-Usage, from the repository root: ``python3 perfbench/manifest.py``
-(``--check`` exits 1 instead of writing when the file is stale).
+Usage, from the repository root: ``python3 perfbench/manifest.py``.
+The self-test ``ManifestTest`` fails while the file is stale.
 
 The file's key set is fixed, so it holds each workload's ``why`` and
 each metric's name, unit and direction; which end-to-end metric and
@@ -45,17 +45,5 @@ def render() -> str:
     return json.dumps(manifest(), indent=2) + "\n"
 
 
-def main(argv: list[str]) -> int:
-    path = ROOT / "BENCHMARK.json"
-    if "--check" in argv:
-        current = path.read_text() if path.exists() else ""
-        if current != render():
-            print(f"{path.name} is stale; run python3 perfbench/manifest.py", file=sys.stderr)
-            return 1
-        return 0
-    path.write_text(render())
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    (ROOT / "BENCHMARK.json").write_text(render())

@@ -63,6 +63,7 @@ from perfbench.layers import (  # noqa: E402
     import_profile,
     layer_metrics,
 )
+from perfbench.manifest import RUN_SECONDS  # noqa: E402
 
 DEFAULT_SEED = 2021
 HELDOUT_SEED = 7919
@@ -88,7 +89,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=list(WORKLOAD_WHY))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=RUN_SECONDS)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--tiny", action="store_true", help="self-test scale: a few trials per point"
@@ -151,10 +152,14 @@ def tail(times: list[float]) -> tuple[float, float]:
     return ordered[index], 100.0 * (index + 1) / count
 
 
-def peak_rss_mb(include_children: bool) -> float:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if include_children:
-        peak = max(peak, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+def peak_rss_mb(outcomes: list) -> float:
+    """Peak RSS of this process, or of the processes the ops start.
+
+    A workload whose op runs in child processes (``cli_cold``) records
+    each op's ``peak_rss_kb``; the harness's own memory is left out.
+    """
+    children = [o.counters["peak_rss_kb"] for o in outcomes if "peak_rss_kb" in o.counters]
+    peak = max(children) if children else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / 1024.0  # ru_maxrss is in KiB on Linux
 
 
@@ -341,7 +346,7 @@ def run(args: argparse.Namespace, workdir: Path) -> int:
             "op_ms_p50": p50 * 1e3,
             "op_ms_tail": tail_value * 1e3,
             "trial_rounds_per_s": first.trial_rounds / p50,
-            "peak_rss_mb": peak_rss_mb(include_children=args.workload == "cli_cold"),
+            "peak_rss_mb": peak_rss_mb(loop["untraced"]),
         }
         units = {name: unit for name, unit, *_ in END_TO_END}
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}

@@ -173,6 +173,12 @@ class CliColdTest(TinyWorkloadChecks, unittest.TestCase):
         replies["run"] = (2, "", "scenario error: boom")
         self.assertIn("cli run exited 2: scenario error: boom", self.workload.check(outcome))
 
+    def test_peak_rss_is_the_cli_processes(self) -> None:
+        outcome = self.fresh()
+        peak_kb = outcome.counters["peak_rss_kb"]
+        self.assertGreater(peak_kb, 0)
+        self.assertEqual(run.peak_rss_mb([outcome]), peak_kb / 1024.0)
+
     def test_missing_fused_label_trips_check(self) -> None:
         outcome = self.fresh()
         for point in outcome.value[1]["sweep"]["results"]:

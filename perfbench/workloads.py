@@ -374,18 +374,27 @@ class CliCold(Workload):
         }
 
     def _invoke(self, prefix: list[str], tracer: Tracer | None) -> Outcome:
-        phases, replies = {}, {}
+        phases, replies, peak_kb = {}, {}, 0
         for phase, argv in self._commands().items():
-            started = time.perf_counter()
-            completed = subprocess.run(
-                prefix + argv, cwd=ROOT, env=child_env(), capture_output=True, text=True
-            )
-            phases[phase] = time.perf_counter() - started
-            replies[phase] = (completed.returncode, completed.stdout, completed.stderr)
+            out, err = self.workdir / f"{phase}.out", self.workdir / f"{phase}.err"
+            with out.open("w") as stdout, err.open("w") as stderr:
+                started = time.perf_counter()
+                child = subprocess.Popen(
+                    prefix + argv, cwd=ROOT, env=child_env(), stdout=stdout, stderr=stderr
+                )
+                # wait4 reaps this child alone and returns its own usage,
+                # so the peak RSS is the CLI's, not the harness's.
+                _, status, usage = os.wait4(child.pid, 0)
+                phases[phase] = time.perf_counter() - started
+            child.returncode = os.waitstatus_to_exitcode(status)
+            peak_kb = max(peak_kb, usage.ru_maxrss)
+            replies[phase] = (child.returncode, out.read_text(), err.read_text())
             if tracer is not None and self.spans_path.exists():
                 tracer.adopt(json.loads(self.spans_path.read_text()))
                 self.spans_path.unlink()
-        return Outcome(value=replies, trial_rounds=0.0, phases=phases)
+        return Outcome(
+            value=replies, trial_rounds=0.0, phases=phases, counters={"peak_rss_kb": peak_kb}
+        )
 
     def after_op(self, outcome: Outcome) -> None:
         """Parse the replies (what the user reads) outside the timed op."""
