@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the simulator's design choices.
 
 These are not paper artefacts; they quantify the library's own knobs:
 

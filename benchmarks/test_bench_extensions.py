@@ -2,7 +2,7 @@
 
 Both go beyond the paper's formal results, operationalising its Section 1
 motivation (learned models improving over time) and Section 1.3 question
-(faulty advice); see DESIGN.md and EXPERIMENTS.md for the framing.
+(faulty advice).
 """
 
 from .conftest import run_and_check

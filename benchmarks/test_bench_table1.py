@@ -1,6 +1,6 @@
 """Table 1 regeneration benches: entropy-parameterised bounds.
 
-Cells (see DESIGN.md experiment index):
+Cells (see ``repro list`` for the experiment index):
 
 * ``T1-NCD-UP``  - no-CD upper ``O(2^{2H})`` (Theorem 2.12 / Cor 2.15)
 * ``T1-NCD-LOW`` - no-CD lower ``Omega(2^H / log log n)`` (Theorem 2.4)

@@ -16,7 +16,7 @@ they stand on:
   without collision detection) and an information-theory toolkit
   (condensed distributions, entropy/KL, Huffman and Shannon codes);
 * a measurement harness and an experiment registry regenerating every
-  cell of the paper's Tables 1 and 2 (see DESIGN.md / EXPERIMENTS.md).
+  cell of the paper's Tables 1 and 2 (``repro list`` prints it).
 
 Quick start::
 
@@ -36,163 +36,86 @@ Quick start::
     print(result.solved, result.rounds)
 """
 
-from .analysis import (
-    ProportionEstimate,
-    RoundsEstimate,
-    Summary,
-    estimate_player_rounds,
-    estimate_success_within,
-    estimate_uniform_rounds,
-    schedule_solve_time,
-)
-from .channel import (
-    Channel,
-    ExecutionResult,
-    RandomAdversary,
-    run_players,
-    run_uniform,
-    with_collision_detection,
-    without_collision_detection,
-)
-from .core import (
-    AdviceFunction,
-    BudgetReport,
-    Feedback,
-    FullIdAdvice,
-    MinIdPrefixAdvice,
-    NullAdvice,
-    Observation,
-    Prediction,
-    ProbabilitySchedule,
-    RangeBlockAdvice,
-    ScheduleProtocol,
-    UniformProtocol,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    experiment_ids,
-    run_all,
-    run_experiment,
-)
-from .infotheory import (
-    CondensedDistribution,
-    PrefixCode,
-    SizeDistribution,
-    entropy,
-    huffman_code,
-    kl_divergence,
-    mix_with_uniform,
-    num_ranges,
-    range_of_size,
-    shift_ranges,
-)
-from .learning import (
-    DecayingHistogramLearner,
-    HistogramLearner,
-    SizePredictor,
-    SlidingWindowLearner,
-    run_online,
-)
-from .scenarios import (
-    ScenarioResult,
-    ScenarioSpec,
-    Sweep,
-    SweepResult,
-    run_scenario,
-    run_sweep,
-)
-from .protocols import (
-    BinaryExponentialBackoff,
-    CodeSearchProtocol,
-    DecayProtocol,
-    DeterministicScanProtocol,
-    DeterministicTreeDescentProtocol,
-    FallbackPlayerProtocol,
-    FixedProbabilityProtocol,
-    RestartProtocol,
-    SortedProbingProtocol,
-    TruncatedDecayProtocol,
-    UniformAsPlayerProtocol,
-    WillardProtocol,
-    truncated_willard_protocol,
-)
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name -> the subpackage defining it, imported on first use.
+_EXPORTS = {
     # distributions and information theory
-    "SizeDistribution",
-    "CondensedDistribution",
-    "PrefixCode",
-    "entropy",
-    "kl_divergence",
-    "huffman_code",
-    "num_ranges",
-    "range_of_size",
-    "mix_with_uniform",
-    "shift_ranges",
+    "SizeDistribution": ".infotheory",
+    "CondensedDistribution": ".infotheory",
+    "PrefixCode": ".infotheory",
+    "entropy": ".infotheory",
+    "kl_divergence": ".infotheory",
+    "huffman_code": ".infotheory",
+    "num_ranges": ".infotheory",
+    "range_of_size": ".infotheory",
+    "mix_with_uniform": ".infotheory",
+    "shift_ranges": ".infotheory",
     # core abstractions
-    "Prediction",
-    "BudgetReport",
-    "Feedback",
-    "Observation",
-    "ProbabilitySchedule",
-    "ScheduleProtocol",
-    "UniformProtocol",
-    "AdviceFunction",
-    "NullAdvice",
-    "MinIdPrefixAdvice",
-    "RangeBlockAdvice",
-    "FullIdAdvice",
+    "Prediction": ".core",
+    "BudgetReport": ".core",
+    "Feedback": ".core",
+    "Observation": ".core",
+    "ProbabilitySchedule": ".core",
+    "ScheduleProtocol": ".core",
+    "UniformProtocol": ".core",
+    "AdviceFunction": ".core",
+    "NullAdvice": ".core",
+    "MinIdPrefixAdvice": ".core",
+    "RangeBlockAdvice": ".core",
+    "FullIdAdvice": ".core",
     # channel
-    "Channel",
-    "with_collision_detection",
-    "without_collision_detection",
-    "run_uniform",
-    "run_players",
-    "ExecutionResult",
-    "RandomAdversary",
+    "Channel": ".channel",
+    "with_collision_detection": ".channel",
+    "without_collision_detection": ".channel",
+    "run_uniform": ".channel",
+    "run_players": ".channel",
+    "ExecutionResult": ".channel",
+    "RandomAdversary": ".channel",
     # protocols
-    "DecayProtocol",
-    "WillardProtocol",
-    "FixedProbabilityProtocol",
-    "BinaryExponentialBackoff",
-    "SortedProbingProtocol",
-    "CodeSearchProtocol",
-    "DeterministicScanProtocol",
-    "DeterministicTreeDescentProtocol",
-    "TruncatedDecayProtocol",
-    "truncated_willard_protocol",
-    "RestartProtocol",
-    "FallbackPlayerProtocol",
-    "UniformAsPlayerProtocol",
+    "DecayProtocol": ".protocols",
+    "WillardProtocol": ".protocols",
+    "FixedProbabilityProtocol": ".protocols",
+    "BinaryExponentialBackoff": ".protocols",
+    "SortedProbingProtocol": ".protocols",
+    "CodeSearchProtocol": ".protocols",
+    "DeterministicScanProtocol": ".protocols",
+    "DeterministicTreeDescentProtocol": ".protocols",
+    "TruncatedDecayProtocol": ".protocols",
+    "truncated_willard_protocol": ".protocols",
+    "RestartProtocol": ".protocols",
+    "FallbackPlayerProtocol": ".protocols",
+    "UniformAsPlayerProtocol": ".protocols",
     # learning
-    "SizePredictor",
-    "HistogramLearner",
-    "DecayingHistogramLearner",
-    "SlidingWindowLearner",
-    "run_online",
+    "SizePredictor": ".learning",
+    "HistogramLearner": ".learning",
+    "DecayingHistogramLearner": ".learning",
+    "SlidingWindowLearner": ".learning",
+    "run_online": ".learning",
     # analysis
-    "Summary",
-    "ProportionEstimate",
-    "RoundsEstimate",
-    "estimate_uniform_rounds",
-    "estimate_success_within",
-    "estimate_player_rounds",
-    "schedule_solve_time",
+    "Summary": ".analysis",
+    "ProportionEstimate": ".analysis",
+    "RoundsEstimate": ".analysis",
+    "estimate_uniform_rounds": ".analysis",
+    "estimate_success_within": ".analysis",
+    "estimate_player_rounds": ".analysis",
+    "schedule_solve_time": ".analysis",
     # experiments
-    "ExperimentConfig",
-    "ExperimentResult",
-    "experiment_ids",
-    "run_experiment",
-    "run_all",
+    "ExperimentConfig": ".experiments",
+    "ExperimentResult": ".experiments",
+    "experiment_ids": ".experiments",
+    "run_experiment": ".experiments",
+    "run_all": ".experiments",
     # scenarios
-    "ScenarioSpec",
-    "ScenarioResult",
-    "run_scenario",
-    "Sweep",
-    "SweepResult",
-    "run_sweep",
-]
+    "ScenarioSpec": ".scenarios",
+    "ScenarioResult": ".scenarios",
+    "run_scenario": ".scenarios",
+    "Sweep": ".scenarios",
+    "SweepResult": ".scenarios",
+    "run_sweep": ".scenarios",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

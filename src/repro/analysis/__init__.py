@@ -1,52 +1,33 @@
 """Measurement harness: Monte Carlo estimators, exact solvers, summaries,
 and plain-text rendering for experiment output."""
 
-from .exact import (
-    SolveTimeDistribution,
-    cd_expected_rounds,
-    expected_rounds_mixture,
-    round_success_probabilities,
-    schedule_solve_time,
-    schedule_success_within,
-)
-from .exact_search import PhasedSearchExpectation, phased_search_expected_rounds
-from .metrics import (
-    ProportionEstimate,
-    Summary,
-    linear_fit,
-    loglog_slope,
-    wilson_interval,
-)
-from .montecarlo import (
-    RoundsEstimate,
-    estimate_player_rounds,
-    estimate_success_within,
-    estimate_uniform_rounds,
-)
-from .tables import format_cell, render_csv, render_table, rows_to_columns
-from .textplot import text_plot
+from .. import _lazy
 
-__all__ = [
-    "Summary",
-    "ProportionEstimate",
-    "wilson_interval",
-    "linear_fit",
-    "loglog_slope",
-    "RoundsEstimate",
-    "estimate_uniform_rounds",
-    "estimate_success_within",
-    "estimate_player_rounds",
-    "SolveTimeDistribution",
-    "schedule_solve_time",
-    "schedule_success_within",
-    "round_success_probabilities",
-    "expected_rounds_mixture",
-    "cd_expected_rounds",
-    "phased_search_expected_rounds",
-    "PhasedSearchExpectation",
-    "render_table",
-    "render_csv",
-    "rows_to_columns",
-    "format_cell",
-    "text_plot",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "Summary": ".metrics",
+    "ProportionEstimate": ".metrics",
+    "wilson_interval": ".metrics",
+    "linear_fit": ".metrics",
+    "loglog_slope": ".metrics",
+    "RoundsEstimate": ".montecarlo",
+    "estimate_uniform_rounds": ".montecarlo",
+    "estimate_success_within": ".montecarlo",
+    "estimate_player_rounds": ".montecarlo",
+    "SolveTimeDistribution": ".exact",
+    "schedule_solve_time": ".exact",
+    "schedule_success_within": ".exact",
+    "round_success_probabilities": ".exact",
+    "expected_rounds_mixture": ".exact",
+    "cd_expected_rounds": ".exact",
+    "phased_search_expected_rounds": ".exact_search",
+    "PhasedSearchExpectation": ".exact_search",
+    "render_table": ".tables",
+    "render_csv": ".tables",
+    "rows_to_columns": ".tables",
+    "format_cell": ".tables",
+    "text_plot": ".textplot",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

@@ -38,9 +38,11 @@ import json
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .experiments.base import ExperimentConfig
-from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
+# The experiment registry, the sweep layer, the open-system stack and
+# the supervised executor are imported inside the commands that use
+# them, so a cold ``scenario run`` loads none of them.
 from .scenarios import (
     EXAMPLE_ADVERSARY_SWEEP,
     EXAMPLE_CD_SWEEP,
@@ -48,20 +50,13 @@ from .scenarios import (
     EXAMPLE_OPEN_RETRY_SWEEP,
     EXAMPLE_OPEN_SCENARIO,
     EXAMPLE_OPEN_SWEEP,
-    OpenScenarioSpec,
-    OpenSweep,
     ScenarioError,
     ScenarioSpec,
-    SimulatedCrash,
-    Sweep,
-    fault_plan_from_json,
-    make_supervised_executor,
-    register_executor,
-    run_open_scenario,
-    run_open_sweep,
     run_scenario,
-    run_sweep,
 )
+
+if TYPE_CHECKING:
+    from .experiments.base import ExperimentConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -328,6 +323,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
+    from .experiments.base import ExperimentConfig
+
     return ExperimentConfig(
         n=args.n,
         trials=args.trials,
@@ -338,6 +335,8 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _command_list() -> int:
+    from .experiments.registry import EXPERIMENTS
+
     width = max(len(experiment_id) for experiment_id in EXPERIMENTS)
     for experiment_id, (_, description) in EXPERIMENTS.items():
         print(f"{experiment_id.ljust(width)}  {description}")
@@ -345,6 +344,8 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
+
     requested = (
         experiment_ids()
         if any(name.lower() == "all" for name in args.experiments)
@@ -373,6 +374,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from .experiments.registry import experiment_ids, run_experiment
+
     config = _config_from(args)
     failures: list[str] = []
     print("paper-vs-measured summary")
@@ -456,6 +459,13 @@ def _command_scenario_open(args: argparse.Namespace) -> int:
             payload = EXAMPLE_OPEN_SCENARIO
         print(json.dumps(payload, indent=2))
         return 0
+    from .scenarios import (
+        OpenScenarioSpec,
+        OpenSweep,
+        run_open_scenario,
+        run_open_sweep,
+    )
+
     try:
         text = _read_spec_text(args.spec)
     except OSError as error:
@@ -507,15 +517,20 @@ def _command_scenario(args: argparse.Namespace) -> int:
             print(result.to_json() if args.json else result.render())
             return 0
         if args.scenario_command == "sweep":
-            if args.executor == "supervised":
-                # Re-register with the user's failure policy; replace=True
-                # swaps the library-default registration in place.
-                register_executor(
-                    "supervised",
-                    make_supervised_executor(
-                        timeout=args.point_timeout, retries=args.point_retries
-                    ),
-                    replace=True,
+            from .scenarios import (
+                SimulatedCrash,
+                Sweep,
+                fault_plan_from_json,
+                run_sweep,
+            )
+
+            executor = args.executor
+            if executor == "supervised":
+                from .scenarios import make_supervised_executor
+
+                # The user's failure policy in place of the library default.
+                executor = make_supervised_executor(
+                    timeout=args.point_timeout, retries=args.point_retries
                 )
             fault_plan = (
                 fault_plan_from_json(args.inject_faults)
@@ -525,7 +540,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
             try:
                 sweep_result = run_sweep(
                     Sweep.from_json(text),
-                    executor=args.executor,
+                    executor=executor,
                     max_workers=args.workers,
                     resume=args.resume,
                     cache=args.cache_dir,

@@ -1,7 +1,7 @@
 """Reproduction experiments: one module per paper artefact.
 
-See DESIGN.md Section 3 for the experiment index and
-:mod:`repro.experiments.registry` for the id -> runner mapping.
+:mod:`repro.experiments.registry` is the experiment index (id ->
+runner); ``repro list`` prints it.
 """
 
 from .base import ExperimentConfig, ExperimentResult

@@ -3,8 +3,8 @@
 Every experiment in the registry consumes an :class:`ExperimentConfig`
 (scale knobs + RNG seed) and produces an :class:`ExperimentResult` - a
 table of measured rows, a set of named boolean *shape checks* (the
-operational meaning of "reproduced" for an asymptotic claim; see
-DESIGN.md Section 3) and free-form notes.  The CLI and the benchmark
+operational meaning of "reproduced" for an asymptotic claim) and
+free-form notes.  The CLI and the benchmark
 harness both render results through :meth:`ExperimentResult.render`.
 """
 
@@ -33,7 +33,7 @@ class ExperimentConfig:
         Root RNG seed; every experiment derives its generator from it.
     quick:
         Thinned sweeps and reduced trials, for benchmarks and CI.  The
-        full scale is the documented EXPERIMENTS.md configuration.
+        full scale is what ``tools/generate_experiments_md.py`` runs.
     batch:
         Run uniform Monte Carlo estimation on the vectorized batch engine
         (the default; protocols that cannot batch fall back to the scalar

@@ -1,6 +1,6 @@
 """The experiment registry: id -> runner.
 
-One entry per experiment in DESIGN.md's index; the CLI and the benchmark
+One entry per reproduced paper artefact; the CLI and the benchmark
 suite both dispatch through :func:`get_experiment` / :func:`run_experiment`
 so the set of reproducible artefacts is defined in exactly one place.
 """

@@ -1,10 +1,11 @@
 """Closed-form calculators for every bound in Tables 1 and 2.
 
 One function per table cell (plus the iterated-log helpers they need), so
-experiments, tests and EXPERIMENTS.md all evaluate the paper's formulas
+experiments, tests and the EXPERIMENTS.md generator
+(``tools/generate_experiments_md.py``) all evaluate the paper's formulas
 through a single audited implementation.  Lower bounds omit their
 unknowable big-Omega constants - they are *shape* references the measured
-curves are regressed against, as described in DESIGN.md.
+curves are regressed against.
 """
 
 from __future__ import annotations

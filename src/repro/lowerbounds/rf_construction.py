@@ -20,7 +20,7 @@ and resetting after ``ceil(log n)``.  The proof of Lemma 2.7 requires the
 interleaved values to "correspond to all ranges" within the first
 ``2 log n`` slots, so the appended value must be the *range index* ``j``
 (the range containing size ``2^j``); we cycle ``j`` through
-``1..ceil(log2 n)`` accordingly.  See DESIGN.md, "ambiguities resolved".
+``1..ceil(log2 n)`` accordingly.
 """
 
 from __future__ import annotations

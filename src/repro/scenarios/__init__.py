@@ -49,135 +49,75 @@ Quick start::
     print(result.render())
 """
 
-from .registry import (
-    BuildContext,
-    RegisteredProtocol,
-    build_protocol,
-    get_protocol,
-    protocol_ids,
-    register_protocol,
-)
-from .runner import ADVERSARIES, ScenarioResult, run_scenario
-from .spec import (
-    AdviceSpec,
-    ChannelSpec,
-    PredictionSpec,
-    ProtocolSpec,
-    ScenarioError,
-    ScenarioSpec,
-    WorkloadSpec,
-)
-from .sweep import (
-    EXECUTORS,
-    Sweep,
-    SweepPointError,
-    SweepResult,
-    derive_point_seeds,
-    fusion_groups,
-    fusion_key,
-    register_executor,
-    run_sweep,
-    unregister_executor,
-)
-from .store import (
-    SCHEMA_VERSION,
-    ResultStore,
-    SweepJournal,
-    spec_key,
-    sweep_key,
-)
-from .faults import FaultPlan, SimulatedCrash, fault_plan_from_json
-from .supervised import make_supervised_executor
-from .examples import (
-    EXAMPLE_ADVERSARY_SWEEP,
-    EXAMPLE_CD_SWEEP,
-    EXAMPLE_FAULT_PLAN,
-    EXAMPLE_OPEN_RETRY_SWEEP,
-    EXAMPLE_OPEN_SCENARIO,
-    EXAMPLE_OPEN_SWEEP,
-)
-from .open import (
-    AdmissionSpec,
-    ArrivalSpec,
-    OpenScenarioResult,
-    OpenScenarioSpec,
-    RetrySpec,
-    OpenSweep,
-    OpenSweepResult,
-    resolve_open_scenario,
-    run_open_scenario,
-    run_open_sweep,
-)
-from .workloads import (
-    DISTRIBUTION_FAMILIES,
-    register_distribution_family,
-    resolve_distribution,
-    resolve_workload,
-)
+from .. import _lazy
 
-__all__ = [
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
     # specs
-    "ScenarioSpec",
-    "ProtocolSpec",
-    "ChannelSpec",
-    "WorkloadSpec",
-    "PredictionSpec",
-    "AdviceSpec",
-    "ScenarioError",
+    "ScenarioSpec": ".spec",
+    "ProtocolSpec": ".spec",
+    "ChannelSpec": ".spec",
+    "WorkloadSpec": ".spec",
+    "PredictionSpec": ".spec",
+    "AdviceSpec": ".spec",
+    "ScenarioError": ".spec",
     # registry
-    "RegisteredProtocol",
-    "BuildContext",
-    "register_protocol",
-    "get_protocol",
-    "protocol_ids",
-    "build_protocol",
+    "RegisteredProtocol": ".registry",
+    "BuildContext": ".registry",
+    "register_protocol": ".registry",
+    "get_protocol": ".registry",
+    "protocol_ids": ".registry",
+    "build_protocol": ".registry",
     # workloads
-    "DISTRIBUTION_FAMILIES",
-    "register_distribution_family",
-    "resolve_distribution",
-    "resolve_workload",
+    "DISTRIBUTION_FAMILIES": ".workloads",
+    "register_distribution_family": ".workloads",
+    "resolve_distribution": ".workloads",
+    "resolve_workload": ".workloads",
     # runner
-    "run_scenario",
-    "ScenarioResult",
-    "ADVERSARIES",
+    "run_scenario": ".runner",
+    "ScenarioResult": ".runner",
+    "ADVERSARIES": ".runner",
     # sweeps
-    "Sweep",
-    "SweepResult",
-    "SweepPointError",
-    "run_sweep",
-    "derive_point_seeds",
-    "fusion_key",
-    "fusion_groups",
-    "EXECUTORS",
-    "register_executor",
-    "unregister_executor",
+    "Sweep": ".sweep",
+    "SweepResult": ".sweep",
+    "SweepPointError": ".sweep",
+    "run_sweep": ".sweep",
+    "derive_point_seeds": ".sweep",
+    "fusion_key": ".sweep",
+    "fusion_groups": ".sweep",
+    "EXECUTORS": ".sweep",
+    "register_executor": ".sweep",
+    "unregister_executor": ".sweep",
     # durability
-    "SCHEMA_VERSION",
-    "spec_key",
-    "sweep_key",
-    "ResultStore",
-    "SweepJournal",
+    "SCHEMA_VERSION": ".store",
+    "spec_key": ".store",
+    "sweep_key": ".store",
+    "ResultStore": ".store",
+    "SweepJournal": ".store",
     # supervision and fault injection
-    "make_supervised_executor",
-    "FaultPlan",
-    "SimulatedCrash",
-    "fault_plan_from_json",
+    "make_supervised_executor": ".supervised",
+    "FaultPlan": ".faults",
+    "SimulatedCrash": ".faults",
+    "fault_plan_from_json": ".faults",
     # open system
-    "ArrivalSpec",
-    "RetrySpec",
-    "AdmissionSpec",
-    "OpenScenarioSpec",
-    "OpenScenarioResult",
-    "resolve_open_scenario",
-    "run_open_scenario",
-    "OpenSweep",
-    "OpenSweepResult",
-    "run_open_sweep",
+    "ArrivalSpec": ".open",
+    "RetrySpec": ".open",
+    "AdmissionSpec": ".open",
+    "OpenScenarioSpec": ".open",
+    "OpenScenarioResult": ".open",
+    "resolve_open_scenario": ".open",
+    "run_open_scenario": ".open",
+    "OpenSweep": ".open",
+    "OpenSweepResult": ".open",
+    "run_open_sweep": ".open",
     # example payloads
-    "EXAMPLE_CD_SWEEP",
-    "EXAMPLE_ADVERSARY_SWEEP",
-    "EXAMPLE_FAULT_PLAN",
-    "EXAMPLE_OPEN_SCENARIO",
-    "EXAMPLE_OPEN_SWEEP",
-    "EXAMPLE_OPEN_RETRY_SWEEP",
-]
+    "EXAMPLE_CD_SWEEP": ".examples",
+    "EXAMPLE_ADVERSARY_SWEEP": ".examples",
+    "EXAMPLE_FAULT_PLAN": ".examples",
+    "EXAMPLE_OPEN_SCENARIO": ".examples",
+    "EXAMPLE_OPEN_SWEEP": ".examples",
+    "EXAMPLE_OPEN_RETRY_SWEEP": ".examples",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

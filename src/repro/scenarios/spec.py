@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import json
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -43,6 +44,10 @@ class ScenarioError(ValueError):
     """Raised for malformed or unresolvable scenario specifications."""
 
 
+#: Largest count the engines' int64 arrays hold.
+_INT64_MAX = 2**63 - 1
+
+
 def _require_mapping(data: object, what: str) -> dict:
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{what} must be a mapping, got {type(data).__name__}")
@@ -56,6 +61,42 @@ def _check_known_keys(data: Mapping, allowed: set[str], what: str) -> None:
             f"unknown {what} field(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+
+
+def _integer_field(
+    data: Mapping,
+    name: str,
+    *,
+    default: object = None,
+    minimum: int | None = None,
+    maximum: int | None = None,
+) -> int:
+    """``data[name]`` as a Python int, refusing anything but an integer.
+
+    Python and NumPy integers pass (``operator.index``); bools, floats,
+    numeric strings and every other type raise a :class:`ScenarioError`
+    naming the field instead of being coerced.
+    """
+    raw = data.get(name, default)
+    try:
+        value = operator.index(raw)
+    except TypeError:
+        value = None
+    if value is None or isinstance(raw, bool):
+        raise ScenarioError(
+            f"scenario spec field {name!r} must be an integer, got "
+            f"{type(raw).__name__} {raw!r}"
+        )
+    if minimum is not None and value < minimum:
+        raise ScenarioError(
+            f"scenario spec field {name!r} must be >= {minimum}, got {value}"
+        )
+    if maximum is not None and value > maximum:
+        raise ScenarioError(
+            f"scenario spec field {name!r} must fit in int64 "
+            f"(<= {maximum}), got {value}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -357,18 +398,21 @@ class ScenarioSpec:
             if required not in data:
                 raise ScenarioError(f"scenario spec needs {required!r}")
         batch = data.get("batch")
-        if batch is not None:
-            batch = bool(batch)
+        if batch is not None and not isinstance(batch, bool):
+            raise ScenarioError(
+                f"scenario spec field 'batch' must be true, false or null, "
+                f"got {type(batch).__name__} {batch!r}"
+            )
         prediction = data.get("prediction")
         advice = data.get("advice")
         return cls(
             protocol=ProtocolSpec.from_dict(data["protocol"]),
             workload=WorkloadSpec.from_dict(data["workload"]),
             channel=ChannelSpec.from_dict(data["channel"]),
-            n=int(data["n"]),
-            trials=int(data["trials"]),
-            max_rounds=int(data["max_rounds"]),
-            seed=int(data.get("seed", 2021)),
+            n=_integer_field(data, "n", maximum=_INT64_MAX),
+            trials=_integer_field(data, "trials", maximum=_INT64_MAX),
+            max_rounds=_integer_field(data, "max_rounds", maximum=_INT64_MAX),
+            seed=_integer_field(data, "seed", default=2021, minimum=0),
             batch=batch,
             prediction=(
                 PredictionSpec.from_dict(prediction) if prediction is not None else None

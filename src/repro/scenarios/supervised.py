@@ -26,9 +26,10 @@ from its own serialized spec, supervised results are bit-identical to
 the serial executor's - supervision changes what happens on failure,
 never what a success computes.
 
-Importing this module registers the executor as ``"supervised"`` with
-library defaults; the CLI re-registers it (``replace=True``) with
-user-configured timeout/retry settings.
+The sweep registry's built-in ``"supervised"`` entry runs
+:func:`make_supervised_executor` with library defaults, importing this
+module on first use; the CLI builds one with the user's timeout/retry
+settings instead.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from multiprocessing.connection import wait as _wait_connections
 from .faults import FaultPlan
 from .runner import ScenarioResult, run_scenario
 from .spec import ScenarioError, ScenarioSpec
-from .sweep import _pool_context, register_executor
+from .sweep import _pool_context
 
 __all__ = [
     "make_supervised_executor",
@@ -239,6 +240,3 @@ def make_supervised_executor(
 
     supervised.executor_name = "supervised"
     return supervised
-
-
-register_executor("supervised", make_supervised_executor(), replace=True)

@@ -50,11 +50,9 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-import multiprocessing
 import os
 import time
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,6 +347,8 @@ def _run_serial(
 
 def _pool_context():
     """Prefer fork where available: no re-import cost per worker."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -359,6 +359,9 @@ def _run_process_pool(
     *,
     checkpoint: Callable | None = None,
 ) -> list[ScenarioResult]:
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     if max_workers is None:
         max_workers = min(len(points), multiprocessing.cpu_count())
     max_workers = max(1, max_workers)
@@ -586,6 +589,25 @@ def _run_fused(
     return results  # type: ignore[return-value]
 
 
+def _run_supervised(
+    points: Sequence[ScenarioSpec],
+    max_workers: int | None,
+    *,
+    checkpoint: Callable | None = None,
+    fault_plan: FaultPlan | None = None,
+):
+    """The supervised executor with library-default failure policy.
+
+    :mod:`repro.scenarios.supervised` is imported on first use, so a
+    sweep that never supervises never loads it (or ``multiprocessing``).
+    """
+    from .supervised import make_supervised_executor
+
+    return make_supervised_executor()(
+        points, max_workers, checkpoint=checkpoint, fault_plan=fault_plan
+    )
+
+
 Executor = Callable[..., "list | tuple"]
 
 #: Executor name -> callable ``(points, max_workers) -> results``.
@@ -597,6 +619,7 @@ EXECUTORS: dict[str, Executor] = {
     "serial": _run_serial,
     "process": _run_process_pool,
     "fused": _run_fused,
+    "supervised": _run_supervised,
 }
 
 _BUILTIN_EXECUTORS = frozenset(EXECUTORS)
@@ -608,8 +631,7 @@ def register_executor(
     """Register a custom sweep executor (e.g. a cluster dispatcher).
 
     Duplicate names are an error unless ``replace=True``, which swaps
-    the registration in place - how the CLI installs a supervised
-    executor with user-configured timeouts over the default one.
+    the registration in place.
     """
     if name in EXECUTORS and not replace:
         raise ScenarioError(

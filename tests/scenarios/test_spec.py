@@ -1,5 +1,6 @@
 """Tests for the declarative spec layer: construction, JSON, overrides."""
 
+import numpy as np
 import pytest
 
 from repro.scenarios.spec import (
@@ -25,6 +26,12 @@ def make_spec(**overrides) -> ScenarioSpec:
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def spec_dict(**overrides) -> dict:
+    data = make_spec().to_dict()
+    data.update(overrides)
+    return data
 
 
 class TestSubSpecs:
@@ -206,3 +213,54 @@ class TestChannelModelSpec:
         bumped = spec.override({"channel.model.params.budget": 9})
         assert bumped.channel.model["params"]["budget"] == 9
         assert spec.channel.model["params"]["budget"] == 0  # original intact
+
+
+class TestStrictFields:
+    """Integer and batch fields are checked, never coerced or leaked."""
+
+    @pytest.mark.parametrize("value", [1.5, 7.0, True, "7", None, []])
+    @pytest.mark.parametrize("field", ["n", "trials", "max_rounds", "seed"])
+    def test_non_integers_are_refused(self, field, value):
+        with pytest.raises(ScenarioError, match=f"'{field}' must be an integer"):
+            ScenarioSpec.from_dict(spec_dict(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["n", "trials", "max_rounds"])
+    def test_counts_must_fit_int64(self, field):
+        with pytest.raises(ScenarioError, match=f"'{field}' must fit in int64"):
+            ScenarioSpec.from_dict(spec_dict(**{field: 2**63}))
+        widest = ScenarioSpec.from_dict(spec_dict(**{field: 2**63 - 1}))
+        assert getattr(widest, field) == 2**63 - 1
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ScenarioError, match="'seed' must be >= 0"):
+            ScenarioSpec.from_dict(spec_dict(seed=-1))
+        assert ScenarioSpec.from_dict(spec_dict(seed=0)).seed == 0
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, []])
+    def test_batch_takes_only_true_false_or_null(self, value):
+        with pytest.raises(ScenarioError, match="'batch' must be true, false or null"):
+            ScenarioSpec.from_dict(spec_dict(batch=value))
+
+    @pytest.mark.parametrize("value", [True, False, None])
+    def test_batch_booleans_and_null_load(self, value):
+        assert ScenarioSpec.from_dict(spec_dict(batch=value)).batch is value
+
+    def test_numpy_integers_load_as_python_ints(self):
+        spec = ScenarioSpec.from_dict(
+            spec_dict(
+                n=np.int64(1024),
+                trials=np.int32(100),
+                max_rounds=np.uint16(256),
+                seed=np.uint64(2**64 - 1),
+            )
+        )
+        assert spec == make_spec(seed=2**64 - 1)
+        assert all(
+            type(getattr(spec, field)) is int
+            for field in ("n", "trials", "max_rounds", "seed")
+        )
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_override_is_checked_too(self):
+        with pytest.raises(ScenarioError, match="'trials' must be an integer"):
+            make_spec().override({"trials": "7"})

@@ -86,7 +86,12 @@ def _stub_result(experiment_id: str, passed: bool) -> ExperimentResult:
 
 
 class TestReport:
-    """The report command, against a stubbed registry (fast and exact)."""
+    """The report command, against a stubbed registry (fast and exact).
+
+    The CLI resolves the registry names from
+    :mod:`repro.experiments.registry` when a command runs, so the stubs
+    patch that module.
+    """
 
     @pytest.fixture
     def stub_registry(self, monkeypatch):
@@ -94,19 +99,21 @@ class TestReport:
             "GOOD": ((lambda config: _stub_result("GOOD", True)), "passes"),
             "BAD": ((lambda config: _stub_result("BAD", False)), "fails"),
         }
-        import repro.cli as cli
+        import repro.experiments.registry as experiments
 
-        monkeypatch.setattr(cli, "EXPERIMENTS", registry)
-        monkeypatch.setattr(cli, "experiment_ids", lambda: list(registry))
+        monkeypatch.setattr(experiments, "EXPERIMENTS", registry)
+        monkeypatch.setattr(experiments, "experiment_ids", lambda: list(registry))
         monkeypatch.setattr(
-            cli, "run_experiment", lambda eid, config: registry[eid][0](config)
+            experiments,
+            "run_experiment",
+            lambda eid, config: registry[eid][0](config),
         )
         return registry
 
     def test_all_pass_exits_zero(self, stub_registry, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.experiments.registry as experiments
 
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["GOOD"])
+        monkeypatch.setattr(experiments, "experiment_ids", lambda: ["GOOD"])
         assert main(["report", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] GOOD" in out
@@ -120,7 +127,7 @@ class TestReport:
         assert "1 experiment(s) failed: BAD" in out
 
     def test_report_forwards_config(self, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.experiments.registry as experiments
 
         seen = {}
 
@@ -128,8 +135,8 @@ class TestReport:
             seen["config"] = config
             return _stub_result(eid, True)
 
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["ONLY"])
-        monkeypatch.setattr(cli, "run_experiment", capture)
+        monkeypatch.setattr(experiments, "experiment_ids", lambda: ["ONLY"])
+        monkeypatch.setattr(experiments, "run_experiment", capture)
         assert main(["report", "--quick", "--n", "512", "--seed", "3"]) == 0
         config = seen["config"]
         assert config.n == 512 and config.seed == 3 and config.quick

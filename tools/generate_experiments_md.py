@@ -30,7 +30,7 @@ reproduction's measurement.
 **How to read a finite-n reproduction of asymptotic claims.**  The paper's
 results are `O / Omega / Theta` statements with unspecified constants; no
 finite experiment can confirm or refute a constant-free asymptotic.  What
-the experiments check instead ("shape checks", DESIGN.md Section 3):
+the experiments check instead ("shape checks"):
 
 - *budget containment*: upper-bound algorithms succeed within the
   theorem's own budget formula, at or above the theorem's success
