@@ -36,12 +36,12 @@ def test_bench_warm_cache_vs_cold(benchmark, tmp_path, monkeypatch):
     # The warm run must not touch an engine at all: a fresh store
     # instance (no in-memory LRU carryover) and an exploding
     # run_scenario prove every point came from disk.
-    import repro.scenarios.sweep as sweep_module
+    import repro.scenarios.runner as runner_module
 
     def explode(spec):
         raise AssertionError("engine invoked on a fully warm cache")
 
-    monkeypatch.setattr(sweep_module, "run_scenario", explode)
+    monkeypatch.setattr(runner_module, "run_scenario", explode)
 
     start = time.perf_counter()
     warm = benchmark.pedantic(

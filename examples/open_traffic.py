@@ -29,9 +29,9 @@ from repro.scenarios import (
     ArrivalSpec,
     ChannelSpec,
     OpenScenarioSpec,
-    OpenSweep,
+    Sweep,
     run_open_scenario,
-    run_open_sweep,
+    run_sweep,
 )
 from repro.scenarios.spec import ProtocolSpec
 
@@ -65,11 +65,11 @@ def load_curves() -> None:
         ("decay", False, [0.05, 0.1, 0.2, 0.3]),
         ("willard", True, [0.02, 0.05, 0.1, 0.15]),
     ):
-        sweep = OpenSweep(
+        sweep = Sweep(
             base=base_spec(protocol_id, cd=cd, rate=rates[0]),
             grid={"arrivals.params.rate": rates},
         )
-        result = run_open_sweep(sweep)
+        result = run_sweep(sweep)
         kind = "CD" if cd else "no-CD"
         print(f"\n{protocol_id} ({kind}):")
         print(result.render())

@@ -9,7 +9,8 @@ Subcommands:
   EXPERIMENTS.md-style paper-vs-measured summary;
 * ``repro scenario run <SPEC.json>`` - execute one declarative scenario;
 * ``repro scenario sweep <SWEEP.json>`` - expand and execute a scenario
-  grid through the serial, process-pool, fused or supervised executor;
+  grid (closed, or open-system when the base has ``arrivals``) through
+  the serial, process-pool, fused or supervised executor;
   ``--resume JOURNAL`` checkpoints every completed point and replays the
   journal on re-run, ``--cache-dir DIR`` consults a content-addressed
   result store before executing anything, and ``--inject-faults JSON``
@@ -459,12 +460,7 @@ def _command_scenario_open(args: argparse.Namespace) -> int:
             payload = EXAMPLE_OPEN_SCENARIO
         print(json.dumps(payload, indent=2))
         return 0
-    from .scenarios import (
-        OpenScenarioSpec,
-        OpenSweep,
-        run_open_scenario,
-        run_open_sweep,
-    )
+    from .scenarios import OpenScenarioSpec, Sweep, run_open_scenario, run_sweep
 
     try:
         text = _read_spec_text(args.spec)
@@ -477,10 +473,14 @@ def _command_scenario_open(args: argparse.Namespace) -> int:
             print(result.to_json() if args.json else result.render())
             return 0
         if args.open_command == "sweep":
-            sweep_result = run_open_sweep(
-                OpenSweep.from_json(text),
-                resume=args.resume,
-                cache=args.cache_dir,
+            sweep = Sweep.from_json(text)
+            if not isinstance(sweep.base, OpenScenarioSpec):
+                raise ScenarioError(
+                    "open sweep base needs 'arrivals'; run closed grids "
+                    "with 'repro scenario sweep'"
+                )
+            sweep_result = run_sweep(
+                sweep, resume=args.resume, cache=args.cache_dir
             )
             print(sweep_result.to_json() if args.json else sweep_result.render())
             return 0

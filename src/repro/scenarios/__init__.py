@@ -14,22 +14,23 @@ The single configuration-driven entry point into the simulation stack:
   per-player engine and returns a JSON-round-trippable
   :class:`ScenarioResult`;
 * :mod:`~repro.scenarios.sweep` - grid expansion plus serial,
-  process-pool (multi-core) and fused (stacked single-core) executors;
-  the fused executor stacks compatible schedule, history (CD) and
-  player points into one engine run each;
+  process-pool (multi-core) and fused (stacked single-core) executors
+  for closed and open-system grids alike; the fused executor stacks
+  compatible schedule, history (CD) and player points into one engine
+  run each;
 * :mod:`~repro.scenarios.store` - the durability layer: a
   content-addressed result store (:class:`ResultStore`) and the
   checkpointing :class:`SweepJournal` behind
-  ``run_sweep(..., resume=..., cache=...)``;
+  ``run_sweep(..., resume=..., cache=...)``, plus ``spec_family``, the
+  one place that maps a spec to its spec, runner and result types;
 * :mod:`~repro.scenarios.supervised` - the ``"supervised"`` executor:
   per-point timeouts, bounded retry with backoff, and a structured
   failure manifest instead of a raised traceback;
 * :mod:`~repro.scenarios.faults` - deterministic crash/hang/corrupt
   injection (:class:`FaultPlan`) so the recovery paths stay tested;
 * :mod:`~repro.scenarios.open` - open-system scenarios over streaming
-  arrivals (:class:`OpenScenarioSpec`, :func:`run_open_scenario`) and
-  the load -> latency sweep family (:class:`OpenSweep`,
-  :func:`run_open_sweep`).
+  arrivals (:class:`OpenScenarioSpec`, :func:`run_open_scenario`); a
+  :class:`Sweep` over an open base gives the load -> latency curve.
 
 Quick start::
 
@@ -107,9 +108,6 @@ _EXPORTS = {
     "OpenScenarioResult": ".open",
     "resolve_open_scenario": ".open",
     "run_open_scenario": ".open",
-    "OpenSweep": ".open",
-    "OpenSweepResult": ".open",
-    "run_open_sweep": ".open",
     # example payloads
     "EXAMPLE_CD_SWEEP": ".examples",
     "EXAMPLE_ADVERSARY_SWEEP": ".examples",

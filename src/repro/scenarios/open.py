@@ -5,10 +5,11 @@ The open-system counterpart of the spec/runner/sweep stack: an
 arrival process (:data:`repro.opensys.arrivals.ARRIVAL_FAMILIES`), a
 channel, and the open-run knobs (rounds, warmup, capacity, timeout,
 seed); :func:`run_open_scenario` resolves and executes it through the
-open-loop driver (:func:`repro.opensys.driver.run_open`), and
-:class:`OpenSweep` expands dotted-path grids - most usefully over
-``arrivals.params.rate`` - into the load -> latency curves that are the
-whole point of the subsystem.
+open-loop driver (:func:`repro.opensys.driver.run_open`).  A
+:class:`~repro.scenarios.sweep.Sweep` over an open base - most usefully
+over ``arrivals.params.rate`` - runs through
+:func:`~repro.scenarios.sweep.run_sweep` into the load -> latency curves
+that are the whole point of the subsystem.
 
 The same design rules as the closed layer apply: specs are pure
 JSON-native data (``from_json(to_json())`` is the identity), a spec plus
@@ -20,11 +21,10 @@ load from JSON.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import math
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -45,8 +45,11 @@ from .spec import (
     PredictionSpec,
     ProtocolSpec,
     ScenarioError,
+    _boolean_field,
     _check_known_keys,
+    _integer_field,
     _require_mapping,
+    _with_overrides,
 )
 from .workloads import resolve_prediction
 
@@ -59,9 +62,6 @@ __all__ = [
     "ResolvedOpenScenario",
     "resolve_open_scenario",
     "run_open_scenario",
-    "OpenSweep",
-    "OpenSweepResult",
-    "run_open_sweep",
 ]
 
 
@@ -300,28 +300,27 @@ class OpenScenarioSpec:
         data = _require_mapping(data, "open scenario spec")
         allowed = {f.name for f in fields(cls)}
         _check_known_keys(data, allowed, "open scenario spec")
+        what = "open scenario spec"
         for required in ("protocol", "arrivals", "channel", "n", "trials", "rounds"):
             if required not in data:
-                raise ScenarioError(f"open scenario spec needs {required!r}")
-        batch = data.get("batch")
-        if batch is not None:
-            batch = bool(batch)
-        timeout = data.get("timeout")
+                raise ScenarioError(f"{what} needs {required!r}")
         prediction = data.get("prediction")
         return cls(
             protocol=ProtocolSpec.from_dict(data["protocol"]),
             arrivals=ArrivalSpec.from_dict(data["arrivals"]),
             channel=ChannelSpec.from_dict(data["channel"]),
-            n=int(data["n"]),
-            trials=int(data["trials"]),
-            rounds=int(data["rounds"]),
-            warmup=int(data.get("warmup", 0)),
-            capacity=int(data.get("capacity", 256)),
-            timeout=int(timeout) if timeout is not None else None,
+            n=_integer_field(data, "n", what=what),
+            trials=_integer_field(data, "trials", what=what),
+            rounds=_integer_field(data, "rounds", what=what),
+            warmup=_integer_field(data, "warmup", what=what, default=0),
+            capacity=_integer_field(data, "capacity", what=what, default=256),
+            timeout=_integer_field(data, "timeout", what=what, nullable=True),
             retry=RetrySpec.from_dict(data.get("retry", "give-up")),
             admission=AdmissionSpec.from_dict(data.get("admission", "capacity")),
-            seed=int(data.get("seed", 2021)),
-            batch=batch,
+            seed=_integer_field(
+                data, "seed", what=what, default=2021, minimum=0, maximum=None
+            ),
+            batch=_boolean_field(data, "batch", what=what, nullable=True),
             prediction=(
                 PredictionSpec.from_dict(prediction)
                 if prediction is not None
@@ -352,18 +351,7 @@ class OpenScenarioSpec:
         ``"channel.model.params.budget"``) and the result re-loads
         through :meth:`from_dict`.
         """
-        data = self.to_dict()
-        for path, value in overrides.items():
-            parts = path.split(".")
-            node = data
-            for part in parts[:-1]:
-                child = node.get(part)
-                if not isinstance(child, dict):
-                    child = {}
-                    node[part] = child
-                node = child
-            node[parts[-1]] = copy.deepcopy(value)
-        return type(self).from_dict(data)
+        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
 
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""
@@ -467,6 +455,24 @@ class OpenScenarioResult:
     def summary(self) -> LatencySummary:
         return self.store.summary()
 
+    def sweep_row(self) -> dict:
+        """This point's cells on the load -> latency curve, by column."""
+        summary = self.summary
+        offered = self.metadata.get("offered_load")
+        return {
+            "point": self.spec.label(),
+            "engine": self.engine,
+            "load": float("nan") if offered is None else offered,
+            "p50": summary.p50,
+            "p90": summary.p90,
+            "p99": summary.p99,
+            "throughput": summary.throughput,
+            "dropped": summary.dropped,
+            "timed-out": summary.timed_out,
+            "retried": summary.retried,
+            "abandoned": summary.abandoned,
+        }
+
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
@@ -546,241 +552,4 @@ def run_open_scenario(spec: OpenScenarioSpec) -> OpenScenarioResult:
         store=outcome.store,
         metadata=metadata,
         elapsed_seconds=time.perf_counter() - started,
-    )
-
-
-@dataclass(frozen=True)
-class OpenSweep:
-    """A grid of open-scenario variations around a base spec.
-
-    The load -> latency curve is the canonical use: sweep
-    ``arrivals.params.rate`` and read p50/p99 against offered load.  As
-    with the closed :class:`~repro.scenarios.sweep.Sweep`, points expand
-    in row-major grid order and - with ``vary_seed`` (default) - each
-    point's seed is a :func:`~repro.scenarios.sweep.derive_point_seeds`
-    child of the base seed, recorded in the point's own spec so any
-    point re-runs identically from its serialized form.
-    """
-
-    base: OpenScenarioSpec
-    grid: dict = field(default_factory=dict)
-    vary_seed: bool = True
-
-    def __post_init__(self) -> None:
-        for path, values in self.grid.items():
-            if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-                raise ScenarioError(
-                    f"grid values for {path!r} must be a list, got "
-                    f"{type(values).__name__}"
-                )
-            if len(values) == 0:
-                raise ScenarioError(f"grid values for {path!r} must be non-empty")
-
-    def points(self) -> list[OpenScenarioSpec]:
-        """The expanded open specs, in deterministic grid order."""
-        from .sweep import derive_point_seeds
-
-        paths = list(self.grid)
-        combos = list(itertools.product(*(self.grid[path] for path in paths)))
-        seeds = (
-            derive_point_seeds(self.base.seed, len(combos))
-            if self.vary_seed and "seed" not in paths
-            else None
-        )
-        specs: list[OpenScenarioSpec] = []
-        for index, combo in enumerate(combos):
-            overrides = dict(zip(paths, combo))
-            if seeds is not None:
-                overrides["seed"] = seeds[index]
-            if "name" not in overrides:
-                overrides["name"] = (
-                    f"{self.base.name}[{index}]"
-                    if self.base.name
-                    else f"point-{index}"
-                )
-            specs.append(self.base.override(overrides))
-        return specs
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "grid": {path: list(values) for path, values in self.grid.items()},
-            "vary_seed": self.vary_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OpenSweep":
-        data = _require_mapping(data, "open sweep spec")
-        _check_known_keys(data, {"base", "grid", "vary_seed"}, "open sweep spec")
-        if "base" not in data:
-            raise ScenarioError("open sweep spec needs a 'base' scenario")
-        grid = data.get("grid", {})
-        if not isinstance(grid, Mapping):
-            raise ScenarioError("open sweep 'grid' must be a mapping")
-        return cls(
-            base=OpenScenarioSpec.from_dict(data["base"]),
-            grid={str(path): list(values) for path, values in grid.items()},
-            vary_seed=bool(data.get("vary_seed", True)),
-        )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpenSweep":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"invalid open sweep JSON: {error}") from None
-        return cls.from_dict(data)
-
-
-@dataclass
-class OpenSweepResult:
-    """All point results of one open sweep execution.
-
-    ``resumed`` and ``cache_hits`` count points restored from a
-    checkpoint journal / the content-addressed store instead of executed
-    (see :func:`~repro.scenarios.sweep.run_sweep` - same durability
-    layer, same provenance-not-identity equality rule).
-    """
-
-    results: list[OpenScenarioResult]
-    elapsed_seconds: float = field(default=0.0, compare=False)
-    resumed: int = field(default=0, compare=False)
-    cache_hits: int = field(default=0, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "elapsed_seconds": self.elapsed_seconds,
-            "resumed": self.resumed,
-            "cache_hits": self.cache_hits,
-            "results": [result.to_dict() for result in self.results],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OpenSweepResult":
-        return cls(
-            results=[
-                OpenScenarioResult.from_dict(row) for row in data["results"]
-            ],
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            resumed=int(data.get("resumed", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-        )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def render(self) -> str:
-        """The load -> latency curve as a plain-text table."""
-        from ..analysis.tables import render_table
-
-        headers = [
-            "point", "engine", "load", "p50", "p90", "p99",
-            "throughput", "dropped", "timed-out", "retried", "abandoned",
-        ]
-        rows: list[list[object]] = []
-        for result in self.results:
-            summary = result.summary
-            offered = result.metadata.get("offered_load")
-            rows.append(
-                [
-                    result.spec.label(),
-                    result.engine,
-                    float("nan") if offered is None else offered,
-                    summary.p50,
-                    summary.p90,
-                    summary.p99,
-                    summary.throughput,
-                    summary.dropped,
-                    summary.timed_out,
-                    summary.retried,
-                    summary.abandoned,
-                ]
-            )
-        table = render_table(headers, rows, precision=3)
-        return (
-            f"open sweep: {len(self.results)} point(s), "
-            f"wall {self.elapsed_seconds:.3f}s, resumed={self.resumed}, "
-            f"cache_hits={self.cache_hits}\n{table}"
-        )
-
-
-def run_open_sweep(
-    sweep: OpenSweep | Sequence[OpenScenarioSpec],
-    *,
-    resume: "str | os.PathLike | None" = None,
-    cache: "ResultStore | str | os.PathLike | None" = None,
-) -> OpenSweepResult:
-    """Execute an open sweep (or explicit point list), serially, in order.
-
-    ``resume=`` and ``cache=`` are the closed sweep's durability layer
-    (:mod:`repro.scenarios.store`): a checkpoint journal replayed before
-    execution and appended per completed point, and a content-addressed
-    result store consulted before running anything.  Open and closed
-    specs hash to disjoint key spaces, so one cache directory can serve
-    both sweep families.
-    """
-    from .store import ResultStore, SweepJournal, spec_key, sweep_key
-
-    points = sweep.points() if isinstance(sweep, OpenSweep) else list(sweep)
-    if not points:
-        raise ScenarioError("open sweep expanded to zero points")
-    started = time.perf_counter()
-    total = len(points)
-    slots: list[OpenScenarioResult | None] = [None] * total
-    resumed = 0
-    cache_hits = 0
-    keys: list[str] | None = None
-    if resume is not None or cache is not None:
-        keys = [spec_key(point) for point in points]
-    store = ResultStore.coerce(cache)
-    journal: SweepJournal | None = None
-    try:
-        if resume is not None:
-            assert keys is not None
-            journal = SweepJournal(
-                resume,
-                sweep=sweep_key(keys),
-                points=total,
-                point_keys=keys,
-                result_from_dict=OpenScenarioResult.from_dict,
-            )
-            for index, result in journal.replayed.items():
-                slots[index] = result
-                if store is not None:
-                    assert keys is not None
-                    store.put(points[index], result, key=keys[index])
-            resumed = len(journal.replayed)
-        for index in range(total):
-            if slots[index] is not None:
-                continue
-            if store is not None:
-                assert keys is not None
-                hit = store.get(points[index], key=keys[index])
-                if hit is not None:
-                    slots[index] = hit
-                    cache_hits += 1
-                    if journal is not None:
-                        journal.append([(index, hit.to_dict())])
-                    continue
-            result = run_open_scenario(points[index])
-            slots[index] = result
-            if journal is not None:
-                journal.append([(index, result.to_dict())])
-            if store is not None:
-                assert keys is not None
-                store.put(points[index], result, key=keys[index])
-    finally:
-        if journal is not None:
-            journal.close()
-    return OpenSweepResult(
-        results=[slot for slot in slots if slot is not None],
-        elapsed_seconds=time.perf_counter() - started,
-        resumed=resumed,
-        cache_hits=cache_hits,
     )

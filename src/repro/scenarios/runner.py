@@ -140,6 +140,18 @@ class ScenarioResult:
     metadata: dict = field(default_factory=dict)
     elapsed_seconds: float = field(default=0.0, compare=False)
 
+    def sweep_row(self) -> dict:
+        """This point's sweep-table cells, keyed by column header."""
+        nan = float("nan")
+        return {
+            "point": self.spec.label(),
+            "engine": self.engine,
+            "trials": self.success.trials,
+            "success": self.success.rate,
+            "mean rounds": self.rounds.mean if self.any_successes else nan,
+            "p90": self.rounds.p90 if self.any_successes else nan,
+        }
+
     @property
     def mean_rounds(self) -> float:
         return self.rounds.mean

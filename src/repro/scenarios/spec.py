@@ -67,36 +67,81 @@ def _integer_field(
     data: Mapping,
     name: str,
     *,
+    what: str = "scenario spec",
     default: object = None,
     minimum: int | None = None,
-    maximum: int | None = None,
-) -> int:
+    maximum: int | None = _INT64_MAX,
+    nullable: bool = False,
+) -> int | None:
     """``data[name]`` as a Python int, refusing anything but an integer.
 
     Python and NumPy integers pass (``operator.index``); bools, floats,
     numeric strings and every other type raise a :class:`ScenarioError`
-    naming the field instead of being coerced.
+    naming the field instead of being coerced.  ``maximum`` defaults to
+    the int64 bound of the engines' count arrays; null passes only when
+    ``nullable``.
     """
     raw = data.get(name, default)
+    if nullable and raw is None:
+        return None
     try:
         value = operator.index(raw)
     except TypeError:
         value = None
     if value is None or isinstance(raw, bool):
         raise ScenarioError(
-            f"scenario spec field {name!r} must be an integer, got "
+            f"{what} field {name!r} must be an integer, got "
             f"{type(raw).__name__} {raw!r}"
         )
     if minimum is not None and value < minimum:
         raise ScenarioError(
-            f"scenario spec field {name!r} must be >= {minimum}, got {value}"
+            f"{what} field {name!r} must be >= {minimum}, got {value}"
         )
     if maximum is not None and value > maximum:
         raise ScenarioError(
-            f"scenario spec field {name!r} must fit in int64 "
+            f"{what} field {name!r} must fit in int64 "
             f"(<= {maximum}), got {value}"
         )
     return value
+
+
+def _boolean_field(
+    data: Mapping,
+    name: str,
+    *,
+    what: str = "scenario spec",
+    default: object = None,
+    nullable: bool = False,
+) -> bool | None:
+    """``data[name]`` if it is a JSON boolean (or null, when ``nullable``).
+
+    Strings such as ``"false"`` and numbers are refused with a
+    :class:`ScenarioError` naming the field rather than coerced by truth
+    value.
+    """
+    value = data.get(name, default)
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    allowed = "true, false or null" if nullable else "true or false"
+    raise ScenarioError(
+        f"{what} field {name!r} must be {allowed}, got "
+        f"{type(value).__name__} {value!r}"
+    )
+
+
+def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
+    """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced."""
+    for path, value in overrides.items():
+        parts = path.split(".")
+        node = data
+        for part in parts[:-1]:
+            child = node.get(part)
+            if not isinstance(child, dict):
+                child = {}
+                node[part] = child
+            node = child
+        node[parts[-1]] = copy.deepcopy(value)
+    return data
 
 
 @dataclass(frozen=True)
@@ -194,7 +239,9 @@ class ChannelSpec:
         if model is not None:
             model = copy.deepcopy(_require_mapping(model, "channel model spec"))
         return cls(
-            collision_detection=bool(data["collision_detection"]),
+            collision_detection=_boolean_field(
+                data, "collision_detection", what="channel spec"
+            ),
             model=model,
         )
 
@@ -302,7 +349,7 @@ class AdviceSpec:
         corruption = data.get("corruption")
         return cls(
             function=str(data.get("function", "null")),
-            bits=int(data.get("bits", 0)),
+            bits=_integer_field(data, "bits", what="advice spec", default=0),
             corruption=(
                 copy.deepcopy(_require_mapping(corruption, "advice corruption"))
                 if corruption is not None
@@ -397,23 +444,19 @@ class ScenarioSpec:
         for required in ("protocol", "workload", "channel", "n", "trials", "max_rounds"):
             if required not in data:
                 raise ScenarioError(f"scenario spec needs {required!r}")
-        batch = data.get("batch")
-        if batch is not None and not isinstance(batch, bool):
-            raise ScenarioError(
-                f"scenario spec field 'batch' must be true, false or null, "
-                f"got {type(batch).__name__} {batch!r}"
-            )
         prediction = data.get("prediction")
         advice = data.get("advice")
         return cls(
             protocol=ProtocolSpec.from_dict(data["protocol"]),
             workload=WorkloadSpec.from_dict(data["workload"]),
             channel=ChannelSpec.from_dict(data["channel"]),
-            n=_integer_field(data, "n", maximum=_INT64_MAX),
-            trials=_integer_field(data, "trials", maximum=_INT64_MAX),
-            max_rounds=_integer_field(data, "max_rounds", maximum=_INT64_MAX),
-            seed=_integer_field(data, "seed", default=2021, minimum=0),
-            batch=batch,
+            n=_integer_field(data, "n"),
+            trials=_integer_field(data, "trials"),
+            max_rounds=_integer_field(data, "max_rounds"),
+            seed=_integer_field(
+                data, "seed", default=2021, minimum=0, maximum=None
+            ),
+            batch=_boolean_field(data, "batch", nullable=True),
             prediction=(
                 PredictionSpec.from_dict(prediction) if prediction is not None else None
             ),
@@ -447,18 +490,7 @@ class ScenarioSpec:
         ``"prediction.source"`` on a spec without a prediction starts one
         from an empty mapping).
         """
-        data = self.to_dict()
-        for path, value in overrides.items():
-            parts = path.split(".")
-            node = data
-            for part in parts[:-1]:
-                child = node.get(part)
-                if not isinstance(child, dict):
-                    child = {}
-                    node[part] = child
-                node = child
-            node[parts[-1]] = copy.deepcopy(value)
-        return type(self).from_dict(data)
+        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
 
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""

@@ -41,10 +41,12 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .spec import ScenarioError
+from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SpecFamily",
+    "spec_family",
     "spec_key",
     "sweep_key",
     "StoreStats",
@@ -65,25 +67,52 @@ def _canonical_json(payload: object) -> str:
     )
 
 
+@dataclass(frozen=True)
+class SpecFamily:
+    """A spec family: its :func:`spec_key` tag, spec, runner and result."""
+
+    kind: str
+    spec: type
+    run: Callable
+    result: type
+
+
+def spec_family(spec) -> SpecFamily:
+    """The family of a spec object or of a spec's ``to_dict()`` mapping.
+
+    An ``arrivals`` slot (or key) marks an open-system spec, anything
+    else is closed.  :mod:`repro.scenarios.open`, which imports the
+    opensys stack, is imported only for open specs.
+    """
+    if isinstance(spec, Mapping) and "arrivals" in spec or hasattr(spec, "arrivals"):
+        from . import open as open_module
+
+        return SpecFamily(
+            "open",
+            open_module.OpenScenarioSpec,
+            open_module.run_open_scenario,
+            open_module.OpenScenarioResult,
+        )
+    from . import runner
+
+    return SpecFamily(
+        "scenario", ScenarioSpec, runner.run_scenario, runner.ScenarioResult
+    )
+
+
 def spec_key(spec) -> str:
     """The content address of a scenario spec.
 
-    Accepts both :class:`~repro.scenarios.spec.ScenarioSpec` and
-    :class:`~repro.scenarios.open.OpenScenarioSpec` (the two are
-    distinguished in the hashed payload, so a closed and an open spec
-    can never collide).  The key is a SHA-256 hex digest over the
-    canonical JSON of ``spec.to_dict()`` - since ``from_dict(to_dict())``
-    is the identity for both spec families, serializing a spec to JSON
-    and loading it back yields the same key, while changing any single
-    field yields a different one.
+    Accepts both spec families (:func:`spec_family`); the family's kind
+    is part of the hashed payload.  The key is a SHA-256 hex digest over
+    the canonical JSON of ``spec.to_dict()`` - since
+    ``from_dict(to_dict())`` is the identity for both spec families,
+    serializing a spec to JSON and loading it back yields the same key,
+    while changing any single field yields a different one.
     """
-    # Open specs are duck-typed by their 'arrivals' slot so this module
-    # needs no import of scenarios.open (which imports the opensys
-    # stack); both spec families guarantee a JSON-native to_dict().
-    kind = "open" if hasattr(spec, "arrivals") else "scenario"
     payload = {
         "schema": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": spec_family(spec).kind,
         "spec": spec.to_dict(),
     }
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
@@ -211,8 +240,7 @@ class ResultStore:
             self.stats.hits += 1
             self.stats.memory_hits += 1
             return self._memory[key]
-        result_from_dict = _result_loader(spec)
-        result = self._load_disk(key, result_from_dict)
+        result = self._load_disk(key, spec_family(spec).result.from_dict)
         if result is None:
             self.stats.misses += 1
             return None
@@ -252,17 +280,6 @@ class ResultStore:
         return key
 
 
-def _result_loader(spec) -> Callable:
-    """The matching ``from_dict`` for a spec's result type."""
-    if hasattr(spec, "arrivals"):
-        from .open import OpenScenarioResult
-
-        return OpenScenarioResult.from_dict
-    from .runner import ScenarioResult
-
-    return ScenarioResult.from_dict
-
-
 class SweepJournal:
     """Append-only checkpoint log for one sweep execution.
 
@@ -290,7 +307,6 @@ class SweepJournal:
         sweep: str,
         points: int,
         point_keys: Sequence[str],
-        result_from_dict: Callable,
     ) -> None:
         self.path = Path(path)
         self.sweep = sweep
@@ -299,7 +315,7 @@ class SweepJournal:
         self.replayed: dict[int, object] = {}
         existing = self._read_lines()
         if existing:
-            self._replay(existing, result_from_dict)
+            self._replay(existing)
             self._stream = open(self.path, "a")
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -323,7 +339,7 @@ class SweepJournal:
             return []
         return [line for line in text.splitlines() if line.strip()]
 
-    def _replay(self, lines: list[str], result_from_dict: Callable) -> None:
+    def _replay(self, lines: list[str]) -> None:
         parsed: list[Mapping] = []
         for position, line in enumerate(lines):
             try:
@@ -380,7 +396,9 @@ class SweepJournal:
                         "mismatched spec key; the grid changed under the "
                         "journal - delete it to start over"
                     )
-                self.replayed[index] = result_from_dict(entry["result"])
+                payload = entry["result"]
+                family = spec_family(payload["spec"])
+                self.replayed[index] = family.result.from_dict(payload)
 
     # ------------------------------------------------------------------
     # Append

@@ -21,10 +21,13 @@ point in its own supervised process:
   :func:`~repro.scenarios.sweep.run_sweep` returns the points that did
   complete plus the manifest instead of raising.
 
-Because every point still runs :func:`~repro.scenarios.runner.run_scenario`
-from its own serialized spec, supervised results are bit-identical to
-the serial executor's - supervision changes what happens on failure,
-never what a success computes.
+Because every point still runs its family's runner - closed
+:func:`~repro.scenarios.runner.run_scenario` or open
+:func:`~repro.scenarios.open.run_open_scenario`, picked by
+:func:`~repro.scenarios.store.spec_family` - from its own serialized
+spec, supervised results are bit-identical to the serial executor's -
+supervision changes what happens on failure, never what a success
+computes.
 
 The sweep registry's built-in ``"supervised"`` entry runs
 :func:`make_supervised_executor` with library defaults, importing this
@@ -41,9 +44,9 @@ from collections.abc import Callable, Sequence
 from multiprocessing.connection import wait as _wait_connections
 
 from .faults import FaultPlan
-from .runner import ScenarioResult, run_scenario
-from .spec import ScenarioError, ScenarioSpec
-from .sweep import _pool_context
+from .spec import ScenarioError
+from .store import spec_family
+from .sweep import _pool_context, _run_point_payload
 
 __all__ = [
     "make_supervised_executor",
@@ -65,7 +68,7 @@ def _supervised_point_worker(
             # Never answer; the supervisor's deadline is the only way out.
             time.sleep(hang_seconds)
             os._exit(CRASH_EXIT_CODE)
-        result = run_scenario(ScenarioSpec.from_dict(spec_data)).to_dict()
+        result = _run_point_payload(spec_data)
         if directive == "corrupt":
             # A wrong-question answer: the embedded spec no longer
             # matches the point, which validation must catch.
@@ -122,7 +125,7 @@ def make_supervised_executor(
         raise ScenarioError(f"backoff must be >= 0, got {backoff}")
 
     def supervised(
-        points: Sequence[ScenarioSpec],
+        points: Sequence,
         max_workers: int | None,
         *,
         checkpoint: Callable | None = None,
@@ -134,7 +137,7 @@ def make_supervised_executor(
         context = _pool_context()
         plan = fault_plan if fault_plan is not None else FaultPlan()
 
-        results: list[ScenarioResult | None] = [None] * len(points)
+        results: list = [None] * len(points)
         failures: list[dict] = []
         waiting: list[tuple[int, int]] = [(i, 0) for i in range(len(points))]
         active: list[_Attempt] = []
@@ -180,7 +183,7 @@ def make_supervised_executor(
                 )
 
         def attempt_succeeded(attempt: _Attempt, payload: dict) -> None:
-            result = ScenarioResult.from_dict(payload)
+            result = spec_family(points[attempt.index]).result.from_dict(payload)
             if result.spec != points[attempt.index]:
                 attempt_failed(
                     attempt,

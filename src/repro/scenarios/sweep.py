@@ -1,9 +1,10 @@
 """Sweeps: expand a spec grid and run the points through an executor.
 
-A :class:`Sweep` is a base :class:`~repro.scenarios.spec.ScenarioSpec`
-plus a grid of dotted-path overrides; :meth:`Sweep.points` expands the
-cartesian product into concrete specs, and :func:`run_sweep` executes
-them through a pluggable executor:
+A :class:`Sweep` is a base spec - closed or open-system - plus a grid
+of dotted-path overrides; :meth:`Sweep.points` expands the cartesian
+product into concrete specs, and :func:`run_sweep` executes them through
+a pluggable executor, each point through its family's runner and result
+type (:func:`~repro.scenarios.store.spec_family`):
 
 * ``"serial"`` - run points in-process, in order (the reference);
 * ``"process"`` - fan points out over a
@@ -23,7 +24,7 @@ them through a pluggable executor:
   recorded engine label differs (``fused-schedule`` / ``fused-history``
   / ``fused-player`` says what actually executed).  Incompatible
   points - and singleton groups, where stacking buys nothing -
-  transparently fall back to serial in-place runs.
+  transparently fall back to serial in-place runs, as do open points.
 
 A fourth executor, ``"supervised"`` (:mod:`repro.scenarios.supervised`),
 wraps a worker pool with per-point timeouts, bounded retry with backoff
@@ -47,6 +48,7 @@ recovery paths stay tested.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -54,6 +56,7 @@ import os
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -73,10 +76,12 @@ from .runner import (
     ScenarioResult,
     package_result,
     resolve_scenario,
-    run_scenario,
 )
-from .spec import ScenarioError, ScenarioSpec
-from .store import ResultStore, SweepJournal, spec_key, sweep_key
+from .spec import ScenarioError, ScenarioSpec, _boolean_field
+from .store import ResultStore, SweepJournal, spec_family, spec_key, sweep_key
+
+if TYPE_CHECKING:
+    from .open import OpenScenarioSpec
 
 __all__ = [
     "Sweep",
@@ -106,7 +111,7 @@ class SweepPointError(ScenarioError):
     def __init__(
         self,
         index: int,
-        spec: ScenarioSpec,
+        spec: ScenarioSpec | OpenScenarioSpec,
         cause: BaseException,
         overrides: Mapping | None = None,
     ) -> None:
@@ -140,16 +145,18 @@ def derive_point_seeds(base_seed: int, count: int) -> list[int]:
 class Sweep:
     """A grid of scenario variations around a base spec.
 
-    ``grid`` maps dotted override paths (see
-    :meth:`ScenarioSpec.override`) to value lists; points are the
-    cartesian product in row-major order (last key varies fastest).
-    With ``vary_seed`` (default), each point's seed is offset by its
-    index unless the grid itself sweeps ``seed`` - the derived seed is
-    *part of the point's spec*, so a point re-run from its serialized
-    form reproduces identically.
+    ``base`` is a :class:`ScenarioSpec` or an open-system
+    :class:`~repro.scenarios.open.OpenScenarioSpec`; ``grid`` maps dotted
+    override paths (see :meth:`ScenarioSpec.override`) to value lists;
+    points are the cartesian product in row-major order (last key varies
+    fastest).  With ``vary_seed`` (default), each point's seed is a
+    :func:`derive_point_seeds` child of the base seed unless the grid
+    itself sweeps ``seed`` - the derived seed is *part of the point's
+    spec*, so a point re-run from its serialized form reproduces
+    identically.
     """
 
-    base: ScenarioSpec
+    base: ScenarioSpec | OpenScenarioSpec
     grid: dict = field(default_factory=dict)
     vary_seed: bool = True
 
@@ -163,31 +170,32 @@ class Sweep:
             if len(values) == 0:
                 raise ScenarioError(f"grid values for {path!r} must be non-empty")
 
-    def _expanded(self) -> list[tuple[dict, ScenarioSpec]]:
-        """Grid expansion: ``(grid_overrides, spec)`` per point, in order."""
+    def _grid_cells(self) -> list[dict]:
+        """Each point's grid overrides, in row-major grid order."""
         paths = list(self.grid)
-        combos = list(itertools.product(*(self.grid[path] for path in paths)))
+        return [
+            dict(zip(paths, combo))
+            for combo in itertools.product(*(self.grid[path] for path in paths))
+        ]
+
+    def points(self) -> list:
+        """The expanded specs, in deterministic grid order."""
+        cells = self._grid_cells()
         seeds = (
-            derive_point_seeds(self.base.seed, len(combos))
-            if self.vary_seed and "seed" not in paths
+            derive_point_seeds(self.base.seed, len(cells))
+            if self.vary_seed and "seed" not in self.grid
             else None
         )
-        expanded: list[tuple[dict, ScenarioSpec]] = []
-        for index, combo in enumerate(combos):
-            grid_overrides = dict(zip(paths, combo))
-            overrides = dict(grid_overrides)
+        specs = []
+        for index, overrides in enumerate(cells):
             if seeds is not None:
                 overrides["seed"] = seeds[index]
             if "name" not in overrides:
                 overrides["name"] = (
                     f"{self.base.name}[{index}]" if self.base.name else f"point-{index}"
                 )
-            expanded.append((grid_overrides, self.base.override(overrides)))
-        return expanded
-
-    def points(self) -> list[ScenarioSpec]:
-        """The expanded scenario specs, in deterministic grid order."""
-        return [spec for _, spec in self._expanded()]
+            specs.append(self.base.override(overrides))
+        return specs
 
     def point_overrides(self) -> list[dict]:
         """Each point's grid overrides (derived seed/name excluded), in order.
@@ -195,7 +203,7 @@ class Sweep:
         Aligned with :meth:`points`; error messages and failure manifests
         use these to name the grid cell a failing point came from.
         """
-        return [overrides for overrides, _ in self._expanded()]
+        return self._grid_cells()
 
     def to_dict(self) -> dict:
         return {
@@ -206,6 +214,7 @@ class Sweep:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Sweep":
+        """Load a sweep; a base with an ``arrivals`` key is an open spec."""
         if not isinstance(data, Mapping):
             raise ScenarioError("sweep spec must be a mapping")
         unknown = sorted(set(data) - {"base", "grid", "vary_seed"})
@@ -218,10 +227,13 @@ class Sweep:
         grid = data.get("grid", {})
         if not isinstance(grid, Mapping):
             raise ScenarioError("sweep 'grid' must be a mapping")
+        base = data["base"]
         return cls(
-            base=ScenarioSpec.from_dict(data["base"]),
+            base=spec_family(base).spec.from_dict(base),
             grid={str(path): list(values) for path, values in grid.items()},
-            vary_seed=bool(data.get("vary_seed", True)),
+            vary_seed=_boolean_field(
+                data, "vary_seed", what="sweep spec", default=True
+            ),
         )
 
     def to_json(self, *, indent: int | None = 2) -> str:
@@ -250,7 +262,7 @@ class SweepResult:
     equal to a complete one, so failures do participate in equality.
     """
 
-    results: list[ScenarioResult]
+    results: list
     executor: str
     elapsed_seconds: float = field(default=0.0, compare=False)
     resumed: int = field(default=0, compare=False)
@@ -273,7 +285,10 @@ class SweepResult:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SweepResult":
         return cls(
-            results=[ScenarioResult.from_dict(row) for row in data["results"]],
+            results=[
+                spec_family(row["spec"]).result.from_dict(row)
+                for row in data["results"]
+            ],
             executor=str(data.get("executor", "serial")),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             resumed=int(data.get("resumed", 0)),
@@ -285,29 +300,18 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
-        """Plain-text sweep table for the CLI."""
+        """Plain-text sweep table in the columns of the results' ``sweep_row``."""
         from ..analysis.tables import render_table
 
-        headers = ["point", "engine", "trials", "success", "mean rounds", "p90"]
-        rows: list[list[object]] = []
-        for result in self.results:
-            rows.append(
-                [
-                    result.spec.label(),
-                    result.engine,
-                    result.success.trials,
-                    result.success.rate,
-                    result.rounds.mean if result.any_successes else float("nan"),
-                    result.rounds.p90 if result.any_successes else float("nan"),
-                ]
-            )
-        table = render_table(headers, rows, precision=3)
         lines = [
             f"sweep: {len(self.results)} point(s), executor={self.executor}, "
             f"wall {self.elapsed_seconds:.3f}s, resumed={self.resumed}, "
             f"cache_hits={self.cache_hits}, failures={len(self.failures)}",
-            table,
         ]
+        rows = [result.sweep_row() for result in self.results]
+        if rows:
+            cells = [list(row.values()) for row in rows]
+            lines.append(render_table(list(rows[0]), cells, precision=3))
         if self.failures:
             lines.append("failed points (see the structured manifest in --json):")
             for failure in self.failures:
@@ -321,20 +325,21 @@ class SweepResult:
 
 def _run_point_payload(spec_data: dict) -> dict:
     """Worker entry: spec dict in, result dict out (picklable both ways)."""
-    return run_scenario(ScenarioSpec.from_dict(spec_data)).to_dict()
+    family = spec_family(spec_data)
+    return family.run(family.spec.from_dict(spec_data)).to_dict()
 
 
 def _run_serial(
-    points: Sequence[ScenarioSpec],
+    points: Sequence,
     max_workers: int | None,
     *,
     checkpoint: Callable | None = None,
-) -> list[ScenarioResult]:
+) -> list:
     del max_workers
-    results: list[ScenarioResult] = []
+    results = []
     for index, point in enumerate(points):
         try:
-            result = run_scenario(point)
+            result = spec_family(point).run(point)
         except Exception as error:
             raise SweepPointError(index, point, error) from error
         results.append(result)
@@ -354,18 +359,18 @@ def _pool_context():
 
 
 def _run_process_pool(
-    points: Sequence[ScenarioSpec],
+    points: Sequence,
     max_workers: int | None,
     *,
     checkpoint: Callable | None = None,
-) -> list[ScenarioResult]:
+) -> list:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     if max_workers is None:
         max_workers = min(len(points), multiprocessing.cpu_count())
     max_workers = max(1, max_workers)
-    results: list[ScenarioResult | None] = [None] * len(points)
+    results: list = [None] * len(points)
     with ProcessPoolExecutor(
         max_workers=max_workers, mp_context=_pool_context()
     ) as pool:
@@ -388,7 +393,7 @@ def _run_process_pool(
                     raise SweepPointError(
                         index, points[index], error
                     ) from error
-                result = ScenarioResult.from_dict(payload)
+                result = spec_family(points[index]).result.from_dict(payload)
                 results[index] = result
                 if checkpoint is not None:
                     try:
@@ -548,17 +553,19 @@ def _run_fused_group(
 
 
 def _run_fused(
-    points: Sequence[ScenarioSpec],
+    points: Sequence,
     max_workers: int | None,
     *,
     checkpoint: Callable | None = None,
-) -> list[ScenarioResult]:
+) -> list:
     """The fused executor: stack compatible points, serial-run the rest.
 
     Checkpoint granularity is the fusion *group*: a stacked run either
     lands whole or not at all, so a resumed sweep re-fuses exactly the
     still-missing groups and every point keeps its stacked engine label.
     """
+    if spec_family(points[0]).kind == "open":  # no stacked open engine
+        return _run_serial(points, max_workers, checkpoint=checkpoint)
     del max_workers
     resolved_points: list[ResolvedScenario] = []
     for index, point in enumerate(points):
@@ -574,7 +581,8 @@ def _run_fused(
                 # reference run, which re-resolves from the spec -
                 # resolution consumes no randomness, so the duplicate
                 # resolution is free of stream effects.
-                group_results = [run_scenario(points[group[0]])]
+                point = points[group[0]]
+                group_results = [spec_family(point).run(point)]
             else:
                 group_results = _run_fused_group(
                     [resolved_points[i] for i in group]
@@ -590,7 +598,7 @@ def _run_fused(
 
 
 def _run_supervised(
-    points: Sequence[ScenarioSpec],
+    points: Sequence,
     max_workers: int | None,
     *,
     checkpoint: Callable | None = None,
@@ -672,7 +680,7 @@ def _accepts_keyword(executor: Callable, name: str) -> bool:
 
 
 def run_sweep(
-    sweep: Sweep | Sequence[ScenarioSpec],
+    sweep: Sweep | Sequence[ScenarioSpec] | Sequence[OpenScenarioSpec],
     *,
     executor: str | Executor = "serial",
     max_workers: int | None = None,
@@ -698,15 +706,21 @@ def run_sweep(
     injects scripted faults (:mod:`repro.scenarios.faults`): the driver
     crash works under every executor; worker faults need an executor
     that supervises workers (pass ``executor="supervised"``).
+
+    Closed and open-system points share every executor, the store and
+    the journal; a point list mixing the two families is refused.
     """
-    if isinstance(sweep, Sweep):
-        points = sweep.points()
-        point_overrides = sweep.point_overrides()
-    else:
-        points = list(sweep)
-        point_overrides = [{} for _ in points]
+    points = sweep.points() if isinstance(sweep, Sweep) else list(sweep)
     if not points:
         raise ScenarioError("sweep expanded to zero points")
+    if len({spec_family(point).kind for point in points}) > 1:
+        raise ScenarioError("a sweep cannot mix open-system and closed specs")
+    # Grid overrides only name failing points: expanded once, on demand.
+    point_overrides = (
+        functools.cache(sweep.point_overrides)
+        if isinstance(sweep, Sweep)
+        else lambda: [{} for _ in points]
+    )
     if callable(executor):
         run = executor
         executor_name = str(
@@ -738,7 +752,7 @@ def run_sweep(
 
     started = time.perf_counter()
     total = len(points)
-    slots: list[ScenarioResult | None] = [None] * total
+    slots: list = [None] * total
     resumed = 0
     cache_hits = 0
     failures: list[dict] = []
@@ -756,7 +770,6 @@ def run_sweep(
                 sweep=sweep_key(keys),
                 points=total,
                 point_keys=keys,
-                result_from_dict=ScenarioResult.from_dict,
             )
             for index, result in journal.replayed.items():
                 slots[index] = result
@@ -783,7 +796,7 @@ def run_sweep(
         completed_this_run = 0
 
         def checkpoint(
-            sub_indices: Sequence[int], results: Sequence[ScenarioResult]
+            sub_indices: Sequence[int], results: Sequence
         ) -> None:
             nonlocal completed_this_run
             entries: list[tuple[int, dict]] = []
@@ -828,7 +841,7 @@ def run_sweep(
                     global_index,
                     error.spec,
                     error.cause,
-                    overrides=point_overrides[global_index],
+                    overrides=point_overrides()[global_index],
                 ) from error.cause
 
             sub_results: Sequence | None
@@ -857,7 +870,7 @@ def run_sweep(
                 enriched.update(
                     index=global_index,
                     name=point.label(),
-                    overrides=point_overrides[global_index],
+                    overrides=point_overrides()[global_index],
                     spec=point.to_dict(),
                 )
                 failures.append(enriched)

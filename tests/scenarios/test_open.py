@@ -11,15 +11,16 @@ from repro.scenarios import (
     ChannelSpec,
     OpenScenarioResult,
     OpenScenarioSpec,
-    OpenSweep,
-    OpenSweepResult,
     ProtocolSpec,
     RetrySpec,
     ScenarioError,
+    Sweep,
+    SweepResult,
     WorkloadSpec,
+    make_supervised_executor,
     resolve_open_scenario,
     run_open_scenario,
-    run_open_sweep,
+    run_sweep,
 )
 from repro.scenarios import (
     EXAMPLE_OPEN_RETRY_SWEEP,
@@ -150,6 +151,29 @@ class TestSpecSerialization:
             with pytest.raises(ScenarioError):
                 spec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,complaint",
+        [
+            ("trials", 1.5, "'trials' must be an integer"),
+            ("trials", True, "'trials' must be an integer"),
+            ("trials", "7", "'trials' must be an integer"),
+            ("trials", None, "'trials' must be an integer"),
+            ("trials", [], "'trials' must be an integer"),
+            ("trials", {}, "'trials' must be an integer"),
+            ("rounds", 2**70, "'rounds' must fit in int64"),
+            ("capacity", 8.0, "'capacity' must be an integer"),
+            ("timeout", "9", "'timeout' must be an integer"),
+            ("seed", -1, "'seed' must be >= 0"),
+            ("batch", "no", "'batch' must be true, false or null"),
+            ("batch", 1, "'batch' must be true, false or null"),
+        ],
+    )
+    def test_fields_are_checked_not_coerced(self, field, value, complaint):
+        payload = spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ScenarioError, match=complaint):
+            OpenScenarioSpec.from_dict(payload)
+
     def test_override_re_validates_through_from_dict(self):
         derived = spec().override(
             {"arrivals.params.rate": 0.4, "channel.collision_detection": True}
@@ -275,36 +299,66 @@ class TestRunAndResult:
         assert scalar.store == result.store
 
 
+def rate_sweep() -> Sweep:
+    return Sweep(base=spec(), grid={"arrivals.params.rate": [0.1, 0.2, 0.3]})
+
+
 class TestSweep:
     def test_points_derive_seeds_and_names(self):
-        sweep = OpenSweep(
-            base=spec(), grid={"arrivals.params.rate": [0.1, 0.2, 0.3]}
-        )
-        points = sweep.points()
+        points = rate_sweep().points()
         assert [p.name for p in points] == ["point-0", "point-1", "point-2"]
         assert len({p.seed for p in points}) == 3
-        pinned = OpenSweep(
+        pinned = Sweep(
             base=spec(), grid={"seed": [1, 2]}, vary_seed=True
         ).points()
         assert [p.seed for p in pinned] == [1, 2]
 
     def test_sweep_round_trip(self):
-        sweep = OpenSweep(base=spec(), grid={"trials": [4, 8]})
-        assert OpenSweep.from_json(sweep.to_json()) == sweep
+        sweep = Sweep(base=spec(), grid={"trials": [4, 8]})
+        loaded = Sweep.from_json(sweep.to_json())
+        assert loaded == sweep
+        assert isinstance(loaded.base, OpenScenarioSpec)
         with pytest.raises(ScenarioError, match="non-empty"):
-            OpenSweep(base=spec(), grid={"trials": []})
+            Sweep(base=spec(), grid={"trials": []})
 
     def test_sweep_result_serializes_and_renders(self):
-        result = run_open_sweep(
-            OpenSweep(base=spec(trials=4), grid={"trials": [2, 4]})
-        )
+        result = run_sweep(Sweep(base=spec(trials=4), grid={"trials": [2, 4]}))
         assert len(result) == 2
-        again = OpenSweepResult.from_dict(json.loads(result.to_json()))
-        assert [r.store for r in again.results] == [
-            r.store for r in result.results
-        ]
+        again = SweepResult.from_dict(json.loads(result.to_json()))
+        assert again == result
+        assert all(isinstance(r, OpenScenarioResult) for r in again.results)
         table = result.render()
+        assert "sweep: 2 point(s), executor=serial" in table
         assert "p99" in table and "open-schedule" in table
+
+    @pytest.mark.parametrize("executor", ["process", "fused", "supervised"])
+    def test_every_executor_matches_serial(self, executor):
+        """Open points run on every executor with identical results (the
+        fused executor has no stacked open engine, so keeps the labels)."""
+        sweep = rate_sweep()
+        serial = run_sweep(sweep)
+        if executor == "supervised":
+            executor = make_supervised_executor(timeout=30.0, retries=0)
+        other = run_sweep(sweep, executor=executor, max_workers=2)
+        assert other.results == serial.results
+        assert [r.engine for r in other.results] == ["open-schedule"] * 3
+        assert other.failures == []
+
+    def test_mixed_families_are_refused(self):
+        from repro.scenarios import ScenarioSpec
+
+        closed = ScenarioSpec.from_dict(
+            {
+                "protocol": "decay",
+                "workload": {"kind": "fixed", "params": {"k": 4}},
+                "channel": "nocd",
+                "n": 64,
+                "trials": 4,
+                "max_rounds": 64,
+            }
+        )
+        with pytest.raises(ScenarioError, match="cannot mix"):
+            run_sweep([closed, spec()])
 
     @pytest.mark.parametrize(
         "protocol_id,cd,rates",
@@ -326,9 +380,7 @@ class TestSweep:
             capacity=128,
             seed=2021,
         )
-        result = run_open_sweep(
-            OpenSweep(base=base, grid={"arrivals.params.rate": rates})
-        )
+        result = run_sweep(Sweep(base=base, grid={"arrivals.params.rate": rates}))
         p50s = [r.summary.p50 for r in result.results]
         p99s = [r.summary.p99 for r in result.results]
         assert p50s == sorted(p50s), f"p50 not monotone in load: {p50s}"
@@ -343,11 +395,11 @@ class TestExamples:
         assert result.engine == ENGINE_OPEN_SCHEDULE
 
     def test_example_sweep_loads(self):
-        sweep = OpenSweep.from_dict(EXAMPLE_OPEN_SWEEP)
+        sweep = Sweep.from_dict(EXAMPLE_OPEN_SWEEP)
         assert len(sweep.points()) == 4
 
     def test_retry_example_sweep_covers_the_policy_grid(self):
-        sweep = OpenSweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP)
+        sweep = Sweep.from_dict(EXAMPLE_OPEN_RETRY_SWEEP)
         points = sweep.points()
         assert len(points) == 6
         assert {p.retry.kind for p in points} == {

@@ -14,17 +14,15 @@ import pytest
 from repro.scenarios import (
     FaultPlan,
     OpenScenarioSpec,
-    OpenSweep,
     ResultStore,
     ScenarioSpec,
     SimulatedCrash,
     Sweep,
     make_supervised_executor,
-    run_open_sweep,
     run_sweep,
 )
 from repro.scenarios.spec import ScenarioError
-from repro.scenarios import sweep as sweep_module
+from repro.scenarios import runner as runner_module
 
 
 def base_spec(**overrides) -> ScenarioSpec:
@@ -54,6 +52,22 @@ def fused_sweep() -> Sweep:
         grid={"protocol.id": ["willard", "decay"],
               "workload.params.k": [2, 4, 6]},
     )
+
+
+def open_sweep() -> Sweep:
+    base = OpenScenarioSpec.from_dict(
+        {
+            "name": "oz",
+            "protocol": {"id": "decay"},
+            "arrivals": {"family": "poisson", "params": {"rate": 0.2}},
+            "channel": "cd",
+            "n": 64,
+            "trials": 4,
+            "rounds": 64,
+            "seed": 5,
+        }
+    )
+    return Sweep(base=base, grid={"arrivals.params.rate": [0.1, 0.2, 0.3]})
 
 
 SUPERVISED_FAST = make_supervised_executor(timeout=30.0, retries=0)
@@ -122,6 +136,20 @@ class TestCrashResumeBitIdentity:
         assert resumed.resumed == k
         assert resumed.failures == []
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("executor", ["serial", "fused", "supervised"])
+    def test_open(self, tmp_path, executor, k):
+        sweep = open_sweep()
+        reference = run_sweep(sweep, executor="serial")
+        if executor == "supervised":
+            executor = SUPERVISED_FAST
+        resumed = crash_then_resume(
+            sweep, tmp_path / "j.jsonl", k=k, executor=executor, max_workers=1
+        )
+        assert resumed.results == reference.results
+        assert resumed.resumed == k
+        assert resumed.failures == []
+
     def test_process_executor_resumes_too(self, tmp_path):
         sweep = serial_sweep()
         reference = run_sweep(sweep, executor="serial")
@@ -168,7 +196,7 @@ class TestCache:
         def explode(spec):
             raise AssertionError("engine invoked on a fully warm cache")
 
-        monkeypatch.setattr(sweep_module, "run_scenario", explode)
+        monkeypatch.setattr(runner_module, "run_scenario", explode)
         warm = run_sweep(sweep, executor="serial", cache=tmp_path / "cache")
         assert warm.cache_hits == len(warm.results) == 4
         assert warm.results == cold.results
@@ -234,39 +262,23 @@ class TestFaultPlanGuards:
         assert json.loads(lines[0])["kind"] == "header"
 
 
-def open_sweep() -> OpenSweep:
-    base = OpenScenarioSpec.from_dict(
-        {
-            "name": "oz",
-            "protocol": {"id": "decay"},
-            "arrivals": {"family": "poisson", "params": {"rate": 0.2}},
-            "channel": "cd",
-            "n": 64,
-            "trials": 4,
-            "rounds": 64,
-            "seed": 5,
-        }
-    )
-    return OpenSweep(base=base, grid={"arrivals.params.rate": [0.1, 0.2, 0.3]})
-
-
-class TestOpenSweepDurability:
+class TestOpenDurability:
     def test_truncated_journal_resumes_bit_identical(self, tmp_path):
         sweep = open_sweep()
-        reference = run_open_sweep(sweep)
+        reference = run_sweep(sweep)
         journal = tmp_path / "j.jsonl"
-        run_open_sweep(sweep, resume=journal)
+        run_sweep(sweep, resume=journal)
         # Simulate a crash after the first point: drop the tail.
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:2]) + "\n")
-        resumed = run_open_sweep(sweep, resume=journal)
+        resumed = run_sweep(sweep, resume=journal)
         assert resumed.resumed == 1
         assert resumed.results == reference.results
 
     def test_warm_cache_serves_open_points(self, tmp_path):
         sweep = open_sweep()
-        cold = run_open_sweep(sweep, cache=tmp_path / "cache")
-        warm = run_open_sweep(sweep, cache=tmp_path / "cache")
+        cold = run_sweep(sweep, cache=tmp_path / "cache")
+        warm = run_sweep(sweep, cache=tmp_path / "cache")
         assert warm.cache_hits == 3
         assert warm.results == cold.results
         assert "cache_hits=3" in warm.render()

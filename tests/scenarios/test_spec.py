@@ -34,6 +34,12 @@ def spec_dict(**overrides) -> dict:
     return data
 
 
+def sweep_from(fields: dict):
+    from repro.scenarios import Sweep
+
+    return Sweep.from_dict({"base": spec_dict(), **fields})
+
+
 class TestSubSpecs:
     def test_protocol_shorthand(self):
         assert ProtocolSpec.from_dict("decay") == ProtocolSpec("decay")
@@ -216,9 +222,9 @@ class TestChannelModelSpec:
 
 
 class TestStrictFields:
-    """Integer and batch fields are checked, never coerced or leaked."""
+    """Integer and boolean fields are checked, never coerced or leaked."""
 
-    @pytest.mark.parametrize("value", [1.5, 7.0, True, "7", None, []])
+    @pytest.mark.parametrize("value", [1.5, 7.0, True, "7", None, [], {}])
     @pytest.mark.parametrize("field", ["n", "trials", "max_rounds", "seed"])
     def test_non_integers_are_refused(self, field, value):
         with pytest.raises(ScenarioError, match=f"'{field}' must be an integer"):
@@ -244,6 +250,31 @@ class TestStrictFields:
     @pytest.mark.parametrize("value", [True, False, None])
     def test_batch_booleans_and_null_load(self, value):
         assert ScenarioSpec.from_dict(spec_dict(batch=value)).batch is value
+
+    @pytest.mark.parametrize(
+        "load,payload,complaint",
+        [
+            (ChannelSpec.from_dict, {"collision_detection": "false"},
+             "'collision_detection' must be true or false"),
+            (ChannelSpec.from_dict, {"collision_detection": 0},
+             "'collision_detection' must be true or false"),
+            (ChannelSpec.from_dict, {"collision_detection": None},
+             "'collision_detection' must be true or false"),
+            (AdviceSpec.from_dict, {"function": "null", "bits": 2.9},
+             "'bits' must be an integer"),
+            (AdviceSpec.from_dict, {"function": "null", "bits": True},
+             "'bits' must be an integer"),
+            (AdviceSpec.from_dict, {"function": "null", "bits": "2"},
+             "'bits' must be an integer"),
+            (sweep_from, {"vary_seed": "false"},
+             "'vary_seed' must be true or false"),
+            (sweep_from, {"vary_seed": None},
+             "'vary_seed' must be true or false"),
+        ],
+    )
+    def test_nested_fields_are_checked_not_coerced(self, load, payload, complaint):
+        with pytest.raises(ScenarioError, match=complaint):
+            load(payload)
 
     def test_numpy_integers_load_as_python_ints(self):
         spec = ScenarioSpec.from_dict(

@@ -13,7 +13,6 @@ from repro.scenarios import (
     spec_key,
     sweep_key,
 )
-from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import ScenarioError
 from repro.scenarios import store as store_module
 
@@ -77,6 +76,19 @@ class TestSpecKey:
             spec.override({"admission.kind": "shed",
                            "admission.params.threshold": 0.5})
         ) != spec_key(spec)
+
+    def test_keys_of_existing_caches_still_resolve(self):
+        """Keys pinned from an earlier build: caches and journals written
+        before still resolve, so the key payload must not drift."""
+        from repro.cli import EXAMPLE_SCENARIO
+        from repro.scenarios import EXAMPLE_OPEN_SCENARIO
+
+        assert spec_key(ScenarioSpec.from_dict(EXAMPLE_SCENARIO)) == (
+            "4df879f89e6bd93f856047d5b53afefb28b7872ef1fff74d53847b73cd74835a"
+        )
+        assert spec_key(OpenScenarioSpec.from_dict(EXAMPLE_OPEN_SCENARIO)) == (
+            "d8565dcc206d6ae0ba76b0bd36fff89c1b3f3d2c6d5fc4dd943c63e6a70abf04"
+        )
 
     def test_schema_version_is_part_of_the_key(self, monkeypatch):
         spec = base_spec()
@@ -163,7 +175,6 @@ class TestSweepJournal:
             sweep=sweep_key(keys),
             points=len(keys),
             point_keys=keys,
-            result_from_dict=ScenarioResult.from_dict,
         )
         kwargs.update(overrides)
         return SweepJournal(path, **kwargs)

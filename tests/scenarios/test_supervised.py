@@ -5,6 +5,7 @@ import pytest
 from repro.scenarios import (
     EXECUTORS,
     FaultPlan,
+    OpenScenarioSpec,
     ScenarioSpec,
     Sweep,
     SweepPointError,
@@ -34,6 +35,22 @@ def base_spec(**overrides) -> ScenarioSpec:
 
 def small_sweep() -> Sweep:
     return Sweep(base=base_spec(), grid={"workload.params.k": [2, 4, 6]})
+
+
+def open_rate_sweep() -> Sweep:
+    base = OpenScenarioSpec.from_dict(
+        {
+            "name": "ov",
+            "protocol": {"id": "decay"},
+            "arrivals": {"family": "poisson", "params": {"rate": 0.1}},
+            "channel": "nocd",
+            "n": 64,
+            "trials": 4,
+            "rounds": 96,
+            "seed": 100,
+        }
+    )
+    return Sweep(base=base, grid={"arrivals.params.rate": [0.1, 0.2, 0.3]})
 
 
 FAST = make_supervised_executor(timeout=2.0, retries=1, backoff=0.01)
@@ -153,6 +170,40 @@ class TestSupervisedRecovery:
         )
         assert len(out.failures) == 1
         assert "corrupted result" in out.failures[0]["error"]
+
+    def test_open_sweep_recovers_from_crash_and_corrupt(self):
+        sweep = open_rate_sweep()
+        reference = run_sweep(sweep, executor="serial")
+        out = run_sweep(
+            sweep,
+            executor=FAST,
+            max_workers=1,
+            fault_plan=FaultPlan(crash={0: 1}, corrupt={2: 1}),
+        )
+        assert out.results == reference.results
+        assert out.failures == []
+
+    def test_open_manifest_names_the_rate_override(self):
+        sweep = open_rate_sweep()
+        reference = run_sweep(sweep, executor="serial")
+        out = run_sweep(
+            sweep,
+            executor=NO_RETRY,
+            max_workers=1,
+            fault_plan=FaultPlan(crash={0: 5}, corrupt={2: 5}),
+        )
+        assert out.results == [reference.results[1]]
+        assert [f["index"] for f in out.failures] == [0, 2]
+        points = sweep.points()
+        for failure in out.failures:
+            index = failure["index"]
+            assert failure["name"] == f"ov[{index}]"
+            assert failure["overrides"] == {
+                "arrivals.params.rate": [0.1, 0.2, 0.3][index]
+            }
+            assert OpenScenarioSpec.from_dict(failure["spec"]) == points[index]
+        text = out.render()
+        assert "failures=2" in text and "p99" in text
 
     def test_registered_by_default(self):
         assert "supervised" in EXECUTORS

@@ -388,20 +388,20 @@ class TestOpenCli:
         OpenScenarioSpec.from_dict(payload)  # loads cleanly
 
     def test_open_example_sweep_expands(self, capsys):
-        from repro.scenarios import EXAMPLE_OPEN_SWEEP, OpenSweep
+        from repro.scenarios import EXAMPLE_OPEN_SWEEP, Sweep
 
         assert main(["scenario", "open", "example", "--sweep"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == EXAMPLE_OPEN_SWEEP
-        assert len(OpenSweep.from_dict(payload).points()) == 4
+        assert len(Sweep.from_dict(payload).points()) == 4
 
     def test_open_example_retry_grid_expands(self, capsys):
-        from repro.scenarios import EXAMPLE_OPEN_RETRY_SWEEP, OpenSweep
+        from repro.scenarios import EXAMPLE_OPEN_RETRY_SWEEP, Sweep
 
         assert main(["scenario", "open", "example", "--retry"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == EXAMPLE_OPEN_RETRY_SWEEP
-        points = OpenSweep.from_dict(payload).points()
+        points = Sweep.from_dict(payload).points()
         assert {p.retry.kind for p in points} == {
             "give-up", "immediate", "backoff",
         }
@@ -457,8 +457,36 @@ class TestOpenCli:
         sweep_path.write_text(json.dumps(sweep))
         assert main(["scenario", "open", "sweep", str(sweep_path)]) == 0
         table = capsys.readouterr().out
-        assert "open sweep: 2 point(s)" in table
+        assert "sweep: 2 point(s), executor=serial" in table
         assert "open-schedule" in table and "p99" in table
+
+    def test_scenario_sweep_runs_an_open_grid_on_the_process_pool(
+        self, tmp_path, capsys
+    ):
+        from repro.scenarios import EXAMPLE_OPEN_SWEEP
+
+        sweep = json.loads(json.dumps(EXAMPLE_OPEN_SWEEP))
+        sweep["base"].update(trials=4, rounds=96, warmup=16)
+        sweep["grid"] = {"arrivals.params.rate": [0.05, 0.2]}
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        assert main(["scenario", "open", "sweep", str(sweep_path), "--json"]) == 0
+        serial = json.loads(capsys.readouterr().out)
+        argv = ["scenario", "sweep", str(sweep_path), "--executor", "process"]
+        assert main(argv + ["--workers", "2", "--json"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert pooled["executor"] == "process" and pooled["failures"] == []
+
+        def points(payload):
+            return [dict(row, elapsed_seconds=None) for row in payload["results"]]
+
+        assert points(pooled) == points(serial)
+
+    def test_open_sweep_refuses_a_closed_sweep_file(self, tmp_path, capsys):
+        sweep_path = tmp_path / "closed.json"
+        sweep_path.write_text(json.dumps(EXAMPLE_SWEEP))
+        assert main(["scenario", "open", "sweep", str(sweep_path)]) == 2
+        assert "scenario error" in capsys.readouterr().err
 
     def test_open_bad_spec_exits_two(self, tmp_path, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SCENARIO
