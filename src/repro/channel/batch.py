@@ -328,28 +328,23 @@ def _success_bands(
     (the exactly-one-transmitter mass).
     """
     p = _schedule_probabilities(schedule, start_round, length)[:, None]
-    ks = unique_ks[None, :]
-    miss = 1.0 - p
-    lo = miss**ks
-    hi = lo + ks * p * miss ** (ks - 1)
-    return lo, hi
+    return _band_edges(p, unique_ks[None, :])
 
 
-def _trial_bands(
-    p_trial: np.ndarray, k_eff: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial trichotomy band edges from per-trial counts.
+def _band_edges(p: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trichotomy band edges of transmit probability ``p`` and count ``k``.
 
-    The population-shrinking path (crash models with a rejoin delay):
-    band edges are no longer a pure function of the static ``(point, k)``
-    combo, so they are computed per live trial from that trial's current
-    active count.  ``k_eff = 0`` (everyone dead) yields ``lo = hi = 1``:
-    certain silence - the exponent clamp keeps ``p = 1`` from producing
-    ``0 * 0**-1`` NaNs there.
+    The one band kernel of the vectorized engines (schedule, history and
+    open): a round's uniform draw below ``lo = (1-p)^k`` is silence, in
+    ``[lo, hi)`` with ``hi - lo = kp(1-p)^(k-1)`` a success, and above a
+    collision.  ``p`` and ``k`` broadcast.  ``k = 0`` (an idle channel,
+    or everyone crashed) yields ``lo = hi = 1``: certain silence - the
+    exponent clamp keeps ``p = 1`` from producing ``0 * 0**-1`` NaNs
+    there, and changes no edge of ``k >= 1``.
     """
-    miss = 1.0 - p_trial
-    lo = miss**k_eff
-    hi = lo + k_eff * p_trial * miss ** np.maximum(k_eff - 1.0, 0.0)
+    miss = 1.0 - p
+    lo = miss**k
+    hi = lo + k * p * miss ** np.maximum(k - 1.0, 0.0)
     return lo, hi
 
 
@@ -506,7 +501,7 @@ def run_schedule_stacked(
                 k_eff = fault_state.active_counts(
                     flat_ks, round_index
                 ).astype(float)
-                lo_trial, hi_trial = _trial_bands(
+                lo_trial, hi_trial = _band_edges(
                     p_table[row, flat_point], k_eff
                 )
             else:
@@ -858,12 +853,9 @@ def run_history_stacked(
             k_eff = fault_state.active_counts(flat_ks, round_index).astype(
                 float
             )
-            lo, hi = _trial_bands(p[pair_inverse], k_eff)
+            lo, hi = _band_edges(p[pair_inverse], k_eff)
         else:
-            k = combo_ks[unique_pair % combo_ks.size]
-            miss = 1.0 - p
-            lo_pair = miss**k
-            hi_pair = lo_pair + k * p * miss ** (k - 1)
+            lo_pair, hi_pair = _band_edges(p, combo_ks[unique_pair % combo_ks.size])
             lo = lo_pair[pair_inverse]
             hi = hi_pair[pair_inverse]
 

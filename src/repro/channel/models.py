@@ -95,6 +95,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..core.feedback import Feedback
+from ..core.named import Params, Registry
 
 __all__ = [
     "FB_SILENCE",
@@ -278,10 +279,7 @@ def _check_count(value: object, what: str, minimum: int) -> int:
 
 
 def _check_probability(value: object, what: str) -> float:
-    try:
-        probability = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    probability = Params.check(value, float, what)
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"{what} must be in [0, 1], got {value!r}")
     return probability
@@ -601,16 +599,13 @@ class _SchedulerStrategy(AdaptiveStrategy):
 
 
 #: Strategy name -> singleton, the adaptive adversary's policy vocabulary.
-ADAPTIVE_STRATEGIES: dict[str, AdaptiveStrategy] = {}
+ADAPTIVE_STRATEGIES = Registry("adaptive strategy")
 
 
 def register_adaptive_strategy(strategy: AdaptiveStrategy) -> AdaptiveStrategy:
     """Register a strategy under its ``name`` (open, like the registries
     of :mod:`repro.scenarios.registry`); returns it for chaining."""
-    if strategy.name in ADAPTIVE_STRATEGIES:
-        raise ValueError(f"adaptive strategy {strategy.name!r} already registered")
-    ADAPTIVE_STRATEGIES[strategy.name] = strategy
-    return strategy
+    return ADAPTIVE_STRATEGIES.register(strategy.name, strategy)
 
 
 register_adaptive_strategy(_GreedyStrategy())
@@ -724,11 +719,7 @@ class AdaptiveAdversary(ChannelModel):
 
     def __post_init__(self) -> None:
         _check_count(self.budget, "jam budget", 0)
-        if self.strategy not in ADAPTIVE_STRATEGIES:
-            raise ValueError(
-                f"unknown adaptive strategy {self.strategy!r}; known "
-                f"strategies: {', '.join(sorted(ADAPTIVE_STRATEGIES))}"
-            )
+        ADAPTIVE_STRATEGIES[self.strategy]  # refuses an unknown strategy
         _check_count(self.patience, "streak patience", 1)
         if self.mode not in ("front", "back"):
             raise ValueError(
@@ -832,7 +823,7 @@ class NoisyChannel(ChannelModel):
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            _check_probability(getattr(self, field.name), field.name.replace("_", " "))
+            _check_probability(getattr(self, field.name), field.name)
 
     @property
     def needs_fault_draws(self) -> bool:
@@ -1043,13 +1034,16 @@ class CrashModel(ChannelModel):
 # ----------------------------------------------------------------------
 
 #: Model name -> constructor, the serializable channel-model vocabulary.
-CHANNEL_MODELS: dict[str, type[ChannelModel]] = {
-    ObliviousJammer.name: ObliviousJammer,
-    ReactiveJammer.name: ReactiveJammer,
-    AdaptiveAdversary.name: AdaptiveAdversary,
-    NoisyChannel.name: NoisyChannel,
-    CrashModel.name: CrashModel,
-}
+CHANNEL_MODELS = Registry(
+    "channel model",
+    {
+        ObliviousJammer.name: ObliviousJammer,
+        ReactiveJammer.name: ReactiveJammer,
+        AdaptiveAdversary.name: AdaptiveAdversary,
+        NoisyChannel.name: NoisyChannel,
+        CrashModel.name: CrashModel,
+    },
+)
 
 
 def channel_model_from_dict(data: Mapping) -> ChannelModel:
@@ -1072,17 +1066,12 @@ def channel_model_from_dict(data: Mapping) -> ChannelModel:
             "allowed: name, params"
         )
     name = data.get("name")
-    if name not in CHANNEL_MODELS:
-        raise ValueError(
-            f"unknown channel model {name!r}; known models: "
-            f"{', '.join(sorted(CHANNEL_MODELS))}"
-        )
+    constructor = CHANNEL_MODELS[name]
     params = data.get("params", {})
     if not isinstance(params, Mapping):
         raise ValueError(
             f"channel model params must be a mapping, got {type(params).__name__}"
         )
-    constructor = CHANNEL_MODELS[name]
     allowed = [field.name for field in fields(constructor)]  # type: ignore[arg-type]
     bad = sorted(set(params) - set(allowed))
     if bad:

@@ -30,11 +30,12 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
 from ..channel.arrivals import MIN_COUNT, MarkovBurstArrivals, TraceArrivals
+from ..core.named import Params, Registry
 
 __all__ = [
     "ArrivalProcess",
@@ -93,6 +94,10 @@ class PoissonArrivals(ArrivalProcess):
         return self.rate
 
 
+#: Largest hotspot batch: the batch-size CDF is a table of this length.
+_MAX_BATCH = 2**20
+
+
 class ZipfHotspotArrivals(ArrivalProcess):
     """Poisson events carrying truncated-Zipf batch sizes.
 
@@ -115,8 +120,10 @@ class ZipfHotspotArrivals(ArrivalProcess):
             raise ValueError(f"rate must be positive and finite, got {rate}")
         if not (alpha >= 0.0) or not math.isfinite(alpha):
             raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if not 1 <= max_batch <= _MAX_BATCH:
+            raise ValueError(
+                f"max_batch must be in [1, {_MAX_BATCH}], got {max_batch}"
+            )
         self.rate = float(rate)
         self.alpha = float(alpha)
         self.max_batch = int(max_batch)
@@ -226,78 +233,52 @@ class ClampedArrivalSizeSource:
         return np.clip(draws, MIN_COUNT, self.n).astype(np.int64)
 
 
-def _take(params: dict, key: str, kind: str, *, default=None, required: bool = False):
-    if key in params:
-        return params.pop(key)
-    if required:
-        raise ValueError(f"arrival family {kind!r} requires parameter {key!r}")
-    return default
+def _build_poisson(params: Params) -> ArrivalProcess:
+    return PoissonArrivals(params.take("rate", float))
 
 
-def _done(params: dict, kind: str) -> None:
-    if params:
-        extras = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for arrival family {kind!r}: {extras}")
-
-
-def _build_poisson(params: dict) -> ArrivalProcess:
-    rate = float(_take(params, "rate", "poisson", required=True))
-    _done(params, "poisson")
-    return PoissonArrivals(rate)
-
-
-def _build_zipf_hotspot(params: dict) -> ArrivalProcess:
-    rate = float(_take(params, "rate", "zipf-hotspot", required=True))
-    alpha = float(_take(params, "alpha", "zipf-hotspot", default=1.5))
-    max_batch = int(_take(params, "max_batch", "zipf-hotspot", default=32))
-    _done(params, "zipf-hotspot")
-    return ZipfHotspotArrivals(rate, alpha=alpha, max_batch=max_batch)
-
-
-def _build_bursty(params: dict) -> ArrivalProcess:
-    devices = int(_take(params, "devices", "bursty", required=True))
-    thin = float(_take(params, "thin", "bursty", required=True))
-    calm_rate = float(_take(params, "calm_rate", "bursty", default=0.01))
-    burst_rate = float(_take(params, "burst_rate", "bursty", default=0.2))
-    burst_arrival = float(_take(params, "burst_arrival", "bursty", default=0.05))
-    burst_departure = float(_take(params, "burst_departure", "bursty", default=0.25))
-    start_in_burst = bool(_take(params, "start_in_burst", "bursty", default=False))
-    _done(params, "bursty")
-    burst = MarkovBurstArrivals(
-        devices,
-        calm_rate=calm_rate,
-        burst_rate=burst_rate,
-        burst_arrival=burst_arrival,
-        burst_departure=burst_departure,
-        start_in_burst=start_in_burst,
+def _build_zipf_hotspot(params: Params) -> ArrivalProcess:
+    return ZipfHotspotArrivals(
+        params.take("rate", float),
+        alpha=params.take("alpha", float, 1.5),
+        max_batch=params.take("max_batch", int, 32),
     )
-    return ThinnedArrivals(burst, thin=thin)
 
 
-def _build_trace(params: dict) -> ArrivalProcess:
-    counts = _take(params, "counts", "trace", required=True)
-    thin = float(_take(params, "thin", "trace", default=1.0))
-    _done(params, "trace")
-    if not isinstance(counts, Sequence) or isinstance(counts, (str, bytes)):
-        raise ValueError("trace counts must be a sequence of integers")
-    return ThinnedArrivals(TraceArrivals([int(c) for c in counts]), thin=thin)
+def _build_bursty(params: Params) -> ArrivalProcess:
+    burst = MarkovBurstArrivals(
+        params.take("devices", int),
+        calm_rate=params.take("calm_rate", float, 0.01),
+        burst_rate=params.take("burst_rate", float, 0.2),
+        burst_arrival=params.take("burst_arrival", float, 0.05),
+        burst_departure=params.take("burst_departure", float, 0.25),
+        start_in_burst=params.take("start_in_burst", bool, False),
+    )
+    return ThinnedArrivals(burst, thin=params.take("thin", float))
 
 
-ARRIVAL_FAMILIES = {
-    "poisson": _build_poisson,
-    "zipf-hotspot": _build_zipf_hotspot,
-    "bursty": _build_bursty,
-    "trace": _build_trace,
-}
+def _build_trace(params: Params) -> ArrivalProcess:
+    counts = [
+        Params.check(count, int, f"{params.what} count")
+        for count in params.take("counts", list)
+    ]
+    return ThinnedArrivals(
+        TraceArrivals(counts), thin=params.take("thin", float, 1.0)
+    )
+
+
+ARRIVAL_FAMILIES = Registry(
+    "arrival family",
+    {
+        "poisson": _build_poisson,
+        "zipf-hotspot": _build_zipf_hotspot,
+        "bursty": _build_bursty,
+        "trace": _build_trace,
+    },
+)
 
 
 def arrival_process_from_dict(data: Mapping) -> ArrivalProcess:
     """Build an arrival process from ``{"family": ..., **params}``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"arrival spec must be a mapping, got {type(data).__name__}")
-    payload = dict(data)
-    family = payload.pop("family", None)
-    if family not in ARRIVAL_FAMILIES:
-        known = ", ".join(sorted(ARRIVAL_FAMILIES))
-        raise ValueError(f"unknown arrival family {family!r} (known: {known})")
-    return ARRIVAL_FAMILIES[family](payload)
+    params = Params(data, "arrival")
+    return ARRIVAL_FAMILIES.build(params.pop("family", None), params)

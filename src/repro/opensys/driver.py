@@ -117,7 +117,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel.batch import _arena_for_run, _check_model_batchable, _run_tokens
+from ..channel.batch import (
+    _arena_for_run,
+    _band_edges,
+    _check_model_batchable,
+    _run_tokens,
+)
 from ..channel.channel import Channel
 from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
 from ..channel.simulator import _check_channel
@@ -326,15 +331,11 @@ def _trichotomy(
 ) -> np.ndarray:
     """Delivered-feedback codes of one round, vectorized across trials.
 
-    The closed engines' band compare extended to ``k = 0``: the silence
-    band is ``(1-p)^k = 1`` there, so idle channels hear silence without
-    a special case (``max(k-1, 0)`` keeps ``0 * 0**-1`` from producing
-    NaN when ``p = 1``).
+    The closed engines' band compare (:func:`~repro.channel.batch._band_edges`),
+    whose ``k = 0`` edges make idle channels hear silence without a
+    special case.
     """
-    k_f = k.astype(float)
-    miss = 1.0 - p
-    lo = miss**k_f
-    hi = lo + k_f * p * miss ** np.maximum(k_f - 1.0, 0.0)
+    lo, hi = _band_edges(p, k.astype(float))
     return np.where(
         u < lo, FB_SILENCE, np.where(u < hi, FB_SUCCESS, FB_COLLISION)
     ).astype(np.int64)

@@ -52,6 +52,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from ..core.named import Params, Registry
+
 __all__ = [
     "RetryPolicy",
     "GiveUpPolicy",
@@ -370,99 +372,66 @@ class OccupancySheddingPolicy(AdmissionPolicy):
 # ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
-def _take(params: dict, key: str, kind: str, *, default=None):
-    if key in params:
-        return params.pop(key)
-    return default
-
-
-def _done(params: dict, label: str, kind: str) -> None:
-    if params:
-        extras = ", ".join(sorted(params))
-        raise ValueError(
-            f"unknown parameter(s) for {label} {kind!r}: {extras}"
-        )
-
-
-def _optional_budget(params: dict, kind: str) -> int | None:
-    budget = _take(params, "budget", kind)
-    return None if budget is None else int(budget)
-
-
-def _build_give_up(params: dict) -> RetryPolicy:
-    _done(params, "retry policy", "give-up")
+def _build_give_up(params: Params) -> RetryPolicy:
     return GiveUpPolicy()
 
 
-def _build_immediate(params: dict) -> RetryPolicy:
-    budget = _optional_budget(params, "immediate")
-    _done(params, "retry policy", "immediate")
-    return ImmediateRetryPolicy(budget=budget)
+def _build_immediate(params: Params) -> RetryPolicy:
+    return ImmediateRetryPolicy(budget=params.take("budget", int, None))
 
 
-def _build_backoff(params: dict) -> RetryPolicy:
-    base = int(_take(params, "base", "backoff", default=1))
-    cap = int(_take(params, "cap", "backoff", default=64))
-    jitter = int(_take(params, "jitter", "backoff", default=0))
-    budget = _optional_budget(params, "backoff")
-    _done(params, "retry policy", "backoff")
+def _build_backoff(params: Params) -> RetryPolicy:
     return ExponentialBackoffPolicy(
-        base=base, cap=cap, jitter=jitter, budget=budget
+        base=params.take("base", int, 1),
+        cap=params.take("cap", int, 64),
+        jitter=params.take("jitter", int, 0),
+        budget=params.take("budget", int, None),
     )
 
 
-def _build_capacity(params: dict) -> AdmissionPolicy:
-    _done(params, "admission policy", "capacity")
+def _build_capacity(params: Params) -> AdmissionPolicy:
     return HardCapacityPolicy()
 
 
-def _build_token_bucket(params: dict) -> AdmissionPolicy:
-    if "rate" not in params:
-        raise ValueError("admission policy 'token-bucket' requires 'rate'")
-    rate = float(params.pop("rate"))
-    burst = float(_take(params, "burst", "token-bucket", default=1.0))
-    _done(params, "admission policy", "token-bucket")
-    return TokenBucketPolicy(rate=rate, burst=burst)
+def _build_token_bucket(params: Params) -> AdmissionPolicy:
+    return TokenBucketPolicy(
+        rate=params.take("rate", float), burst=params.take("burst", float, 1.0)
+    )
 
 
-def _build_shed(params: dict) -> AdmissionPolicy:
-    threshold = float(_take(params, "threshold", "shed", default=0.5))
-    power = float(_take(params, "power", "shed", default=1.0))
-    _done(params, "admission policy", "shed")
-    return OccupancySheddingPolicy(threshold=threshold, power=power)
+def _build_shed(params: Params) -> AdmissionPolicy:
+    return OccupancySheddingPolicy(
+        threshold=params.take("threshold", float, 0.5),
+        power=params.take("power", float, 1.0),
+    )
 
 
-RETRY_POLICIES = {
-    "give-up": _build_give_up,
-    "immediate": _build_immediate,
-    "backoff": _build_backoff,
-}
+RETRY_POLICIES = Registry(
+    "retry policy",
+    {
+        "give-up": _build_give_up,
+        "immediate": _build_immediate,
+        "backoff": _build_backoff,
+    },
+)
 
-ADMISSION_POLICIES = {
-    "capacity": _build_capacity,
-    "token-bucket": _build_token_bucket,
-    "shed": _build_shed,
-}
-
-
-def _policy_from_dict(data: Mapping, registry: dict, label: str):
-    if not isinstance(data, Mapping):
-        raise ValueError(
-            f"{label} spec must be a mapping, got {type(data).__name__}"
-        )
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if kind not in registry:
-        known = ", ".join(sorted(registry))
-        raise ValueError(f"unknown {label} {kind!r} (known: {known})")
-    return registry[kind](payload)
+ADMISSION_POLICIES = Registry(
+    "admission policy",
+    {
+        "capacity": _build_capacity,
+        "token-bucket": _build_token_bucket,
+        "shed": _build_shed,
+    },
+)
 
 
 def retry_policy_from_dict(data: Mapping) -> RetryPolicy:
     """Build a retry policy from ``{"kind": ..., **params}``."""
-    return _policy_from_dict(data, RETRY_POLICIES, "retry policy")
+    params = Params(data, "retry policy")
+    return RETRY_POLICIES.build(params.pop("kind", None), params)
 
 
 def admission_policy_from_dict(data: Mapping) -> AdmissionPolicy:
     """Build an admission policy from ``{"kind": ..., **params}``."""
-    return _policy_from_dict(data, ADMISSION_POLICIES, "admission policy")
+    params = Params(data, "admission policy")
+    return ADMISSION_POLICIES.build(params.pop("kind", None), params)

@@ -25,11 +25,11 @@ crash-and-resume smoke without writing Python.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .spec import ScenarioError
+from ..core.named import Params
+from .spec import JsonCodec, ScenarioError, _check_known_keys, _require_mapping
 
 __all__ = [
     "SimulatedCrash",
@@ -49,17 +49,16 @@ class SimulatedCrash(RuntimeError):
 
 
 def _fault_map(data: object, what: str) -> dict[int, int]:
+    """``{point index: attempt count}`` from JSON (string keys) or Python."""
     if not isinstance(data, Mapping):
         raise ScenarioError(f"fault plan {what!r} must be a mapping")
     plan: dict[int, int] = {}
     for raw_index, raw_count in data.items():
-        try:
-            index, count = int(raw_index), int(raw_count)
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"fault plan {what!r} needs integer point indices and "
-                f"attempt counts, got {raw_index!r}: {raw_count!r}"
-            ) from None
+        label = f"fault plan {what!r} point {raw_index!r}"
+        if isinstance(raw_index, str) and raw_index.isdecimal():
+            raw_index = int(raw_index)  # JSON object keys are strings
+        index = Params.check(raw_index, int, f"{label} index")
+        count = Params.check(raw_count, int, f"{label} attempt count")
         if index < 0 or count < 0:
             raise ScenarioError(
                 f"fault plan {what!r} indices and counts must be >= 0, "
@@ -71,7 +70,7 @@ def _fault_map(data: object, what: str) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(JsonCodec):
     """Deterministic, scripted faults for one sweep execution.
 
     ``crash`` / ``hang`` / ``corrupt`` map a point index to the number
@@ -94,19 +93,27 @@ class FaultPlan:
     crash_driver_after: int | None = None
     hang_seconds: float = 3600.0
 
+    json_label = "fault plan"
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "crash", _fault_map(self.crash, "crash"))
         object.__setattr__(self, "hang", _fault_map(self.hang, "hang"))
         object.__setattr__(self, "corrupt", _fault_map(self.corrupt, "corrupt"))
-        if self.crash_driver_after is not None and self.crash_driver_after < 0:
-            raise ScenarioError(
-                f"crash_driver_after must be >= 0 or None, got "
-                f"{self.crash_driver_after}"
+        if self.crash_driver_after is not None:
+            after = Params.check(
+                self.crash_driver_after, int, "fault plan field 'crash_driver_after'"
             )
-        if self.hang_seconds <= 0:
-            raise ScenarioError(
-                f"hang_seconds must be > 0, got {self.hang_seconds}"
-            )
+            if after < 0:
+                raise ScenarioError(
+                    f"crash_driver_after must be >= 0 or None, got {after}"
+                )
+            object.__setattr__(self, "crash_driver_after", after)
+        hang_seconds = Params.check(
+            self.hang_seconds, float, "fault plan field 'hang_seconds'"
+        )
+        if hang_seconds <= 0:
+            raise ScenarioError(f"hang_seconds must be > 0, got {hang_seconds}")
+        object.__setattr__(self, "hang_seconds", hang_seconds)
 
     # ------------------------------------------------------------------
     # Queries
@@ -165,33 +172,15 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"fault plan must be a mapping, got {type(data).__name__}"
-            )
-        allowed = {"crash", "hang", "corrupt", "crash_driver_after", "hang_seconds"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ScenarioError(
-                f"unknown fault plan field(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
-        crash_driver_after = data.get("crash_driver_after")
-        return cls(
-            crash=dict(data.get("crash", {})),
-            hang=dict(data.get("hang", {})),
-            corrupt=dict(data.get("corrupt", {})),
-            crash_driver_after=(
-                int(crash_driver_after) if crash_driver_after is not None else None
-            ),
-            hang_seconds=float(data.get("hang_seconds", 3600.0)),
+        data = _require_mapping(data, "fault plan")
+        _check_known_keys(
+            data,
+            {"crash", "hang", "corrupt", "crash_driver_after", "hang_seconds"},
+            "fault plan",
         )
+        return cls(**data)  # the keys are the fields; __post_init__ checks them
 
 
 def fault_plan_from_json(text: str) -> FaultPlan:
     """Parse a fault plan from JSON text (the CLI's ``--inject-faults``)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ScenarioError(f"invalid fault plan JSON: {error}") from None
-    return FaultPlan.from_dict(data)
+    return FaultPlan.from_json(text)

@@ -20,8 +20,6 @@ load from JSON.
 
 from __future__ import annotations
 
-import copy
-import json
 import math
 import time
 from collections.abc import Mapping
@@ -30,18 +28,20 @@ from typing import Any
 
 from ..channel.channel import Channel
 from ..core.protocol import UniformProtocol
-from ..opensys.arrivals import ArrivalProcess, arrival_process_from_dict
+from ..opensys.arrivals import ARRIVAL_FAMILIES, ArrivalProcess
 from ..opensys.driver import run_open, select_open_engine
 from ..opensys.latency import LatencyStore, LatencySummary
 from ..opensys.policies import (
+    ADMISSION_POLICIES,
+    RETRY_POLICIES,
     AdmissionPolicy,
     RetryPolicy,
-    admission_policy_from_dict,
-    retry_policy_from_dict,
 )
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
 from .spec import (
     ChannelSpec,
+    JsonCodec,
+    NamedSpec,
     PredictionSpec,
     ProtocolSpec,
     ScenarioError,
@@ -49,6 +49,7 @@ from .spec import (
     _check_known_keys,
     _integer_field,
     _require_mapping,
+    _string_field,
     _with_overrides,
 )
 from .workloads import resolve_prediction
@@ -66,138 +67,61 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(NamedSpec):
     """A streaming arrival process: family name plus parameters.
 
     Families are the :data:`repro.opensys.arrivals.ARRIVAL_FAMILIES`
     registry (``poisson``, ``zipf-hotspot``, ``bursty``, ``trace``).
     Validated eagerly - the process is built and discarded at
     construction - so malformed specs fail before any simulation runs.
+    :meth:`build` returns the :class:`~repro.opensys.arrivals.ArrivalProcess`.
     """
 
     family: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.family:
-            raise ScenarioError("arrival spec needs a non-empty family")
-        try:
-            self.build()
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"arrival spec: {exc}") from exc
-
-    def build(self) -> ArrivalProcess:
-        """The resolved :class:`~repro.opensys.arrivals.ArrivalProcess`."""
-        return arrival_process_from_dict(
-            {"family": self.family, **copy.deepcopy(self.params)}
-        )
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | str) -> "ArrivalSpec":
-        if isinstance(data, str):  # shorthand: bare family, no params
-            return cls(family=data)
-        data = _require_mapping(data, "arrival spec")
-        _check_known_keys(data, {"family", "params"}, "arrival spec")
-        return cls(
-            family=str(data.get("family", "")),
-            params=copy.deepcopy(
-                _require_mapping(data.get("params", {}), "arrival params")
-            ),
-        )
+    name_key = "family"
+    label = "arrival"
+    builder = ARRIVAL_FAMILIES.build
 
 
 @dataclass(frozen=True)
-class RetrySpec:
+class RetrySpec(NamedSpec):
     """A retry policy: registry kind plus parameters.
 
     Kinds are the :data:`repro.opensys.policies.RETRY_POLICIES` registry
     (``give-up``, ``immediate``, ``backoff``).  Validated eagerly, like
-    :class:`ArrivalSpec`; a bare kind string is accepted as shorthand in
-    ``from_dict``.
+    :class:`ArrivalSpec`; :meth:`build` returns the
+    :class:`~repro.opensys.policies.RetryPolicy`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            raise ScenarioError("retry spec needs a non-empty kind")
-        try:
-            self.build()
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"retry spec: {exc}") from exc
-
-    def build(self) -> RetryPolicy:
-        """The resolved :class:`~repro.opensys.policies.RetryPolicy`."""
-        return retry_policy_from_dict(
-            {"kind": self.kind, **copy.deepcopy(self.params)}
-        )
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | str) -> "RetrySpec":
-        if isinstance(data, str):  # shorthand: bare kind, no params
-            return cls(kind=data)
-        data = _require_mapping(data, "retry spec")
-        _check_known_keys(data, {"kind", "params"}, "retry spec")
-        return cls(
-            kind=str(data.get("kind", "")),
-            params=copy.deepcopy(
-                _require_mapping(data.get("params", {}), "retry params")
-            ),
-        )
+    name_key = "kind"
+    label = "retry"
+    builder = RETRY_POLICIES.build
 
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(NamedSpec):
     """An admission policy: registry kind plus parameters.
 
     Kinds are the :data:`repro.opensys.policies.ADMISSION_POLICIES`
     registry (``capacity``, ``token-bucket``, ``shed``); same eager
-    validation and string shorthand as :class:`RetrySpec`.
+    validation as :class:`RetrySpec`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            raise ScenarioError("admission spec needs a non-empty kind")
-        try:
-            self.build()
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"admission spec: {exc}") from exc
-
-    def build(self) -> AdmissionPolicy:
-        """The resolved :class:`~repro.opensys.policies.AdmissionPolicy`."""
-        return admission_policy_from_dict(
-            {"kind": self.kind, **copy.deepcopy(self.params)}
-        )
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | str) -> "AdmissionSpec":
-        if isinstance(data, str):  # shorthand: bare kind, no params
-            return cls(kind=data)
-        data = _require_mapping(data, "admission spec")
-        _check_known_keys(data, {"kind", "params"}, "admission spec")
-        return cls(
-            kind=str(data.get("kind", "")),
-            params=copy.deepcopy(
-                _require_mapping(data.get("params", {}), "admission params")
-            ),
-        )
+    name_key = "kind"
+    label = "admission"
+    builder = ADMISSION_POLICIES.build
 
 
 @dataclass(frozen=True)
-class OpenScenarioSpec:
+class OpenScenarioSpec(JsonCodec):
     """One open-system simulation, ready to serialize or run.
 
     Attributes
@@ -252,6 +176,8 @@ class OpenScenarioSpec:
     batch: bool | None = None
     prediction: PredictionSpec | None = None
     name: str = ""
+
+    json_label = "open scenario"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -326,19 +252,8 @@ class OpenScenarioSpec:
                 if prediction is not None
                 else None
             ),
-            name=str(data.get("name", "")),
+            name=_string_field(data, "name", what=what),
         )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpenScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"invalid open scenario JSON: {error}") from None
-        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     # Derivation
@@ -436,7 +351,7 @@ def resolve_open_scenario(spec: OpenScenarioSpec) -> ResolvedOpenScenario:
 
 
 @dataclass
-class OpenScenarioResult:
+class OpenScenarioResult(JsonCodec):
     """Outcome of one open-system run, ready to serialize.
 
     Carries the full :class:`~repro.opensys.latency.LatencyStore` (not
@@ -450,6 +365,8 @@ class OpenScenarioResult:
     store: LatencyStore
     metadata: dict = field(default_factory=dict)
     elapsed_seconds: float = field(default=0.0, compare=False)
+
+    json_label = "open scenario result"
 
     @property
     def summary(self) -> LatencySummary:
@@ -494,13 +411,6 @@ class OpenScenarioResult:
             metadata=dict(data.get("metadata", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpenScenarioResult":
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable report for the CLI."""

@@ -9,9 +9,11 @@ and advice algorithms, and the wrapper/combinator protocols, which nest
 further protocol specs inside their parameters (e.g. a fallback player
 protocol naming its primary and fallback halves declaratively).
 
-Builders validate their parameters strictly: unknown keys raise
-:class:`~repro.scenarios.spec.ScenarioError` instead of being silently
-dropped, so spec typos fail loudly at resolution time.
+Builders read their parameters through :class:`~repro.core.named.Params`,
+naming each one's type: a value of the wrong type (``"false"`` for a
+flag, ``2.7`` for a count) and every key no builder took raise
+:class:`~repro.core.named.ScenarioError` instead of being coerced or
+silently dropped, so spec typos fail loudly at resolution time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
+from ..core.named import Params, Registry
 from ..core.predictions import Prediction
 from ..core.protocol import PlayerProtocol, UniformProtocol
 from ..protocols.advice_deterministic import (
@@ -56,7 +59,7 @@ __all__ = [
 UNIFORM = "uniform"
 PLAYER = "player"
 
-Builder = Callable[["BuildContext", dict], UniformProtocol | PlayerProtocol]
+Builder = Callable[["BuildContext", Params], UniformProtocol | PlayerProtocol]
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class RegisteredProtocol:
     builder: Builder
 
 
-_REGISTRY: dict[str, RegisteredProtocol] = {}
+_REGISTRY = Registry("protocol")
 
 
 def register_protocol(
@@ -80,10 +83,11 @@ def register_protocol(
         raise ValueError(f"kind must be {UNIFORM!r} or {PLAYER!r}, got {kind!r}")
 
     def decorate(builder: Builder) -> Builder:
-        if protocol_id in _REGISTRY:
-            raise ValueError(f"protocol id {protocol_id!r} already registered")
-        _REGISTRY[protocol_id] = RegisteredProtocol(
-            id=protocol_id, kind=kind, description=description, builder=builder
+        _REGISTRY.register(
+            protocol_id,
+            RegisteredProtocol(
+                id=protocol_id, kind=kind, description=description, builder=builder
+            ),
         )
         return builder
 
@@ -92,13 +96,7 @@ def register_protocol(
 
 def get_protocol(protocol_id: str) -> RegisteredProtocol:
     """The registry entry for ``protocol_id`` (with options on miss)."""
-    try:
-        return _REGISTRY[protocol_id]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown protocol id {protocol_id!r}; known ids: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
+    return _REGISTRY[protocol_id]
 
 
 def protocol_ids() -> list[str]:
@@ -136,7 +134,10 @@ class BuildContext:
         entry = get_protocol(spec.id)
         self._stack.append(spec.id)
         try:
-            return entry.builder(self, dict(spec.params))
+            params = Params(spec.params, f"protocol {spec.id!r}")
+            protocol = entry.builder(self, params)
+            params.done()
+            return protocol
         except ScenarioError:
             raise
         except (TypeError, ValueError) as error:
@@ -177,174 +178,137 @@ def build_protocol(
 # ----------------------------------------------------------------------
 # Builder helpers
 # ----------------------------------------------------------------------
-_MISSING = object()
-
-
-def _take(params: dict, name: str, default=_MISSING):
-    if name in params:
-        return params.pop(name)
-    if default is _MISSING:
-        raise ScenarioError(f"protocol params missing required {name!r}")
-    return default
-
-
-def _done(params: dict, protocol_id: str) -> None:
-    if params:
-        raise ScenarioError(
-            f"unknown parameter(s) for protocol {protocol_id!r}: "
-            f"{', '.join(sorted(params))}"
-        )
-
-
-def _block_index(context: BuildContext, params: dict, protocol_id: str, bits: int) -> int:
+def _block_index(context: BuildContext, params: Params, bits: int) -> int:
     """Advised-block selection: explicit ``block_index`` or perfect-advice ``k``."""
-    block_index = _take(params, "block_index", None)
-    k = _take(params, "k", None)
+    block_index = params.take("block_index", int, None)
+    k = params.take("k", int, None)
     if (block_index is None) == (k is None):
         raise ScenarioError(
-            f"protocol {protocol_id!r} needs exactly one of 'block_index' "
+            f"{params.what} needs exactly one of 'block_index' "
             "(explicit) or 'k' (the count a perfect advice function sees)"
         )
     if block_index is not None:
-        return int(block_index)
-    return block_index_for(context.n, bits, int(k))
+        return block_index
+    return block_index_for(context.n, bits, k)
 
 
 # ----------------------------------------------------------------------
 # Uniform protocols
 # ----------------------------------------------------------------------
 @register_protocol("decay", UNIFORM, "cycling decay baseline, O(log n) no-CD [2]")
-def _build_decay(context: BuildContext, params: dict) -> DecayProtocol:
-    protocol = DecayProtocol(
-        int(_take(params, "n", context.n)),
-        cycle=bool(_take(params, "cycle", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
+def _build_decay(context: BuildContext, params: Params) -> DecayProtocol:
+    return DecayProtocol(
+        params.take("n", int, context.n),
+        cycle=params.take("cycle", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
     )
-    _done(params, "decay")
-    return protocol
 
 
 @register_protocol(
     "jiang-zheng", UNIFORM, "robust no-CD sawtooth baseline (Jiang-Zheng 2021)"
 )
-def _build_jiang_zheng(context: BuildContext, params: dict) -> JiangZhengProtocol:
-    protocol = JiangZhengProtocol(
-        int(_take(params, "n", context.n)),
-        cycle=bool(_take(params, "cycle", True)),
+def _build_jiang_zheng(context: BuildContext, params: Params) -> JiangZhengProtocol:
+    return JiangZhengProtocol(
+        params.take("n", int, context.n),
+        cycle=params.take("cycle", bool, True),
     )
-    _done(params, "jiang-zheng")
-    return protocol
 
 
 @register_protocol("willard", UNIFORM, "Willard CD binary search, O(log log n) [22]")
-def _build_willard(context: BuildContext, params: dict) -> WillardProtocol:
-    ranges = _take(params, "ranges", None)
-    protocol = WillardProtocol(
-        int(_take(params, "n", context.n)),
-        ranges=list(ranges) if ranges is not None else None,
-        repetitions=int(_take(params, "repetitions", 3)),
-        restart=bool(_take(params, "restart", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
+def _build_willard(context: BuildContext, params: Params) -> WillardProtocol:
+    return WillardProtocol(
+        params.take("n", int, context.n),
+        ranges=params.take("ranges", list, None),
+        repetitions=params.take("repetitions", int, 3),
+        restart=params.take("restart", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
     )
-    _done(params, "willard")
-    return protocol
 
 
 @register_protocol(
     "fixed-probability", UNIFORM, "transmit with 1/k_hat, the perfect-estimate O(1) anchor"
 )
-def _build_fixed(context: BuildContext, params: dict) -> FixedProbabilityProtocol:
-    protocol = FixedProbabilityProtocol(float(_take(params, "k_hat")))
-    _done(params, "fixed-probability")
-    return protocol
+def _build_fixed(context: BuildContext, params: Params) -> FixedProbabilityProtocol:
+    return FixedProbabilityProtocol(params.take("k_hat", float))
 
 
 @register_protocol(
     "sorted-probing", UNIFORM, "no-CD prediction algorithm of Thm 2.12 (Section 2.5)"
 )
-def _build_sorted_probing(context: BuildContext, params: dict) -> SortedProbingProtocol:
-    protocol = SortedProbingProtocol(
+def _build_sorted_probing(context: BuildContext, params: Params) -> SortedProbingProtocol:
+    return SortedProbingProtocol(
         context.require_prediction("sorted-probing"),
-        one_shot=bool(_take(params, "one_shot", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
-        support_only=bool(_take(params, "support_only", False)),
+        one_shot=params.take("one_shot", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
+        support_only=params.take("support_only", bool, False),
     )
-    _done(params, "sorted-probing")
-    return protocol
 
 
 @register_protocol(
     "code-search", UNIFORM, "CD prediction algorithm of Thm 2.16 (Section 2.6)"
 )
-def _build_code_search(context: BuildContext, params: dict) -> CodeSearchProtocol:
-    protocol = CodeSearchProtocol(
+def _build_code_search(context: BuildContext, params: Params) -> CodeSearchProtocol:
+    return CodeSearchProtocol(
         context.require_prediction("code-search"),
-        repetitions=int(_take(params, "repetitions", 3)),
-        one_shot=bool(_take(params, "one_shot", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
-        support_only=bool(_take(params, "support_only", False)),
+        repetitions=params.take("repetitions", int, 3),
+        one_shot=params.take("one_shot", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
+        support_only=params.take("support_only", bool, False),
     )
-    _done(params, "code-search")
-    return protocol
 
 
 @register_protocol(
     "phased-search", UNIFORM, "generic CD phase search over explicit range phases"
 )
-def _build_phased_search(context: BuildContext, params: dict) -> PhasedSearchProtocol:
-    phases = _take(params, "phases")
-    protocol = PhasedSearchProtocol(
-        [list(phase) for phase in phases],
-        repetitions=int(_take(params, "repetitions", 3)),
-        restart=bool(_take(params, "restart", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
+def _build_phased_search(context: BuildContext, params: Params) -> PhasedSearchProtocol:
+    phases = params.take("phases", list)
+    return PhasedSearchProtocol(
+        [
+            Params.check(phase, list, f"{params.what} phase")
+            for phase in phases
+        ],
+        repetitions=params.take("repetitions", int, 3),
+        restart=params.take("restart", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
     )
-    _done(params, "phased-search")
-    return protocol
 
 
 @register_protocol(
     "truncated-decay", UNIFORM, "decay on the advised range block (Thm 3.6)"
 )
-def _build_truncated_decay(context: BuildContext, params: dict) -> TruncatedDecayProtocol:
-    bits = int(_take(params, "advice_bits"))
-    block = _block_index(context, params, "truncated-decay", bits)
-    protocol = TruncatedDecayProtocol(
+def _build_truncated_decay(context: BuildContext, params: Params) -> TruncatedDecayProtocol:
+    bits = params.take("advice_bits", int)
+    return TruncatedDecayProtocol(
         context.n,
         bits,
-        block,
-        cycle=bool(_take(params, "cycle", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
+        _block_index(context, params, bits),
+        cycle=params.take("cycle", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
     )
-    _done(params, "truncated-decay")
-    return protocol
 
 
 @register_protocol(
     "truncated-willard", UNIFORM, "Willard search on the advised block (Thm 3.7)"
 )
-def _build_truncated_willard(context: BuildContext, params: dict) -> WillardProtocol:
-    bits = int(_take(params, "advice_bits"))
-    block = _block_index(context, params, "truncated-willard", bits)
-    protocol = truncated_willard_protocol(
+def _build_truncated_willard(context: BuildContext, params: Params) -> WillardProtocol:
+    bits = params.take("advice_bits", int)
+    return truncated_willard_protocol(
         context.n,
         bits,
-        block,
-        repetitions=int(_take(params, "repetitions", 3)),
-        restart=bool(_take(params, "restart", True)),
-        handle_k1=bool(_take(params, "handle_k1", False)),
+        _block_index(context, params, bits),
+        repetitions=params.take("repetitions", int, 3),
+        restart=params.take("restart", bool, True),
+        handle_k1=params.take("handle_k1", bool, False),
     )
-    _done(params, "truncated-willard")
-    return protocol
 
 
 @register_protocol(
     "restart", UNIFORM, "re-run a one-shot uniform protocol until stopped"
 )
-def _build_restart(context: BuildContext, params: dict) -> RestartProtocol:
-    inner = context.build_uniform(_take(params, "inner"), wrapper="restart")
-    _done(params, "restart")
-    return RestartProtocol(inner)
+def _build_restart(context: BuildContext, params: Params) -> RestartProtocol:
+    return RestartProtocol(
+        context.build_uniform(params.take("inner", object), wrapper="restart")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -353,52 +317,47 @@ def _build_restart(context: BuildContext, params: dict) -> RestartProtocol:
 @register_protocol(
     "backoff", PLAYER, "binary exponential backoff, the practical CD comparator"
 )
-def _build_backoff(context: BuildContext, params: dict) -> BinaryExponentialBackoff:
-    protocol = BinaryExponentialBackoff(
-        initial_window=float(_take(params, "initial_window", 2.0)),
-        max_window=float(_take(params, "max_window", float(2**20))),
+def _build_backoff(context: BuildContext, params: Params) -> BinaryExponentialBackoff:
+    return BinaryExponentialBackoff(
+        initial_window=params.take("initial_window", float, 2.0),
+        max_window=params.take("max_window", float, float(2**20)),
     )
-    _done(params, "backoff")
-    return protocol
 
 
 @register_protocol(
     "deterministic-scan", PLAYER, "no-CD candidate scan on advised subtree (Sec 3.2)"
 )
-def _build_scan(context: BuildContext, params: dict) -> DeterministicScanProtocol:
-    protocol = DeterministicScanProtocol(int(_take(params, "advice_bits")))
-    _done(params, "deterministic-scan")
-    return protocol
+def _build_scan(context: BuildContext, params: Params) -> DeterministicScanProtocol:
+    return DeterministicScanProtocol(params.take("advice_bits", int))
 
 
 @register_protocol(
     "tree-descent", PLAYER, "CD tree descent with collision votes (Sec 3.2)"
 )
-def _build_descent(context: BuildContext, params: dict) -> DeterministicTreeDescentProtocol:
-    protocol = DeterministicTreeDescentProtocol(int(_take(params, "advice_bits")))
-    _done(params, "tree-descent")
-    return protocol
+def _build_descent(context: BuildContext, params: Params) -> DeterministicTreeDescentProtocol:
+    return DeterministicTreeDescentProtocol(params.take("advice_bits", int))
 
 
 @register_protocol(
     "uniform-as-player", PLAYER, "per-player view of a uniform protocol"
 )
 def _build_uniform_as_player(
-    context: BuildContext, params: dict
+    context: BuildContext, params: Params
 ) -> UniformAsPlayerProtocol:
-    inner = context.build_uniform(_take(params, "inner"), wrapper="uniform-as-player")
-    _done(params, "uniform-as-player")
-    return UniformAsPlayerProtocol(inner)
+    return UniformAsPlayerProtocol(
+        context.build_uniform(
+            params.take("inner", object), wrapper="uniform-as-player"
+        )
+    )
 
 
 @register_protocol(
     "fallback", PLAYER, "primary player protocol with a budgeted fallback switch"
 )
-def _build_fallback(context: BuildContext, params: dict) -> FallbackPlayerProtocol:
-    primary = context.build_player(_take(params, "primary"), wrapper="fallback")
-    fallback = context.build_player(_take(params, "fallback"), wrapper="fallback")
-    budget = _take(params, "budget_rounds", "worst-case")
-    _done(params, "fallback")
+def _build_fallback(context: BuildContext, params: Params) -> FallbackPlayerProtocol:
+    primary = context.build_player(params.take("primary", object), wrapper="fallback")
+    fallback = context.build_player(params.take("fallback", object), wrapper="fallback")
+    budget = params.take("budget_rounds", object, "worst-case")
     if budget == "worst-case":
         worst_case = getattr(primary, "worst_case_rounds", None)
         if worst_case is None:
@@ -406,5 +365,7 @@ def _build_fallback(context: BuildContext, params: dict) -> FallbackPlayerProtoc
                 "budget_rounds='worst-case' needs a primary protocol with a "
                 f"worst_case_rounds(n) bound; {primary.name!r} has none"
             )
-        budget = worst_case(context.n)
-    return FallbackPlayerProtocol(primary, fallback, int(budget))
+        budget = int(worst_case(context.n))
+    else:
+        budget = Params.check(budget, int, f"{params.what} parameter 'budget_rounds'")
+    return FallbackPlayerProtocol(primary, fallback, budget)

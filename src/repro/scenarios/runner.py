@@ -39,7 +39,6 @@ from ..analysis.montecarlo import (
 )
 from ..channel.channel import Channel
 from ..channel.network import (
-    Adversary,
     ClusteredAdversary,
     PrefixAdversary,
     RandomAdversary,
@@ -54,9 +53,10 @@ from ..core.advice import (
     RangeBlockAdvice,
 )
 from ..core.faulty_advice import AdversarialAdvice, BitFlipAdvice
+from ..core.named import Registry
 from ..core.protocol import PlayerProtocol
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
-from .spec import AdviceSpec, ScenarioError, ScenarioSpec
+from .spec import AdviceSpec, JsonCodec, ScenarioError, ScenarioSpec
 from .workloads import resolve_prediction, resolve_workload, workload_label
 
 __all__ = [
@@ -69,13 +69,16 @@ __all__ = [
 ]
 
 #: Adversary name -> constructor, for player scenarios.
-ADVERSARIES: dict[str, type[Adversary]] = {
-    "random": RandomAdversary,
-    "prefix": PrefixAdversary,
-    "suffix": SuffixAdversary,
-    "spread": SpreadAdversary,
-    "clustered": ClusteredAdversary,
-}
+ADVERSARIES = Registry(
+    "adversary",
+    {
+        "random": RandomAdversary,
+        "prefix": PrefixAdversary,
+        "suffix": SuffixAdversary,
+        "spread": SpreadAdversary,
+        "clustered": ClusteredAdversary,
+    },
+)
 
 
 def _nan_to_none(value: float) -> float | None:
@@ -111,7 +114,7 @@ def _summary_from_dict(data: Mapping) -> Summary:
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(JsonCodec):
     """Outcome of one scenario run, ready to serialize.
 
     Attributes
@@ -139,6 +142,8 @@ class ScenarioResult:
     success: ProportionEstimate
     metadata: dict = field(default_factory=dict)
     elapsed_seconds: float = field(default=0.0, compare=False)
+
+    json_label = "scenario result"
 
     def sweep_row(self) -> dict:
         """This point's sweep-table cells, keyed by column header."""
@@ -191,17 +196,6 @@ class ScenarioResult:
             metadata=dict(data.get("metadata", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioResult":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         """Human-readable report for the CLI."""
@@ -267,15 +261,6 @@ def _resolve_advice(
     raise ScenarioError(
         f"unknown advice corruption model {model!r}; known: bit-flip, adversarial"
     )
-
-
-def _resolve_adversary(name: str) -> Adversary:
-    try:
-        return ADVERSARIES[name]()
-    except KeyError:
-        raise ScenarioError(
-            f"unknown adversary {name!r}; known: {', '.join(sorted(ADVERSARIES))}"
-        ) from None
 
 
 @dataclass
@@ -369,7 +354,7 @@ def resolve_scenario(
             ),
             size_source=size_source,
             advice=_resolve_advice(spec.advice, spec.n, rng),
-            adversary=_resolve_adversary(spec.adversary),
+            adversary=ADVERSARIES[spec.adversary](),
         )
     if spec.advice is not None:
         raise ScenarioError(

@@ -25,12 +25,16 @@ from __future__ import annotations
 import copy
 import json
 import operator
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, ClassVar
+
+from ..core.named import Params, ScenarioError
 
 __all__ = [
     "ScenarioError",
+    "JsonCodec",
+    "NamedSpec",
     "ProtocolSpec",
     "ChannelSpec",
     "WorkloadSpec",
@@ -38,10 +42,6 @@ __all__ = [
     "AdviceSpec",
     "ScenarioSpec",
 ]
-
-
-class ScenarioError(ValueError):
-    """Raised for malformed or unresolvable scenario specifications."""
 
 
 #: Largest count the engines' int64 arrays hold.
@@ -129,6 +129,13 @@ def _boolean_field(
     )
 
 
+def _string_field(
+    data: Mapping, name: str, *, what: str = "scenario spec", default: str = ""
+) -> str:
+    """``data[name]`` if it is a string; anything else is refused, not ``str()``-ed."""
+    return Params.check(data.get(name, default), str, f"{what} field {name!r}")
+
+
 def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced."""
     for path, value in overrides.items():
@@ -144,35 +151,104 @@ def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     return data
 
 
+class JsonCodec:
+    """``to_json`` / ``from_json`` over a class's ``to_dict`` / ``from_dict``.
+
+    ``json_label`` names the document in the :class:`ScenarioError` that
+    text which is not JSON raises.
+    """
+
+    json_label: ClassVar[str]
+
+    def to_json(self, *, indent: int | None = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as error:
+            raise ScenarioError(f"invalid {cls.json_label} JSON: {error}") from None
+        return cls.from_dict(data)
+
+
+class NamedSpec:
+    """Base of the ``{<name key>: <name>, "params": {...}}`` specs.
+
+    A subclass is a frozen dataclass with two fields, its name (stored
+    under ``name_key``) and ``params``, and sets three more class
+    attributes: ``label``, the noun its messages use; ``shorthand``,
+    whether a bare name string loads as the spec; and ``builder``,
+    ``builder(name, params) -> object``.  A spec with a builder is
+    validated eagerly - built and discarded at construction - so a
+    malformed one fails before any simulation runs; ``None`` marks specs
+    whose building needs resolution context (``n``, a prediction).
+    """
+
+    name_key: ClassVar[str]
+    label: ClassVar[str]
+    shorthand: ClassVar[bool] = True
+    builder: ClassVar[Callable | None] = None
+
+    def __post_init__(self) -> None:
+        name = getattr(self, self.name_key)
+        if not isinstance(name, str):
+            raise ScenarioError(
+                f"{self.label} spec {self.name_key!r} must be a string, got "
+                f"{type(name).__name__} {name!r}"
+            )
+        if not name:
+            raise ScenarioError(
+                f"{self.label} spec needs a non-empty {self.name_key}"
+            )
+        if self.builder is not None:
+            try:
+                self.build()
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"{self.label} spec: {exc}") from exc
+
+    def build(self):
+        """The object this spec names, freshly built from its params."""
+        return self.builder(
+            getattr(self, self.name_key), copy.deepcopy(self.params)
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            self.name_key: getattr(self, self.name_key),
+            "params": copy.deepcopy(self.params),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping | str):
+        if cls.shorthand and isinstance(data, str):  # a bare name, no params
+            return cls(data)
+        what = f"{cls.label} spec"
+        data = _require_mapping(data, what)
+        _check_known_keys(data, {cls.name_key, "params"}, what)
+        # A name with a dataclass default (prediction "truth") has it as a
+        # class attribute; a missing name without one fails as empty.
+        name = data.get(cls.name_key, getattr(cls, cls.name_key, ""))
+        params = _require_mapping(data.get("params", {}), f"{cls.label} params")
+        return cls(name, copy.deepcopy(params))
+
+
 @dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedSpec):
     """A protocol reference: registry id plus constructor parameters.
 
     ``params`` values must be JSON-native; wrapper protocols (restart,
     fallback, uniform-as-player) nest further protocol specs as plain
-    ``{"id": ..., "params": {...}}`` mappings inside ``params``.
+    ``{"id": ..., "params": {...}}`` mappings inside ``params``.  Built
+    at resolution, with the scenario's context
+    (:func:`~repro.scenarios.registry.build_protocol`).
     """
 
     id: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ScenarioError("protocol spec needs a non-empty id")
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | str) -> "ProtocolSpec":
-        if isinstance(data, str):  # shorthand: bare id, no params
-            return cls(id=data)
-        data = _require_mapping(data, "protocol spec")
-        _check_known_keys(data, {"id", "params"}, "protocol spec")
-        return cls(
-            id=str(data.get("id", "")),
-            params=copy.deepcopy(_require_mapping(data.get("params", {}), "protocol params")),
-        )
+    name_key = "id"
+    label = "protocol"
 
 
 @dataclass(frozen=True)
@@ -201,7 +277,7 @@ class ChannelSpec:
 
             try:
                 channel_model_from_dict(self.model)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"channel model spec: {exc}") from exc
 
     @property
@@ -247,7 +323,7 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedSpec):
     """How per-trial participant counts are produced.
 
     Kinds (resolved by :mod:`repro.scenarios.workloads`):
@@ -269,25 +345,13 @@ class WorkloadSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            raise ScenarioError("workload spec needs a non-empty kind")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadSpec":
-        data = _require_mapping(data, "workload spec")
-        _check_known_keys(data, {"kind", "params"}, "workload spec")
-        return cls(
-            kind=str(data.get("kind", "")),
-            params=copy.deepcopy(_require_mapping(data.get("params", {}), "workload params")),
-        )
+    name_key = "kind"
+    label = "workload"
+    shorthand = False
 
 
 @dataclass(frozen=True)
-class PredictionSpec:
+class PredictionSpec(NamedSpec):
     """Where a prediction protocol's predicted distribution ``Y`` comes from.
 
     ``source="truth"`` hands the protocol the workload's own distribution
@@ -300,19 +364,8 @@ class PredictionSpec:
     source: str = "truth"
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"source": self.source, "params": copy.deepcopy(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping | str) -> "PredictionSpec":
-        if isinstance(data, str):  # shorthand: "truth"
-            return cls(source=data)
-        data = _require_mapping(data, "prediction spec")
-        _check_known_keys(data, {"source", "params"}, "prediction spec")
-        return cls(
-            source=str(data.get("source", "truth")),
-            params=copy.deepcopy(_require_mapping(data.get("params", {}), "prediction params")),
-        )
+    name_key = "source"
+    label = "prediction"
 
 
 @dataclass(frozen=True)
@@ -348,7 +401,9 @@ class AdviceSpec:
         _check_known_keys(data, {"function", "bits", "corruption"}, "advice spec")
         corruption = data.get("corruption")
         return cls(
-            function=str(data.get("function", "null")),
+            function=_string_field(
+                data, "function", what="advice spec", default="null"
+            ),
             bits=_integer_field(data, "bits", what="advice spec", default=0),
             corruption=(
                 copy.deepcopy(_require_mapping(corruption, "advice corruption"))
@@ -359,7 +414,7 @@ class AdviceSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonCodec):
     """One complete simulation scenario, ready to serialize or run.
 
     Attributes
@@ -407,6 +462,8 @@ class ScenarioSpec:
     advice: AdviceSpec | None = None
     adversary: str = "random"
     name: str = ""
+
+    json_label = "scenario"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -461,20 +518,9 @@ class ScenarioSpec:
                 PredictionSpec.from_dict(prediction) if prediction is not None else None
             ),
             advice=AdviceSpec.from_dict(advice) if advice is not None else None,
-            adversary=str(data.get("adversary", "random")),
-            name=str(data.get("name", "")),
+            adversary=_string_field(data, "adversary", default="random"),
+            name=_string_field(data, "name"),
         )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"invalid scenario JSON: {error}") from None
-        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     # Derivation

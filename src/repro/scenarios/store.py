@@ -38,7 +38,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .spec import ScenarioError, ScenarioSpec
@@ -340,7 +340,7 @@ class SweepJournal:
         return [line for line in text.splitlines() if line.strip()]
 
     def _replay(self, lines: list[str]) -> None:
-        parsed: list[Mapping] = []
+        parsed: list[tuple[int, Mapping]] = []
         for position, line in enumerate(lines):
             try:
                 record = json.loads(line)
@@ -357,10 +357,10 @@ class SweepJournal:
                 raise ScenarioError(
                     f"journal {self.path} line {position + 1} is not a mapping"
                 )
-            parsed.append(record)
+            parsed.append((position + 1, record))
         if not parsed:
             return
-        header = parsed[0]
+        header = parsed[0][1]
         if header.get("kind") != "header":
             raise ScenarioError(
                 f"journal {self.path} has no header line; refusing to resume"
@@ -377,28 +377,47 @@ class SweepJournal:
                 "(base spec, grid values or expansion order changed); "
                 "delete it or pass a fresh journal path to start over"
             )
-        for record in parsed[1:]:
+        for line, record in parsed[1:]:
             if record.get("kind") != "checkpoint":
                 raise ScenarioError(
                     f"journal {self.path} contains an unknown record kind "
                     f"{record.get('kind')!r}"
                 )
-            for entry in record.get("entries", []):
-                index = int(entry["index"])
-                if not 0 <= index < self.points:
-                    raise ScenarioError(
-                        f"journal {self.path} references point {index}, "
-                        f"outside this sweep's {self.points} point(s)"
-                    )
-                if entry.get("key") != self._point_keys[index]:
-                    raise ScenarioError(
-                        f"journal {self.path} entry for point {index} has a "
-                        "mismatched spec key; the grid changed under the "
-                        "journal - delete it to start over"
-                    )
-                payload = entry["result"]
-                family = spec_family(payload["spec"])
-                self.replayed[index] = family.result.from_dict(payload)
+            entries = record.get("entries", [])
+            if not isinstance(entries, list):
+                raise ScenarioError(
+                    f"journal {self.path} line {line}: 'entries' must be a list"
+                )
+            for entry in entries:
+                self._replay_entry(entry, line)
+
+    def _replay_entry(self, entry: object, line: int) -> None:
+        where = f"journal {self.path} line {line}"
+        index = entry.get("index") if isinstance(entry, Mapping) else None
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ScenarioError(
+                f"{where}: each entry must be a mapping with an integer "
+                f"'index', got {entry!r}"
+            )
+        if not 0 <= index < self.points:
+            raise ScenarioError(
+                f"journal {self.path} references point {index}, "
+                f"outside this sweep's {self.points} point(s)"
+            )
+        if entry.get("key") != self._point_keys[index]:
+            raise ScenarioError(
+                f"journal {self.path} entry for point {index} has a "
+                "mismatched spec key; the grid changed under the "
+                "journal - delete it to start over"
+            )
+        try:
+            payload = entry["result"]
+            family = spec_family(payload["spec"])
+            self.replayed[index] = family.result.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ScenarioError(
+                f"{where}: unreadable result for point {index}: {error!r}"
+            ) from None
 
     # ------------------------------------------------------------------
     # Append

@@ -77,7 +77,7 @@ from .runner import (
     package_result,
     resolve_scenario,
 )
-from .spec import ScenarioError, ScenarioSpec, _boolean_field
+from .spec import JsonCodec, ScenarioError, ScenarioSpec, _boolean_field
 from .store import ResultStore, SweepJournal, spec_family, spec_key, sweep_key
 
 if TYPE_CHECKING:
@@ -141,8 +141,20 @@ def derive_point_seeds(base_seed: int, count: int) -> list[int]:
     ]
 
 
+def _grid_values(path: str, values: object) -> list:
+    """A grid path's values as a list, refusing anything but a non-empty list."""
+    if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
+        raise ScenarioError(
+            f"grid values for {path!r} must be a list, got "
+            f"{type(values).__name__}"
+        )
+    if len(values) == 0:
+        raise ScenarioError(f"grid values for {path!r} must be non-empty")
+    return list(values)
+
+
 @dataclass(frozen=True)
-class Sweep:
+class Sweep(JsonCodec):
     """A grid of scenario variations around a base spec.
 
     ``base`` is a :class:`ScenarioSpec` or an open-system
@@ -160,15 +172,11 @@ class Sweep:
     grid: dict = field(default_factory=dict)
     vary_seed: bool = True
 
+    json_label = "sweep"
+
     def __post_init__(self) -> None:
         for path, values in self.grid.items():
-            if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-                raise ScenarioError(
-                    f"grid values for {path!r} must be a list, got "
-                    f"{type(values).__name__}"
-                )
-            if len(values) == 0:
-                raise ScenarioError(f"grid values for {path!r} must be non-empty")
+            _grid_values(path, values)
 
     def _grid_cells(self) -> list[dict]:
         """Each point's grid overrides, in row-major grid order."""
@@ -230,26 +238,18 @@ class Sweep:
         base = data["base"]
         return cls(
             base=spec_family(base).spec.from_dict(base),
-            grid={str(path): list(values) for path, values in grid.items()},
+            grid={
+                str(path): _grid_values(path, values)
+                for path, values in grid.items()
+            },
             vary_seed=_boolean_field(
                 data, "vary_seed", what="sweep spec", default=True
             ),
         )
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Sweep":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ScenarioError(f"invalid sweep JSON: {error}") from None
-        return cls.from_dict(data)
-
 
 @dataclass
-class SweepResult:
+class SweepResult(JsonCodec):
     """All point results of one sweep execution.
 
     ``resumed`` and ``cache_hits`` count points restored from a
@@ -268,6 +268,8 @@ class SweepResult:
     resumed: int = field(default=0, compare=False)
     cache_hits: int = field(default=0, compare=False)
     failures: list = field(default_factory=list)
+
+    json_label = "sweep result"
 
     def __len__(self) -> int:
         return len(self.results)
@@ -295,9 +297,6 @@ class SweepResult:
             cache_hits=int(data.get("cache_hits", 0)),
             failures=[dict(row) for row in data.get("failures", [])],
         )
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         """Plain-text sweep table in the columns of the results' ``sweep_row``."""

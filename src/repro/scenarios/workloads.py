@@ -29,6 +29,7 @@ import json
 from collections.abc import Callable, Mapping
 
 from ..channel.arrivals import MarkovBurstArrivals, TraceArrivals
+from ..core.named import Params, Registry
 from ..core.predictions import Prediction
 from ..infotheory.distributions import SizeDistribution
 from ..infotheory.perturb import floor_support, mix_with_uniform, shift_ranges
@@ -71,27 +72,28 @@ def _perturbed(
 
 
 #: Distribution family name -> constructor ``(n, **params) -> SizeDistribution``.
-DISTRIBUTION_FAMILIES: dict[str, Callable[..., SizeDistribution]] = {
-    "point": SizeDistribution.point,
-    "uniform": SizeDistribution.uniform,
-    "range_uniform": SizeDistribution.range_uniform,
-    "range_uniform_subset": SizeDistribution.range_uniform_subset,
-    "interpolated_entropy": SizeDistribution.interpolated_entropy,
-    "geometric": SizeDistribution.geometric,
-    "zipf": SizeDistribution.zipf,
-    "bimodal": SizeDistribution.bimodal,
-    "pliam": SizeDistribution.pliam,
-    "perturbed": _perturbed,
-}
+DISTRIBUTION_FAMILIES = Registry(
+    "distribution family",
+    {
+        "point": SizeDistribution.point,
+        "uniform": SizeDistribution.uniform,
+        "range_uniform": SizeDistribution.range_uniform,
+        "range_uniform_subset": SizeDistribution.range_uniform_subset,
+        "interpolated_entropy": SizeDistribution.interpolated_entropy,
+        "geometric": SizeDistribution.geometric,
+        "zipf": SizeDistribution.zipf,
+        "bimodal": SizeDistribution.bimodal,
+        "pliam": SizeDistribution.pliam,
+        "perturbed": _perturbed,
+    },
+)
 
 
 def register_distribution_family(
     name: str, constructor: Callable[..., SizeDistribution]
 ) -> None:
     """Register a custom distribution family for workload/prediction specs."""
-    if name in DISTRIBUTION_FAMILIES:
-        raise ScenarioError(f"distribution family {name!r} already registered")
-    DISTRIBUTION_FAMILIES[name] = constructor
+    DISTRIBUTION_FAMILIES.register(name, constructor)
 
 
 # A sweep cycles through a handful of distinct distributions; keep the
@@ -122,32 +124,27 @@ def resolve_distribution(n: int, params: Mapping) -> SizeDistribution:
     family = params.pop("family", None)
     if not family:
         raise ScenarioError("distribution params need a 'family' name")
-    family = str(family)
+    constructor = DISTRIBUTION_FAMILIES[family]
     try:
         encoded = json.dumps(params, sort_keys=True)
         cacheable = json.loads(encoded) == params
     except TypeError:
         cacheable = False
     if not cacheable:
-        return _build_distribution(n, family, **params)
+        return _build_distribution(n, family, constructor, params)
     key = (n, family, encoded)
     hit = _DISTRIBUTION_CACHE.get(key)
     if hit is None:
-        hit = _build_distribution(n, family, **params)
+        hit = _build_distribution(n, family, constructor, params)
         if len(_DISTRIBUTION_CACHE) >= _DISTRIBUTION_CACHE_MAX:
             _DISTRIBUTION_CACHE.pop(next(iter(_DISTRIBUTION_CACHE)))
         _DISTRIBUTION_CACHE[key] = hit
     return hit
 
 
-def _build_distribution(n: int, family: str, **params) -> SizeDistribution:
-    try:
-        constructor = DISTRIBUTION_FAMILIES[family]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown distribution family {family!r}; known: "
-            f"{', '.join(sorted(DISTRIBUTION_FAMILIES))}"
-        ) from None
+def _build_distribution(
+    n: int, family: str, constructor: Callable[..., SizeDistribution], params: dict
+) -> SizeDistribution:
     try:
         return constructor(n, **params)
     except (TypeError, ValueError) as error:
@@ -167,9 +164,10 @@ def resolve_workload(spec: WorkloadSpec, n: int):
     """
     params = dict(spec.params)
     if spec.kind == "fixed":
-        k = params.pop("k", None)
-        _reject_extras(params, "fixed workload")
-        if not isinstance(k, int) or k < 1:
+        params = Params(params, "fixed workload")
+        k = params.take("k", int)
+        params.done()
+        if k < 1:
             raise ScenarioError(f"fixed workload needs an integer k >= 1, got {k!r}")
         if k > n:
             raise ScenarioError(f"fixed workload k={k} exceeds n={n}")
@@ -182,13 +180,15 @@ def resolve_workload(spec: WorkloadSpec, n: int):
         except (TypeError, ValueError) as error:
             raise ScenarioError(f"bad bursty workload parameters: {error}") from None
     if spec.kind == "trace":
-        ks = params.pop("ks", None)
-        name = params.pop("name", "trace")
-        _reject_extras(params, "trace workload")
+        params = Params(params, "trace workload")
+        ks = params.take("ks", list, None)
+        name = params.take("name", str, "trace")
+        params.done()
         if not ks:
             raise ScenarioError("trace workload needs a non-empty 'ks' list")
+        counts = [Params.check(k, int, "trace workload count") for k in ks]
         try:
-            return TraceArrivals(ks, name=name)
+            return TraceArrivals(counts, name=name)
         except (TypeError, ValueError) as error:
             raise ScenarioError(f"bad trace workload parameters: {error}") from None
     if spec.kind in ("poisson", "zipf-hotspot"):
@@ -246,9 +246,3 @@ def resolve_prediction(
         f"unknown prediction source {spec.source!r}; known: truth, distribution"
     )
 
-
-def _reject_extras(params: dict, what: str) -> None:
-    if params:
-        raise ScenarioError(
-            f"unknown {what} parameter(s): {', '.join(sorted(params))}"
-        )

@@ -305,7 +305,7 @@ class TestAdaptiveAdversary:
         ]
 
     def test_validation_messages_are_actionable(self):
-        with pytest.raises(ValueError, match="known strategies: greedy"):
+        with pytest.raises(ValueError, match="unknown adaptive strategy 'nope'; known: greedy"):
             AdaptiveAdversary(budget=1, strategy="nope")
         with pytest.raises(ValueError, match="budget must be >= 0"):
             AdaptiveAdversary(budget=-1)

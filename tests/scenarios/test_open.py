@@ -75,7 +75,7 @@ class TestPolicySpecs:
             RetrySpec(kind="")
         with pytest.raises(ScenarioError, match="unknown admission policy"):
             AdmissionSpec(kind="bouncer")
-        with pytest.raises(ScenarioError, match="requires 'rate'"):
+        with pytest.raises(ScenarioError, match="token-bucket' requires parameter 'rate'"):
             AdmissionSpec(kind="token-bucket")
         with pytest.raises(ScenarioError, match="threshold"):
             AdmissionSpec(kind="shed", params={"threshold": 2.0})

@@ -42,7 +42,7 @@ class TestCoverage:
         assert expected <= set(protocol_ids())
 
     def test_unknown_id_lists_options(self):
-        with pytest.raises(ScenarioError, match="known ids"):
+        with pytest.raises(ScenarioError, match="unknown protocol 'carrier-sense'; known: .*decay"):
             get_protocol("carrier-sense")
 
     def test_kinds_route_to_engine_families(self):

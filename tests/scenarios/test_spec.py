@@ -270,6 +270,12 @@ class TestStrictFields:
              "'vary_seed' must be true or false"),
             (sweep_from, {"vary_seed": None},
              "'vary_seed' must be true or false"),
+            (AdviceSpec.from_dict, {"function": 5},
+             "'function' must be a string, got int 5"),
+            (ScenarioSpec.from_dict, spec_dict(adversary=["prefix"]),
+             "'adversary' must be a string"),
+            (ScenarioSpec.from_dict, spec_dict(name=7),
+             "'name' must be a string"),
         ],
     )
     def test_nested_fields_are_checked_not_coerced(self, load, payload, complaint):

@@ -267,3 +267,39 @@ class TestSweepJournal:
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(ScenarioError, match="mismatched spec key"):
             self._journal(path, swapped)
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda key, result: {"entries": {"index": 0}},
+            lambda key, result: {"entries": [5]},
+            lambda key, result: {"entries": [{"key": key, "result": result}]},
+            lambda key, result: {"entries": [{"index": "0", "key": key, "result": result}]},
+            lambda key, result: {"entries": [{"index": 0.5, "key": key, "result": result}]},
+            lambda key, result: {"entries": [{"index": 0, "key": key}]},
+            lambda key, result: {"entries": [{"index": 0, "key": key, "result": {}}]},
+            lambda key, result: {
+                "entries": [{"index": 0, "key": key, "result": {"spec": result["spec"]}}]
+            },
+        ],
+        ids=[
+            "entries-not-a-list",
+            "entry-not-a-mapping",
+            "missing-index",
+            "string-index",
+            "float-index",
+            "missing-result",
+            "result-without-spec",
+            "result-without-fields",
+        ],
+    )
+    def test_malformed_checkpoint_records_name_path_and_line(self, tmp_path, malformed):
+        spec = base_spec(seed=1)
+        keys = [spec_key(spec)]
+        path = tmp_path / "j.jsonl"
+        self._journal(path, keys).close()
+        record = {"kind": "checkpoint", **malformed(keys[0], run_scenario(spec).to_dict())}
+        with path.open("a") as stream:
+            stream.write(json.dumps(record) + "\n")
+        with pytest.raises(ScenarioError, match=r"journal .*j\.jsonl line 2"):
+            self._journal(path, keys)

@@ -1,5 +1,7 @@
 """Tests for the supervised executor, fault plans, and error reporting."""
 
+import json
+
 import pytest
 
 from repro.scenarios import (
@@ -91,6 +93,30 @@ class TestFaultPlan:
             FaultPlan.from_dict({"kaboom": {}})
         with pytest.raises(ScenarioError, match="invalid fault plan JSON"):
             fault_plan_from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "plan, field",
+        [
+            ({"crash": 5}, "'crash' must be a mapping"),
+            ({"hang": [1]}, "'hang' must be a mapping"),
+            ({"hang_seconds": None}, "'hang_seconds' must be a number"),
+            ({"hang_seconds": "5"}, "'hang_seconds' must be a number"),
+            ({"crash_driver_after": 1.5}, "'crash_driver_after' must be an integer"),
+            ({"crash_driver_after": True}, "'crash_driver_after' must be an integer"),
+            ({"crash_driver_after": "2"}, "'crash_driver_after' must be an integer"),
+            ({"crash": {"0": 1.7}}, "'crash' point '0' attempt count must be an integer"),
+            ({"corrupt": {"0": True}}, "'corrupt' point '0' attempt count must be an integer"),
+            ({"hang": {"0": "1"}}, "'hang' point '0' attempt count must be an integer"),
+            ({"crash": {"1.5": 1}}, "'crash' point '1.5' index must be an integer"),
+        ],
+    )
+    def test_malformed_fields_fail_naming_the_field(self, plan, field):
+        with pytest.raises(ScenarioError, match=field):
+            fault_plan_from_json(json.dumps(plan))
+
+    def test_integral_values_keep_their_meaning(self):
+        plan = FaultPlan.from_dict({"hang_seconds": 600, "crash_driver_after": 4})
+        assert plan.hang_seconds == 600.0 and plan.crash_driver_after == 4
 
 
 class TestSupervisedRecovery:

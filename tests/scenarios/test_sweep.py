@@ -72,6 +72,22 @@ class TestExpansion:
         with pytest.raises(ScenarioError, match="non-empty"):
             Sweep(base=base_spec(), grid={"trials": []})
 
+    @pytest.mark.parametrize(
+        "grid, kind",
+        [
+            ({"name": "abc"}, "str"),  # once three points named a, b, c
+            ({"workload.params.k": {"2": 1, "4": 1}}, "dict"),  # once its keys
+            ({"trials": 5}, "int"),
+            ({"seed": None}, "NoneType"),
+        ],
+    )
+    def test_from_dict_checks_raw_grid_values(self, grid, kind):
+        path = next(iter(grid))
+        with pytest.raises(
+            ScenarioError, match=f"grid values for '{path}' must be a list, got {kind}"
+        ):
+            Sweep.from_dict({"base": base_spec().to_dict(), "grid": grid})
+
     def test_json_round_trip(self):
         sweep = Sweep(base=base_spec(), grid={"workload.params.k": [2, 3]})
         assert Sweep.from_json(sweep.to_json()) == sweep

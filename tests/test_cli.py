@@ -257,6 +257,35 @@ class TestScenarioCommands:
         assert main(["scenario", "run", str(spec_path)]) == 2
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["scenario", "run", "SPEC"], "'one_shot'"),
+            (["scenario", "open", "run", "OPEN"], "'rate'"),
+            (
+                ["scenario", "sweep", "SWEEP", "--executor", "supervised",
+                 "--inject-faults", '{"crash": 5}'],
+                "'crash'",
+            ),
+        ],
+    )
+    def test_malformed_nested_values_exit_2_naming_the_field(
+        self, tmp_path, capsys, argv, field
+    ):
+        from repro.scenarios import EXAMPLE_OPEN_SCENARIO
+
+        spec = json.loads(json.dumps(EXAMPLE_SCENARIO))
+        spec["protocol"]["params"]["one_shot"] = "false"
+        open_spec = json.loads(json.dumps(EXAMPLE_OPEN_SCENARIO))
+        open_spec["arrivals"]["params"]["rate"] = "0.2"
+        paths = {}
+        for name, payload in (("SPEC", spec), ("OPEN", open_spec), ("SWEEP", EXAMPLE_SWEEP)):
+            paths[name] = tmp_path / f"{name.lower()}.json"
+            paths[name].write_text(json.dumps(payload))
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     def test_missing_spec_file(self, capsys):
         assert main(["scenario", "run", "/does/not/exist.json"]) == 2
         assert "cannot read spec" in capsys.readouterr().err
