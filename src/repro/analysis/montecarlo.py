@@ -24,6 +24,7 @@ of the RNG stream (deterministic player protocols agree exactly).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
@@ -48,7 +49,6 @@ from ..channel.models import ChannelModel
 from ..channel.simulator import _check_channel, run_players, run_uniform
 from ..core.advice import AdviceFunction
 from ..core.protocol import PlayerProtocol, UniformProtocol
-from ..infotheory.distributions import SizeDistribution
 from .metrics import ProportionEstimate, Summary
 
 __all__ = [
@@ -143,11 +143,38 @@ def _resolve_protocol(factory: UniformFactory) -> Callable[[], UniformProtocol]:
     return factory
 
 
+def _fixed_size(source: SizeSource) -> int | None:
+    """The ``k`` of a fixed size source, or None for a sampler.
+
+    Python and NumPy integers are fixed sizes (``operator.index``, the
+    rule the scenario specs use), and bools are not.  Anything else must
+    be a sampler: a ``sample``/``sample_many`` object or a callable.
+    """
+    if not isinstance(source, bool):
+        try:
+            k = operator.index(source)
+        except TypeError:
+            pass
+        else:
+            if k < 1:
+                raise ValueError(f"fixed size must be >= 1, got {k}")
+            return k
+    if not (
+        hasattr(source, "sample")
+        or hasattr(source, "sample_many")
+        or callable(source)
+    ):
+        raise ValueError(
+            "size source must be an integer, a sample/sample_many object "
+            f"or a callable, got {type(source).__name__}"
+        )
+    return None
+
+
 def _resolve_size(source: SizeSource) -> Callable[[np.random.Generator], int]:
-    if isinstance(source, int):
-        if source < 1:
-            raise ValueError(f"fixed size must be >= 1, got {source}")
-        return lambda rng: source
+    k = _fixed_size(source)
+    if k is not None:
+        return lambda rng: k
     if hasattr(source, "sample"):
         return source.sample
     return source
@@ -162,20 +189,16 @@ def _draw_size_batch(
     is drawn in one vectorized call; bare callables fall back to the
     per-trial loop.
     """
-    if isinstance(source, int):
-        if source < 1:
-            raise ValueError(f"fixed size must be >= 1, got {source}")
-        return np.full(trials, source, dtype=np.int64)
+    k = _fixed_size(source)
+    if k is not None:
+        return np.full(trials, k, dtype=np.int64)
     if hasattr(source, "sample_many"):
         return np.asarray(source.sample_many(rng, trials), dtype=np.int64)
     return np.asarray([source(rng) for _ in range(trials)], dtype=np.int64)
 
 
 def select_uniform_engine(
-    protocol: UniformFactory,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
+    protocol: UniformFactory, batch: bool | None = None
 ) -> str:
     """Which execution engine :func:`estimate_uniform_rounds` will use.
 
@@ -185,22 +208,10 @@ def select_uniform_engine(
     deterministic sessions, :data:`ENGINE_SCALAR_UNIFORM` otherwise
     (factories, randomized sessions, or ``batch=False``).  Raises
     ``ValueError`` when ``batch=True`` insists on an impossible batch run,
-    mirroring the estimator.
-
-    ``model`` is the channel's *active* fault model: one that declares
-    itself inexpressible on the uniform batch engines
-    (``batchable=False`` - no in-repo model does anymore, rejoin-delay
-    crashes included) forces the scalar reference loop regardless of
-    protocol capabilities.
+    mirroring the estimator.  Every channel model runs on the uniform
+    batch engines, so routing depends on the protocol alone.
     """
     batchable = isinstance(protocol, UniformProtocol) and is_batchable(protocol)
-    if model is not None and not model.batchable:
-        if batch is True:
-            raise ValueError(
-                f"batch=True but channel model {model.name!r} only runs on "
-                "the scalar engine (it declares batchable=False)"
-            )
-        return ENGINE_SCALAR_UNIFORM
     if batch is True and not batchable:
         raise ValueError(
             "batch=True requires a batchable UniformProtocol instance "
@@ -241,7 +252,7 @@ def estimate_uniform_rounds(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    engine = select_uniform_engine(protocol, batch, model=channel.active_model)
+    engine = select_uniform_engine(protocol, batch)
     if engine != ENGINE_SCALAR_UNIFORM:
         assert isinstance(protocol, UniformProtocol)
         ks = _draw_size_batch(size_source, rng, trials)
@@ -307,15 +318,9 @@ def estimate_uniform_rounds_many(
         )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    model = channel.active_model
-    if model is not None and not model.batchable:
-        raise ValueError(
-            f"channel model {model.name!r} only runs on the scalar engine; "
-            "its points cannot be stacked - estimate them one at a time"
-        )
     engines = set()
     for protocol in protocols:
-        engine = select_uniform_engine(protocol, model=model)
+        engine = select_uniform_engine(protocol)
         if engine == ENGINE_SCALAR_UNIFORM:
             raise ValueError(
                 f"protocol {getattr(protocol, 'name', protocol)!r} cannot "
@@ -397,13 +402,14 @@ def select_player_engine(
     ``batch=True`` insists on an impossible batch run.
 
     ``model`` is the channel's *active* fault model: one the batch
-    player engine cannot express (``player_batchable=False`` - a crash
-    model with a non-zero rejoin delay, whose leave/rejoin transition
-    has no vectorized form) forces the scalar per-player loop regardless
-    of protocol capabilities.
+    player engine cannot express (:attr:`~repro.channel.models.
+    ChannelModel.shrinks_population` - a crash model with a non-zero
+    rejoin delay, whose leave/rejoin transition has no vectorized form)
+    forces the scalar per-player loop regardless of protocol
+    capabilities.
     """
     batchable = is_player_batchable(protocol)
-    if model is not None and not model.player_batchable:
+    if model is not None and model.shrinks_population:
         if batch is True:
             raise ValueError(
                 f"batch=True but channel model {model.name!r} only runs on "
@@ -525,7 +531,7 @@ def estimate_player_rounds_many(
         raise ValueError(f"trials must be >= 1, got {trials}")
     model = channel.active_model
     if model is not None and (
-        not model.player_batchable or model.needs_fault_draws
+        model.shrinks_population or model.needs_fault_draws
     ):
         raise ValueError(
             f"channel model {model.name!r} cannot run on the stacked "
@@ -564,14 +570,3 @@ def estimate_player_rounds_many(
         )
     return estimates
 
-
-def sample_sizes(
-    distribution: SizeDistribution, rng: np.random.Generator, trials: int
-) -> np.ndarray:
-    """Draw a batch of sizes (convenience for custom experiment loops).
-
-    Returns the ``sample_many`` int64 ndarray directly; callers needing a
-    plain ``list[int]`` should ``.tolist()`` it themselves rather than
-    paying a round-trip through a Python comprehension here.
-    """
-    return distribution.sample_many(rng, trials)

@@ -22,49 +22,54 @@ distribution as drawing the binomial count, computed with one vectorized
 Python-level calls.  (This mirrors how round-driven network simulators
 batch their event loops.)
 
-Two engines, chosen by protocol capability:
+One round loop, two probability sources
+---------------------------------------
+The stacked loop (:func:`_run_stacked`) advances many *independent
+points* - each a whole Monte Carlo batch with its own generator,
+participant counts and protocol - through one shared round loop.  It
+owns everything a round does whatever the protocol: the pre-drawn
+uniform blocks (point ``j``'s draws come from ``rngs[j]`` in exactly the
+order a solo run would consume them, so a stacked run is bit-identical
+per point to running the points one at a time - the fused sweep
+executor's contract - and a solo run *is* a 1-point stacked run), the
+band compare, the perturbation by an active channel model, and the
+retirement and censoring of trials.  A *probability source* supplies
+only what depends on the protocol kind: each live trial's band edges
+this round, which trials' protocols give up, and how a survivor's state
+moves on.
 
-* **Schedule engine** - for protocols whose full probability sequence is
-  known in advance (:meth:`~repro.core.protocol.UniformProtocol.batch_schedule`
-  returns a :class:`~repro.core.protocol.BatchSchedule`; the no-CD family
-  of Section 2.1).  No session objects at all: round ``r``'s success band
-  is a precomputed array lookup, uniforms are pre-drawn in 16-round
-  blocks per live trial, and a round costs one gather plus two
-  compares.  The engine also has a
-  **stacked** entry point (:func:`run_schedule_stacked`) advancing many
-  *independent points* - each with its own generator, participant counts
-  and schedule - through one shared round loop: point ``j``'s draws come
-  from ``rngs[j]`` in exactly the order a solo run would consume them, so
-  a stacked run is bit-identical per point to running the points one at a
-  time (the fused sweep executor's contract), while all per-round masking
-  and retirement work is amortized across the whole stack.
+* **Schedule source** (:func:`run_schedule_stacked`) - for protocols
+  whose full probability sequence is known in advance
+  (:meth:`~repro.core.protocol.UniformProtocol.batch_schedule` returns a
+  :class:`~repro.core.protocol.BatchSchedule`; the no-CD family of
+  Section 2.1).  No session objects at all: band edges are precomputed
+  over a window of rounds per distinct ``(point, k)``, so a round costs
+  one gather plus two compares, and a one-shot point gives up at its
+  horizon.
 
-* **History engine** - for feedback-driven (CD) protocols with
-  deterministic sessions.  All players of a CD execution see the same
-  collision history ``b_1 b_2 ... b_r``, and a uniform CD algorithm is a
-  deterministic function of that history (Section 2.1) - so two trials
-  with identical histories will use identical probabilities forever until
-  their histories diverge.  The engine is fully array-based: each live
-  trial carries an integer node id into a **history trie**
-  (:class:`_HistoryArena`) memoizing the history -> probability function,
-  so a round costs one memoized ``next_probability()`` per *distinct
-  history ever seen* (one session fork per trie node, amortized over all
-  trials, rounds and stacked points - never a per-round ``fork()``), one
-  uniform draw per live trial compared against trichotomy band edges
-  gathered from a per-round ``(node, k)`` band cache, and one
-  ``np.unique``-compacted child gather that advances every trial's node
-  down its observed branch.  Like the schedule engine it has a
-  **stacked** entry point (:func:`run_history_stacked`): points sharing a
-  :meth:`~repro.core.protocol.UniformProtocol.history_signature` also
-  share one trie, and each point consumes its own generator exactly as a
-  solo run would, so a solo run *is* a 1-point stacked run.  On a no-CD
-  channel every observation is ``QUIET``, so the trie is a single path
-  and the engine degenerates to a schedule walk with a live session.
+* **History source** (:func:`run_history_stacked`) - for
+  feedback-driven (CD) protocols with deterministic sessions.  All
+  players of a CD execution see the same collision history
+  ``b_1 b_2 ... b_r``, and a uniform CD algorithm is a deterministic
+  function of that history (Section 2.1) - so two trials with identical
+  histories will use identical probabilities forever until their
+  histories diverge.  Each live trial carries an integer node id into a
+  **history trie** (:class:`_HistoryArena`) memoizing the history ->
+  probability function, so a round costs one memoized
+  ``next_probability()`` per *distinct history ever seen* (one session
+  fork per trie node, amortized over all trials, rounds and stacked
+  points), band edges computed once per distinct ``(node, k)`` pair, and
+  one ``np.unique``-compacted child gather that moves every survivor
+  down its observed branch.  Points sharing a
+  :meth:`~repro.core.protocol.UniformProtocol.history_signature` share
+  one trie.  On a no-CD channel every observation is ``QUIET``, so the
+  trie is a single path and the source degenerates to a schedule walk
+  with a live session.
 
-Both match the scalar engine's termination conventions exactly: a trial
-retires at its first single-transmitter round (``rounds`` = that 1-based
-round), at schedule exhaustion (``solved=False``, ``rounds`` = rounds
-actually played) or at the budget (``solved=False``, ``rounds =
+The loop matches the scalar engine's termination conventions exactly: a
+trial retires at its first single-transmitter round (``rounds`` = that
+1-based round), at schedule exhaustion (``solved=False``, ``rounds`` =
+rounds actually played) or at the budget (``solved=False``, ``rounds =
 max_rounds``).
 """
 
@@ -87,7 +92,13 @@ from ..core.protocol import (
     UniformSession,
 )
 from .channel import Channel
-from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
+from .models import (
+    FB_COLLISION,
+    FB_SILENCE,
+    FB_SUCCESS,
+    BatchFaultState,
+    ChannelModel,
+)
 from .simulator import DEFAULT_MAX_ROUNDS, _check_channel
 from .trace import BatchExecutionResult
 
@@ -112,15 +123,6 @@ def is_batchable(protocol: UniformProtocol) -> bool:
     )
 
 
-def _validated_ks(ks: Sequence[int] | np.ndarray) -> np.ndarray:
-    array = np.asarray(ks, dtype=np.int64)
-    if array.ndim != 1 or array.size == 0:
-        raise ValueError("ks must be a non-empty 1-d array of trial sizes")
-    if (array < 1).any():
-        raise ValueError("participant counts must all be >= 1")
-    return array
-
-
 def run_uniform_batch(
     protocol: UniformProtocol,
     ks: Sequence[int] | np.ndarray,
@@ -135,58 +137,20 @@ def run_uniform_batch(
     ``ks[i]`` is trial ``i``'s participant count, and entry ``i`` of the
     returned :class:`~repro.channel.trace.BatchExecutionResult` is
     distributed exactly as a scalar execution with that count (see the
-    module docstring for why).  Raises :class:`ValueError` for protocols
+    module docstring for why).  It is a one-point run of the stacked
+    entry point for the protocol's kind, so a solo run and a fused one
+    share one implementation.  Raises :class:`ValueError` for protocols
     that are not :func:`is_batchable` - callers wanting transparent
     fallback should test the capability first.
     """
-    ks = _validated_ks(ks)
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
     _check_channel(protocol.requires_collision_detection, channel)
-    _check_model_batchable(channel.active_model)
-
     schedule = protocol.batch_schedule()
     if schedule is not None:
-        return _run_schedule_batch(schedule, ks, rng, channel, max_rounds)
-    if not protocol.deterministic_sessions:
-        raise ValueError(
-            f"protocol {protocol.name!r} has randomized sessions; use the "
-            "scalar engine (run_uniform) instead"
-        )
-    return _run_history_batch(protocol, ks, rng, channel, max_rounds)
-
-
-def _check_model_batchable(model: ChannelModel | None) -> None:
-    """Reject models that declare themselves inexpressible here.
-
-    Every in-repo model is now batchable on the uniform engines -
-    population-shrinking crash variants run through the per-trial
-    :meth:`~repro.channel.models.BatchFaultState.active_counts` band
-    path - so this guards only third-party models opting out.
-    """
-    if model is not None and not model.batchable:
-        raise ValueError(
-            f"channel model {model.name!r} declares itself inexpressible "
-            "on the stacked uniform engines (batchable=False); use the "
-            "scalar engine (run_uniform) instead"
-        )
-
-
-def _run_schedule_batch(
-    schedule: BatchSchedule,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-    channel: Channel,
-    max_rounds: int,
-) -> BatchExecutionResult:
-    """Advance every trial through a precomputed probability schedule.
-
-    A one-point stacked run: the single-scenario path and the fused sweep
-    path share one implementation, which is what makes a fused point
-    bit-identical to its standalone re-run.
-    """
-    return run_schedule_stacked(
-        [schedule], [ks], [rng], channel=channel, max_rounds=max_rounds
+        return run_schedule_stacked(
+            [schedule], [ks], [rng], channel=channel, max_rounds=max_rounds
+        )[0]
+    return run_history_stacked(
+        [protocol], [ks], [rng], channel=channel, max_rounds=max_rounds
     )[0]
 
 
@@ -211,10 +175,10 @@ def _index_trial_combos(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Index the distinct ``(point, k)`` pairs of a stacked run.
 
-    Band edges depend only on the pair, so both stacked engines compute
-    them per distinct pair ("combo") and gather: returns each point's
-    unique ``k`` values (as floats, band-arithmetic-ready) plus one flat
-    per-trial index into their concatenation.
+    Band edges depend only on the pair, so the probability sources
+    compute them per distinct pair ("combo") and gather: returns each
+    point's unique ``k`` values (as floats, band-arithmetic-ready) plus
+    one flat per-trial index into their concatenation.
     """
     unique_ks: list[np.ndarray] = []
     flat_cidx = np.empty(sum(ks.size for ks in ks_arrays), dtype=np.int64)
@@ -239,7 +203,7 @@ def _refill_draw_block(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pre-draw one :data:`_DRAW_BLOCK_ROUNDS` block of uniforms.
 
-    The shared half of both stacked engines' stream contract: one row
+    The stacked loop's half of the stream contract: one row
     per live trial (in point order, each point's rows in trial order),
     clipped per point to its own remaining horizon, drawn from the
     point's own generator - so the shapes, and hence the streams, depend
@@ -348,6 +312,256 @@ def _band_edges(p: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _checked_stack(
+    kind: str,
+    points: int,
+    ks_list: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    max_rounds: int,
+) -> list[np.ndarray]:
+    """The validated per-point ``ks`` arrays of a stacked run."""
+    if not (points == len(ks_list) == len(rngs)):
+        raise ValueError(
+            f"stacked run needs one {kind}, ks array and rng per point; "
+            f"got {points}/{len(ks_list)}/{len(rngs)}"
+        )
+    if points == 0:
+        raise ValueError("stacked run needs at least one point")
+    if max_rounds < 1:
+        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    ks_arrays = [np.asarray(ks, dtype=np.int64) for ks in ks_list]
+    for ks in ks_arrays:
+        if ks.ndim != 1 or ks.size == 0:
+            raise ValueError("ks must be a non-empty 1-d array of trial sizes")
+        if (ks < 1).any():
+            raise ValueError("participant counts must all be >= 1")
+    return ks_arrays
+
+
+class _LiveRows:
+    """The live ``(point, trial)`` rows of a stacked run, one array each.
+
+    Rows are grouped by point in point order, each point's rows in trial
+    order - exactly the order a solo run draws them in.  Every attribute
+    is a per-row array: the loop's ``trial`` (the row's flat trial
+    index), ``cidx`` (its ``(point, k)`` combo) and ``buffer`` (its row
+    of the pre-drawn block); a source may add its own.  :meth:`keep`
+    retires rows from all of them at once.
+    """
+
+    def __init__(self, **columns: np.ndarray) -> None:
+        self.__dict__.update(columns)
+
+    def keep(
+        self, mask: np.ndarray, fault_state: BatchFaultState | None
+    ) -> None:
+        """Keep only the rows in ``mask``, in every array and fault state."""
+        columns = vars(self)
+        for name, column in columns.items():
+            columns[name] = column[mask]
+        if fault_state is not None:
+            fault_state.filter(mask)
+
+
+def _run_stacked(
+    source: _ScheduleSource | _HistorySource,
+    ks_arrays: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    model: ChannelModel | None,
+    max_rounds: int,
+) -> list[BatchExecutionResult]:
+    """The one closed round loop behind both stacked entry points.
+
+    It owns every step a round takes whatever the protocol: the block
+    pre-draw, the band compare, the channel model's perturbation, and
+    the retirement and censoring of trials.  ``source`` supplies the
+    rest: its ``horizons`` bound each point's rounds, and ``start``
+    binds it to the live rows and the point of each flat trial index.
+    Each round, ``expired`` names the trials whose protocol gives up
+    before the draw (or returns None), ``bands`` returns each live
+    trial's band edges (``k_eff``: the live counts of a
+    population-shrinking model, else None) and ``advance`` moves the
+    survivors' protocol state on.
+    """
+    points = len(ks_arrays)
+    trials = np.asarray([ks.size for ks in ks_arrays])
+    total = int(trials.sum())
+    solved = np.zeros(total, dtype=bool)
+    rounds = np.zeros(total, dtype=np.int64)
+    fault_state = model.batch_state(total) if model is not None else None
+    with_fault = model is not None and model.needs_fault_draws
+    shrinking = model is not None and model.shrinks_population
+
+    # Band edges depend only on (point, k) - plus the round, or the
+    # history - so the sources compute them per distinct pair ("combo")
+    # and gather.  Population-shrinking models void that invariant:
+    # their bands come per trial from the live active counts.
+    unique_ks, flat_cidx = _index_trial_combos(ks_arrays)
+    live = _LiveRows(
+        trial=np.arange(total),
+        cidx=flat_cidx,
+        buffer=np.arange(total),  # rewritten at the first block boundary
+    )
+    # Per flat trial index: its point and its k.  Rows look these up
+    # where a round needs them rather than carrying them through every
+    # retirement.
+    trial_point = np.repeat(np.arange(points), trials)
+    trial_ks = np.concatenate(ks_arrays) if shrinking else None
+    source.start(live, unique_ks, trial_point)
+    horizons = source.horizons
+    draw_buffer = np.empty((0, 0))
+    fault_buffer: np.ndarray | None = None
+
+    for round_index in range(1, int(horizons.max()) + 1):
+        # Clean give-ups (a one-shot horizon or an exhausted history)
+        # retire *before* the round's draw, with rounds actually played -
+        # the scalar ScheduleExhausted path.
+        expired = source.expired(round_index, live)
+        if expired is not None:
+            rounds[live.trial[expired]] = round_index - 1
+            live.keep(~expired, fault_state)
+        if live.trial.size == 0:
+            break
+
+        # Shrinking models' live counts are asked once per round, before
+        # the outcome - the scalar loop's active_count/binomial ordering.
+        k_eff = (
+            fault_state.active_counts(trial_ks[live.trial], round_index)
+            .astype(float)
+            if shrinking
+            else None
+        )
+        lo, hi = source.bands(round_index, live, k_eff)
+
+        # Uniform draws come in *absolute* blocks of _DRAW_BLOCK_ROUNDS
+        # rounds: at each block boundary every live point pre-draws one
+        # row of uniforms per live trial (clipped to its own horizon)
+        # from its own generator.  Block boundaries and per-point shapes
+        # depend only on the point's own trajectory, so a solo run
+        # consumes the identical stream; between boundaries a round costs
+        # one gather instead of one generator call per point.
+        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
+        if column == 0:
+            # The per-point live counts are only needed here, to shape
+            # the refill; between boundaries retirement just filters.
+            counts = np.bincount(trial_point[live.trial], minlength=points)
+            draw_buffer, fault_buffer = _refill_draw_block(
+                rngs, counts, horizons, round_index, live.trial.size,
+                with_fault,
+            )
+            live.buffer = np.arange(live.trial.size)
+        draws = draw_buffer[live.buffer, column]
+
+        if fault_state is None:
+            feedback = None
+            hit = (draws >= lo) & (draws < hi)
+        else:
+            # The same band compares, widened to the full trichotomy so
+            # the model can perturb the delivered feedback *after* the
+            # faithful outcome; retirement and the observed history both
+            # follow the *delivered* feedback.
+            feedback = np.where(
+                draws < lo,
+                FB_SILENCE,
+                np.where(draws < hi, FB_SUCCESS, FB_COLLISION),
+            )
+            fault_draws = (
+                fault_buffer[live.buffer, column]
+                if fault_buffer is not None
+                else None
+            )
+            feedback = fault_state.perturb(round_index, feedback, fault_draws)
+            hit = feedback == FB_SUCCESS
+        survive = None
+        if hit.any():
+            winners = live.trial[hit]
+            solved[winners] = True
+            rounds[winners] = round_index
+            survive = ~hit
+            live.keep(survive, fault_state)
+        source.advance(round_index, live, draws, hi, feedback, survive)
+
+    # Whatever survives was right-censored: by the budget (rounds played =
+    # max_rounds) or by one-shot exhaustion (rounds played = schedule
+    # length), matching the scalar engine's ExecutionResult convention.
+    rounds[live.trial] = horizons[trial_point[live.trial]]
+    return _per_point_results(solved, rounds, ks_arrays, max_rounds)
+
+
+class _ScheduleSource:
+    """Probability source of schedule points: tables over a round window.
+
+    Band edges - or, under a population-shrinking model, just the round
+    probabilities - are precomputed per distinct ``(point, k)`` for
+    :data:`_BAND_CHUNK_ROUNDS` rounds at a time, so a round's thresholds
+    are two row gathers.  A one-shot point gives up at its horizon;
+    schedules ignore feedback, so survivors have no state to move on.
+    """
+
+    def __init__(self, schedules: Sequence[BatchSchedule], max_rounds: int):
+        self._schedules = schedules
+        self.horizons = np.asarray([s.horizon(max_rounds) for s in schedules])
+        self._horizon_steps = set(int(h) for h in self.horizons)
+        self._unique_ks: list[np.ndarray] = []
+        self._trial_point = self._trial_horizon = np.empty(0, np.int64)
+        self._base = self._length = 0  # the window is (base, base + length]
+        self._lo = self._hi = self._p = np.empty((0, 0))
+
+    def start(
+        self,
+        live: _LiveRows,
+        unique_ks: list[np.ndarray],
+        trial_point: np.ndarray,
+    ) -> None:
+        self._unique_ks = unique_ks
+        self._trial_point = trial_point
+        self._trial_horizon = self.horizons[trial_point]
+
+    def expired(self, round_index: int, live: _LiveRows) -> np.ndarray | None:
+        # Whole points retire when their (one-shot) horizon just ended:
+        # their surviving trials censor at rounds played = horizon.
+        if round_index - 1 in self._horizon_steps:
+            expired = self._trial_horizon[live.trial] < round_index
+            if expired.any():
+                return expired
+        return None
+
+    def bands(
+        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if round_index > self._base + self._length:
+            self._base = round_index - 1
+            self._length = min(
+                _BAND_CHUNK_ROUNDS, int(self.horizons.max()) - self._base
+            )
+            if k_eff is None:
+                blocks = [
+                    _success_bands(schedule, uniques, round_index, self._length)
+                    for schedule, uniques in zip(
+                        self._schedules, self._unique_ks
+                    )
+                ]
+                self._lo = np.concatenate([lo for lo, _ in blocks], axis=1)
+                self._hi = np.concatenate([hi for _, hi in blocks], axis=1)
+            else:
+                # Only the per-round probabilities can be precomputed;
+                # band edges depend on the live per-trial counts.
+                self._p = np.stack(
+                    [
+                        _schedule_probabilities(s, round_index, self._length)
+                        for s in self._schedules
+                    ],
+                    axis=1,
+                )
+        row = round_index - self._base - 1
+        if k_eff is None:
+            return self._lo[row][live.cidx], self._hi[row][live.cidx]
+        return _band_edges(self._p[row, self._trial_point[live.trial]], k_eff)
+
+    def advance(self, round_index, live, draws, hi, feedback, survive) -> None:
+        """Schedules never branch on feedback: nothing moves on."""
+
+
 def run_schedule_stacked(
     schedules: Sequence[BatchSchedule],
     ks_list: Sequence[np.ndarray],
@@ -379,183 +593,14 @@ def run_schedule_stacked(
     round; see :func:`_refill_draw_block`), and a trial retires on the
     *delivered* success.
     """
-    points = len(schedules)
-    if not (points == len(ks_list) == len(rngs)):
-        raise ValueError(
-            f"stacked run needs one schedule, ks array and rng per point; "
-            f"got {points}/{len(ks_list)}/{len(rngs)}"
-        )
-    if points == 0:
-        raise ValueError("stacked run needs at least one point")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
-    ks_arrays = [_validated_ks(ks) for ks in ks_list]
-    trials = np.asarray([ks.size for ks in ks_arrays])
-    horizons = np.asarray([s.horizon(max_rounds) for s in schedules])
-
+    ks_arrays = _checked_stack(
+        "schedule", len(schedules), ks_list, rngs, max_rounds
+    )
     model = channel.active_model if channel is not None else None
-    _check_model_batchable(model)
-
-    total = int(trials.sum())
-    solved = np.zeros(total, dtype=bool)
-    rounds = np.zeros(total, dtype=np.int64)
-    fault_state = model.batch_state(total) if model is not None else None
-    with_fault = model is not None and model.needs_fault_draws
-    shrinking = model is not None and model.shrinks_population
-    fault_buffer: np.ndarray | None = None
-
-    # Success bands depend only on (point, k): index the distinct pairs
-    # once ("combos") so each round's thresholds are two row gathers.
-    # Population-shrinking models void that invariant - their bands are
-    # recomputed per trial each round from the live active counts.
-    unique_ks, flat_cidx = _index_trial_combos(ks_arrays)
-    flat_ks = np.concatenate(ks_arrays) if shrinking else None
-
-    # Live rows, grouped by point in point order (each point's rows stay
-    # in trial order, exactly the order a solo run draws them in).
-    flat_trial = np.arange(total)
-    flat_point = np.repeat(np.arange(points), trials)
-
-    horizon_steps = set(int(h) for h in horizons)
-    lo_table = hi_table = p_table = None
-    chunk_base = chunk_len = 0  # tables cover (chunk_base, chunk_base + len]
-    draw_buffer = np.empty((0, 0))
-    buffer_row = np.arange(total)  # rewritten at the first block boundary
-
-    for round_index in range(1, int(horizons.max()) + 1):
-        # Retire whole points whose (one-shot) horizon just ended: their
-        # surviving trials censor at rounds-actually-played = horizon.
-        if round_index - 1 in horizon_steps:
-            expired = horizons[flat_point] < round_index
-            if expired.any():
-                gone = flat_trial[expired]
-                rounds[gone] = horizons[flat_point[expired]]
-                keep = ~expired
-                flat_trial = flat_trial[keep]
-                flat_point = flat_point[keep]
-                flat_cidx = flat_cidx[keep]
-                buffer_row = buffer_row[keep]
-                if flat_ks is not None:
-                    flat_ks = flat_ks[keep]
-                if fault_state is not None:
-                    fault_state.filter(keep)
-        if flat_trial.size == 0:
-            break
-
-        if round_index > chunk_base + chunk_len:
-            chunk_base = round_index - 1
-            chunk_len = min(_BAND_CHUNK_ROUNDS, int(horizons.max()) - chunk_base)
-            if shrinking:
-                # Only the per-round probabilities can be precomputed;
-                # band edges depend on the live per-trial counts.
-                p_table = np.stack(
-                    [
-                        _schedule_probabilities(s, round_index, chunk_len)
-                        for s in schedules
-                    ],
-                    axis=1,
-                )
-            else:
-                blocks = [
-                    _success_bands(schedule, uniques, round_index, chunk_len)
-                    for schedule, uniques in zip(schedules, unique_ks)
-                ]
-                lo_table = np.concatenate([lo for lo, _ in blocks], axis=1)
-                hi_table = np.concatenate([hi for _, hi in blocks], axis=1)
-        row = round_index - chunk_base - 1
-        if shrinking:
-            lo = hi = None
-        else:
-            lo = lo_table[row]
-            hi = hi_table[row]
-
-        # Uniform draws come in *absolute* blocks of _DRAW_BLOCK_ROUNDS
-        # rounds: at each block boundary every live point pre-draws one
-        # row of uniforms per live trial (clipped to its own horizon)
-        # from its own generator.  Block boundaries and per-point shapes
-        # depend only on the point's own trajectory, so a solo run
-        # consumes the identical stream; between boundaries a round costs
-        # one gather instead of one generator call per point.
-        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
-        if column == 0:
-            # The per-point live counts are only needed here, to shape
-            # the refill; between boundaries retirement just filters.
-            counts = np.bincount(flat_point, minlength=points)
-            draw_buffer, fault_buffer = _refill_draw_block(
-                rngs, counts, horizons, round_index, flat_trial.size,
-                with_fault,
-            )
-            buffer_row = np.arange(flat_trial.size)
-        draws = draw_buffer[buffer_row, column]
-
-        if fault_state is None:
-            hit = (draws >= lo[flat_cidx]) & (draws < hi[flat_cidx])
-        else:
-            # The same band compares, widened to the full trichotomy so
-            # the model can perturb the delivered feedback; a trial
-            # retires on the *delivered* success.
-            if shrinking:
-                # Per-trial bands from the live active counts (asked
-                # once per round, before the outcome - the scalar
-                # loop's active_count/binomial ordering).
-                k_eff = fault_state.active_counts(
-                    flat_ks, round_index
-                ).astype(float)
-                lo_trial, hi_trial = _band_edges(
-                    p_table[row, flat_point], k_eff
-                )
-            else:
-                lo_trial = lo[flat_cidx]
-                hi_trial = hi[flat_cidx]
-            codes = np.where(
-                draws < lo_trial,
-                FB_SILENCE,
-                np.where(draws < hi_trial, FB_SUCCESS, FB_COLLISION),
-            )
-            fault_draws = (
-                fault_buffer[buffer_row, column]
-                if fault_buffer is not None
-                else None
-            )
-            codes = fault_state.perturb(round_index, codes, fault_draws)
-            hit = codes == FB_SUCCESS
-        if hit.any():
-            winners = flat_trial[hit]
-            solved[winners] = True
-            rounds[winners] = round_index
-            keep = ~hit
-            flat_trial = flat_trial[keep]
-            flat_point = flat_point[keep]
-            flat_cidx = flat_cidx[keep]
-            buffer_row = buffer_row[keep]
-            if flat_ks is not None:
-                flat_ks = flat_ks[keep]
-            if fault_state is not None:
-                fault_state.filter(keep)
-
-    # Whatever survives was right-censored: by the budget (rounds played =
-    # max_rounds) or by one-shot exhaustion (rounds played = schedule
-    # length), matching the scalar engine's ExecutionResult convention.
-    rounds[flat_trial] = horizons[flat_point]
-    return _per_point_results(solved, rounds, ks_arrays, max_rounds)
-
-
-def _run_history_batch(
-    protocol: UniformProtocol,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-    channel: Channel,
-    max_rounds: int,
-) -> BatchExecutionResult:
-    """Advance one history-driven point: a one-point stacked run.
-
-    As with the schedule engine, the single-scenario path and the fused
-    sweep path share one implementation, so a fused point is
-    bit-identical to its standalone re-run by construction.
-    """
-    return run_history_stacked(
-        [protocol], [ks], [rng], channel=channel, max_rounds=max_rounds
-    )[0]
+    return _run_stacked(
+        _ScheduleSource(schedules, max_rounds), ks_arrays, rngs, model,
+        max_rounds,
+    )
 
 
 #: Observation-code -> enum for trie child expansion.  Indices match the
@@ -642,11 +687,16 @@ class _HistoryArena:
 
         One ``next_probability()`` call per distinct history, ever: a
         node revisited by later trials, points or (trie-sharing) runs is
-        a pure array lookup.  :class:`ScheduleExhausted` is memoized
-        too - a one-shot give-up is a property of the history, not of
-        the trial that first reached it.
+        a pure array lookup, so ``nodes`` may repeat and only its
+        distinct unresolved nodes cost a call.
+        :class:`ScheduleExhausted` is memoized too - a one-shot give-up
+        is a property of the history, not of the trial that first
+        reached it.
         """
-        for node in nodes[~self._resolved[nodes]]:
+        fresh = nodes[~self._resolved[nodes]]
+        if fresh.size == 0:
+            return
+        for node in np.unique(fresh):
             session = self._sessions[node]
             assert session is not None
             try:
@@ -710,6 +760,109 @@ def _reset_shared_arena() -> None:
     _run_state.arena = None
 
 
+class _HistorySource:
+    """Probability source of history-driven points: one trie node per trial.
+
+    Each live trial carries a node id into the shared
+    :class:`_HistoryArena` (its ``node`` row).  A round resolves one
+    memoized probability per distinct live history, computes band edges
+    once per distinct ``(node, k)`` pair, gives up the trials whose
+    history exhausted its schedule, and moves every survivor to the
+    child of its observation.
+    """
+
+    def __init__(
+        self,
+        protocols: Sequence[UniformProtocol],
+        channel: Channel,
+        max_rounds: int,
+    ) -> None:
+        self.horizons = np.full(len(protocols), max_rounds)  # none known ahead
+        self._last_round = max_rounds
+        self._collision_detection = channel.collision_detection
+        self._arena = _arena_for_run()
+        run_token = next(_run_tokens)
+        self._roots = np.asarray(
+            [
+                self._arena.root_for(protocol, ("unshared", run_token, j))
+                for j, protocol in enumerate(protocols)
+            ],
+            dtype=np.int64,
+        )
+        self._combo_ks = np.empty(0)
+        # This round's distinct (node, k) pairs, the node of each, and
+        # each live trial's pair - set by expired(), read by bands().
+        self._pairs = self._pair_node = self._pair_of = np.empty(0, np.int64)
+
+    def start(
+        self,
+        live: _LiveRows,
+        unique_ks: list[np.ndarray],
+        trial_point: np.ndarray,
+    ) -> None:
+        self._combo_ks = np.concatenate(unique_ks)
+        live.node = self._roots[trial_point]
+
+    def expired(self, round_index: int, live: _LiveRows) -> np.ndarray | None:
+        # One sort of the live pair keys yields the distinct (history, k)
+        # combinations and, via its quotients, their histories, so
+        # thresholds are computed once per distinct pair and gathered
+        # back, and probabilities are memoized once per node.
+        combos = self._combo_ks.size
+        self._pairs, self._pair_of = np.unique(
+            live.node * combos + live.cidx, return_inverse=True
+        )
+        self._pair_node = self._pairs // combos
+        arena = self._arena
+        arena.resolve(self._pair_node)
+        if arena.any_exhausted:
+            expired = arena.exhausted[live.node]
+            if expired.any():
+                self._pair_of = self._pair_of[~expired]
+                return expired
+        return None
+
+    def bands(
+        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Exhausted histories keep NaN probabilities; their band rows are
+        # never gathered - every trial on one just retired.
+        p = self._arena.probability[self._pair_node]
+        if k_eff is not None:
+            return _band_edges(p[self._pair_of], k_eff)
+        combo_ks = self._combo_ks
+        lo, hi = _band_edges(p, combo_ks[self._pairs % combo_ks.size])
+        return lo[self._pair_of], hi[self._pair_of]
+
+    def advance(
+        self,
+        round_index: int,
+        live: _LiveRows,
+        draws: np.ndarray,
+        hi: np.ndarray,
+        feedback: np.ndarray | None,
+        survive: np.ndarray | None,
+    ) -> None:
+        """Move each survivor to the child of its observed history.
+
+        ``draws``, ``hi`` and ``feedback`` cover the round's rows before
+        its winners retired; ``survive`` (None: nobody won) selects the
+        survivors.
+        """
+        if live.trial.size == 0 or round_index == self._last_round:
+            return
+        if not self._collision_detection:
+            codes = np.full(live.trial.size, OBS_QUIET, dtype=np.int64)
+        else:
+            collided = (
+                draws >= hi if feedback is None else feedback == FB_COLLISION
+            )
+            if survive is not None:
+                collided = collided[survive]
+            codes = np.where(collided, OBS_COLLISION, OBS_SILENCE)
+        live.node = self._arena.descend(live.node, codes)
+
+
 def run_history_stacked(
     protocols: Sequence[UniformProtocol],
     ks_list: Sequence[np.ndarray],
@@ -720,12 +873,13 @@ def run_history_stacked(
 ) -> list[BatchExecutionResult]:
     """Advance many history-driven points in one array-based loop.
 
-    The CD counterpart of :func:`run_schedule_stacked`: point ``j`` is a
-    whole Monte Carlo batch of a deterministic-session uniform protocol
-    (typically feedback-driven - Willard/phased search, history
-    policies), and entry ``j`` of the result is **bit-identical** to
-    ``run_uniform_batch`` on that point alone.  Each live trial carries
-    a node id into the shared history-trie arena; a round is
+    The CD counterpart of :func:`run_schedule_stacked`, on the same round
+    loop with the history source: point ``j`` is a whole Monte Carlo
+    batch of a deterministic-session uniform protocol (typically
+    feedback-driven - Willard/phased search, history policies), and entry
+    ``j`` of the result is **bit-identical** to ``run_uniform_batch`` on
+    that point alone.  Each live trial carries a node id into the shared
+    history-trie arena; a round is
 
     1. one memoized ``next_probability()`` per distinct live history
        (shared across trials, across points with equal
@@ -737,7 +891,7 @@ def run_history_stacked(
     3. one uniform gather per live trial from per-point
        :data:`_DRAW_BLOCK_ROUNDS`-round pre-drawn blocks (absolute
        boundaries, shapes depending only on the point's own live count -
-       the same stream contract as the schedule engine) compared against
+       the same stream contract as schedule points) compared against
        ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges gathered
        from a ``(node, k)``-unique band cache;
     4. a ``np.unique``-compacted trie descent moving every surviving
@@ -748,16 +902,9 @@ def run_history_stacked(
     the old per-group ``rng.binomial`` draws and per-split session
     ``fork()``s are gone entirely.
     """
-    points = len(protocols)
-    if not (points == len(ks_list) == len(rngs)):
-        raise ValueError(
-            f"stacked run needs one protocol, ks array and rng per point; "
-            f"got {points}/{len(ks_list)}/{len(rngs)}"
-        )
-    if points == 0:
-        raise ValueError("stacked run needs at least one point")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    ks_arrays = _checked_stack(
+        "protocol", len(protocols), ks_list, rngs, max_rounds
+    )
     for protocol in protocols:
         if not protocol.deterministic_sessions:
             raise ValueError(
@@ -765,166 +912,7 @@ def run_history_stacked(
                 "the scalar engine (run_uniform) instead"
             )
         _check_channel(protocol.requires_collision_detection, channel)
-    ks_arrays = [_validated_ks(ks) for ks in ks_list]
-    trials = np.asarray([ks.size for ks in ks_arrays])
-
-    model = channel.active_model
-    _check_model_batchable(model)
-
-    total = int(trials.sum())
-    solved = np.zeros(total, dtype=bool)
-    rounds = np.zeros(total, dtype=np.int64)
-    fault_state = model.batch_state(total) if model is not None else None
-    with_fault = model is not None and model.needs_fault_draws
-    shrinking = model is not None and model.shrinks_population
-    fault_buffer: np.ndarray | None = None
-
-    # Band edges depend only on (history node, k): index the distinct
-    # per-point ks once ("combos"), exactly as the schedule engine does.
-    # Population-shrinking models void that invariant - their bands are
-    # recomputed per trial each round from the live active counts.
-    unique_ks, flat_cidx = _index_trial_combos(ks_arrays)
-    combo_ks = np.concatenate(unique_ks)
-    flat_ks = np.concatenate(ks_arrays) if shrinking else None
-
-    arena = _arena_for_run()
-    run_token = next(_run_tokens)
-    roots = np.asarray(
-        [
-            arena.root_for(protocol, ("unshared", run_token, j))
-            for j, protocol in enumerate(protocols)
-        ],
-        dtype=np.int64,
+    return _run_stacked(
+        _HistorySource(protocols, channel, max_rounds), ks_arrays, rngs,
+        channel.active_model, max_rounds,
     )
-
-    # Live rows, grouped by point in point order (each point's rows stay
-    # in trial order, exactly the order a solo run draws them in).
-    flat_trial = np.arange(total)
-    flat_point = np.repeat(np.arange(points), trials)
-    flat_node = roots[flat_point]
-
-    collision_detection = channel.collision_detection
-    horizons = np.full(points, max_rounds)  # no precomputable horizons
-    draw_buffer = np.empty((0, 0))
-    buffer_row = np.arange(total)  # rewritten at the first block boundary
-
-    for round_index in range(1, max_rounds + 1):
-        if flat_trial.size == 0:
-            break
-
-        # Per-round (node, k) band cache: one sort of the live pair keys
-        # yields the distinct (history, k) combinations *and* (via its
-        # quotients) the distinct live histories, so thresholds and
-        # memoized probabilities are computed once per distinct pair /
-        # node and gathered back to the trials.
-        pair = flat_node * combo_ks.size + flat_cidx
-        unique_pair, pair_inverse = np.unique(pair, return_inverse=True)
-        pair_node = unique_pair // combo_ks.size
-        arena.resolve(np.unique(pair_node))
-
-        # Clean one-shot give-ups retire *before* the round's draw, with
-        # rounds actually played - the scalar ScheduleExhausted path.
-        if arena.any_exhausted:
-            expired = arena.exhausted[flat_node]
-            if expired.any():
-                rounds[flat_trial[expired]] = round_index - 1
-                keep = ~expired
-                flat_trial = flat_trial[keep]
-                flat_point = flat_point[keep]
-                flat_node = flat_node[keep]
-                flat_cidx = flat_cidx[keep]
-                buffer_row = buffer_row[keep]
-                pair_inverse = pair_inverse[keep]
-                if flat_ks is not None:
-                    flat_ks = flat_ks[keep]
-                if fault_state is not None:
-                    fault_state.filter(keep)
-                if flat_trial.size == 0:
-                    break
-
-        # Exhausted histories keep NaN probabilities; their band rows are
-        # never gathered - every trial on one just retired.
-        p = arena.probability[pair_node]
-        if shrinking:
-            # Per-trial bands from the live active counts (asked once
-            # per round, before the outcome - the scalar loop's
-            # active_count/binomial ordering); the per-pair cache only
-            # supplies the memoized probabilities.
-            k_eff = fault_state.active_counts(flat_ks, round_index).astype(
-                float
-            )
-            lo, hi = _band_edges(p[pair_inverse], k_eff)
-        else:
-            lo_pair, hi_pair = _band_edges(p, combo_ks[unique_pair % combo_ks.size])
-            lo = lo_pair[pair_inverse]
-            hi = hi_pair[pair_inverse]
-
-        # Same absolute-block pre-draw contract as the schedule engine:
-        # per-point uniforms in trial order, shapes depending only on
-        # the point's own live count, unused draws of retired trials
-        # discarded (distribution-neutral).
-        column = (round_index - 1) % _DRAW_BLOCK_ROUNDS
-        if column == 0:
-            # The per-point live counts are only needed here, to shape
-            # the refill; between boundaries retirement just filters.
-            counts = np.bincount(flat_point, minlength=points)
-            draw_buffer, fault_buffer = _refill_draw_block(
-                rngs, counts, horizons, round_index, flat_trial.size,
-                with_fault,
-            )
-            buffer_row = np.arange(flat_trial.size)
-        draws = draw_buffer[buffer_row, column]
-
-        if fault_state is None:
-            feedback = None
-            hit = (draws >= lo) & (draws < hi)
-        else:
-            # Full trichotomy from the same band compares, perturbed by
-            # the model *after* the faithful outcome; retirement and the
-            # observed history both follow the *delivered* feedback.
-            feedback = np.where(
-                draws < lo,
-                FB_SILENCE,
-                np.where(draws < hi, FB_SUCCESS, FB_COLLISION),
-            )
-            fault_draws = (
-                fault_buffer[buffer_row, column]
-                if fault_buffer is not None
-                else None
-            )
-            feedback = fault_state.perturb(round_index, feedback, fault_draws)
-            hit = feedback == FB_SUCCESS
-        if hit.any():
-            winners = flat_trial[hit]
-            solved[winners] = True
-            rounds[winners] = round_index
-            survive = ~hit
-            flat_trial = flat_trial[survive]
-            flat_point = flat_point[survive]
-            flat_node = flat_node[survive]
-            flat_cidx = flat_cidx[survive]
-            buffer_row = buffer_row[survive]
-            draws = draws[survive]
-            hi = hi[survive]
-            if flat_ks is not None:
-                flat_ks = flat_ks[survive]
-            if feedback is not None:
-                feedback = feedback[survive]
-            if fault_state is not None:
-                fault_state.filter(survive)
-
-        if flat_trial.size and round_index < max_rounds:
-            if not collision_detection:
-                codes = np.full(flat_trial.size, OBS_QUIET, dtype=np.int64)
-            elif feedback is None:
-                codes = np.where(draws >= hi, OBS_COLLISION, OBS_SILENCE)
-            else:
-                codes = np.where(
-                    feedback == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
-                )
-            flat_node = arena.descend(flat_node, codes)
-
-    # Whatever survives was right-censored at the budget, matching the
-    # scalar engine's ExecutionResult convention.
-    rounds[flat_trial] = max_rounds
-    return _per_point_results(solved, rounds, ks_arrays, max_rounds)

@@ -221,7 +221,7 @@ def _drive_batch_sessions(
     """The shared lockstep loop behind the batch and stacked entry points."""
     trials = ids.shape[0]
     model = channel.active_model
-    if model is not None and not model.player_batchable:
+    if model is not None and model.shrinks_population:
         raise ValueError(
             f"channel model {model.name!r} cannot run on the batch player "
             "engine (a non-zero crash rejoin delay changes the live "

@@ -57,20 +57,20 @@ Every model exposes two execution-side views:
   generator; deterministic jammers receive ``None`` and consume no
   randomness at all.
 
-Routing is driven by capability properties, not model names:
+Routing is driven by three capability properties, not model names.
+Every model runs on the stacked uniform engines and the open engines
+of a fixed population; beyond that:
 
-* :attr:`ChannelModel.batchable` - whether the stacked *uniform* engines
-  can express the model.  Models that shrink the live participant count
-  (:attr:`ChannelModel.shrinks_population`, the rejoin-delay crash
-  variants) additionally make the engines compute per-trial band edges
+* :attr:`ChannelModel.shrinks_population` - whether the live
+  participant count can drop mid-trial (the rejoin-delay crash
+  variants).  The uniform engines then compute per-trial band edges
   from :meth:`BatchFaultState.active_counts` instead of the static
-  ``(point, k)`` tables.
-* :attr:`ChannelModel.player_batchable` - whether the batch *player*
-  engine can express the model.  The rejoin-delay crash variants cannot:
-  the player engine holds per-``(trial, player)`` session state and has
-  no vectorized leave/rejoin-with-a-fresh-session transition, so they
-  route to the scalar per-player loop (the Monte Carlo router and the
-  fused sweep executor honour this automatically).
+  ``(point, k)`` tables.  The batch *player* engine cannot express
+  such a model: it holds per-``(trial, player)`` session state and has
+  no vectorized leave/rejoin-with-a-fresh-session transition, so these
+  models route to the scalar per-player loop (the Monte Carlo router
+  and the fused sweep executor honour this automatically), and the
+  open engines refuse them.
 * :attr:`ChannelModel.fusable` - whether the fused sweep executor may
   stack points carrying this model into one engine run.  Adaptive
   adversaries opt out: each point keeps its own adversary, solo, so the
@@ -209,28 +209,15 @@ class ChannelModel(abc.ABC):
         """Whether these parameters make the model a provable no-op."""
 
     @property
-    def batchable(self) -> bool:
-        """Whether the stacked *uniform* engines can express this model."""
-        return True
-
-    @property
-    def player_batchable(self) -> bool:
-        """Whether the batch *player* engine can express this model.
-
-        Defaults to :attr:`batchable`; the rejoin-delay crash variants
-        override it - the player engine has no vectorized
-        leave/rejoin-with-a-fresh-session transition, so they keep the
-        scalar per-player loop as their reference engine.
-        """
-        return self.batchable
-
-    @property
     def shrinks_population(self) -> bool:
         """Whether the live participant count can drop mid-trial.
 
         When True the uniform batch engines bypass their static
         ``(point, k)`` band tables and compute per-trial band edges from
-        :meth:`BatchFaultState.active_counts` each round.
+        :meth:`BatchFaultState.active_counts` each round, and player
+        protocols keep the scalar per-player loop as their engine - the
+        batch player engine has no vectorized
+        leave/rejoin-with-a-fresh-session transition.
         """
         return False
 
@@ -976,19 +963,18 @@ class CrashModel(ChannelModel):
     ``rejoin_after`` controls what happens to the player itself:
 
     * ``0`` - the player survives; only the message was lost.  This is
-      the batchable form (it is exactly a success erasure).
+      exactly a success erasure, so the population stays fixed.
     * ``d > 0`` - the player leaves the execution for ``d`` rounds and
       rejoins with a **fresh** session (a restart, not a resume).
     * ``None`` (default) - the player never returns.
 
-    Non-zero rejoin delays change the live participant count mid-trial.
-    The uniform batch engines express that through
-    :attr:`shrinks_population` (per-trial band edges from
+    Non-zero rejoin delays change the live participant count mid-trial:
+    those variants report :attr:`shrinks_population`.  The uniform batch
+    engines express that through per-trial band edges from
     :meth:`BatchFaultState.active_counts`, with the scalar loop as the
-    statistical oracle); the batch *player* engine cannot - it has no
-    vectorized leave/rejoin-with-a-fresh-session transition - so those
-    variants are :attr:`player_batchable` ``= False`` and route player
-    protocols to the scalar per-player loop.
+    statistical oracle; the batch *player* engine cannot - it has no
+    vectorized leave/rejoin-with-a-fresh-session transition - so player
+    protocols route to the scalar per-player loop.
     """
 
     name: ClassVar[str] = "crash"
@@ -1000,10 +986,6 @@ class CrashModel(ChannelModel):
         _check_probability(self.probability, "crash probability")
         if self.rejoin_after is not None:
             _check_count(self.rejoin_after, "rejoin delay", 0)
-
-    @property
-    def player_batchable(self) -> bool:
-        return self.rejoin_after == 0
 
     @property
     def shrinks_population(self) -> bool:

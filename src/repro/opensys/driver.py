@@ -76,22 +76,29 @@ one fault column (fault-drawing models), one admission column
 (``shed``), and one retry column (``backoff`` with jitter) - so the
 block shape depends only on the run's *specification*, never on the
 population.  Both properties together make the engines *bit-identical
-per trial*: the vectorized drivers and the scalar oracle consume exactly
+per trial*: the vectorized engines and the scalar oracle consume exactly
 the same per-trial streams (unused draws are discarded, which is
 distribution-neutral), and a run sharded as ``trial_offset = 0..a`` plus
 ``a..a+b`` merges to the unsharded run's store exactly.
 
 Engines
 -------
+The two vectorized engines share one loop (:func:`_run_open_batch`)
+that advances all trials at once: it owns the block pre-draw, the
+request lifecycle, the band compare and the fault perturbation, and a
+*probability source* supplies each trial's protocol side - this round's
+probability, the restart at the empty history, and how a trial that
+contended without success moves on.
+
 ``open-schedule``
     Schedule-publishing protocols: the per-epoch probability is an array
-    lookup on a per-trial epoch counter; rounds are fully vectorized
-    across trials.
+    lookup on a per-trial epoch counter (:class:`_OpenScheduleSource`).
 ``open-history``
     Deterministic feedback-driven (CD) protocols: each trial carries a
     node id into the shared history-trie arena of
     :mod:`repro.channel.batch`, so probabilities are memoized per
-    distinct history across trials, rounds and runs.
+    distinct history across trials, rounds and runs
+    (:class:`_OpenHistorySource`).
 ``open-scalar``
     The correctness oracle: a per-trial Python loop driving real
     protocol sessions and a plain-list request lifecycle through the
@@ -117,12 +124,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel.batch import (
-    _arena_for_run,
-    _band_edges,
-    _check_model_batchable,
-    _run_tokens,
-)
+from ..channel.batch import _arena_for_run, _band_edges, _run_tokens
 from ..channel.channel import Channel
 from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
 from ..channel.simulator import _check_channel
@@ -243,7 +245,6 @@ def select_open_engine(
             "the open-system driver runs uniform protocols only; "
             f"got {type(protocol).__name__}"
         )
-    _check_model_batchable(model)
     if model is not None and model.shrinks_population:
         raise ValueError(
             f"channel model {model.name!r} shrinks the live population "
@@ -297,8 +298,8 @@ def _refill_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw one block of per-trial arrivals and channel uniforms.
 
-    The shared half of the engines' stream contract (both vectorized
-    drivers and the scalar oracle call exactly this, the oracle with
+    The shared half of the engines' stream contract (the vectorized
+    loop and the scalar oracle call exactly this, the oracle with
     one-trial slices): per trial, ``width`` arrival counts from its
     arrival generator, then a ``(width, columns)`` uniform block from its
     channel generator.
@@ -812,130 +813,140 @@ def _round_draws(
     return fault, admission, retry
 
 
-def _run_open_schedule(
-    protocol: UniformProtocol,
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
-    model: ChannelModel | None,
-    rounds: int,
-    warmup: int,
-    capacity: int,
-    timeout: int | None,
-    admission: AdmissionPolicy,
-    retry: RetryPolicy,
-    store: LatencyStore,
-) -> None:
-    """Vectorized open loop for schedule-publishing protocols."""
-    schedule = protocol.batch_schedule()
-    assert schedule is not None
-    probabilities = np.asarray(schedule.probabilities, dtype=float)
-    length = probabilities.size
+class _OpenScheduleSource:
+    """Open probability source of schedule protocols: an epoch counter.
 
-    trials = len(processes)
-    lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, store
-    )
-    epoch_round = np.zeros(trials, dtype=np.int64)
+    Each trial's probability is an array lookup at its epoch position;
+    a one-shot schedule that ran out restarts from the top (the scalar
+    oracle's fresh-session-after-ScheduleExhausted path).
+    """
 
-    fault_state = model.batch_state(trials) if model is not None else None
-    layout = _column_layout(model, admission, retry)
+    def __init__(self, protocol: UniformProtocol, trials: int) -> None:
+        schedule = protocol.batch_schedule()
+        assert schedule is not None
+        self._probabilities = np.asarray(schedule.probabilities, dtype=float)
+        self._cycle = schedule.cycle
+        self._epoch_round = np.zeros(trials, dtype=np.int64)
 
-    arrival_counts = channel_draws = None
-    for round_index in range(1, rounds + 1):
-        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
-        if column == 0:
-            arrival_counts, channel_draws = _refill_blocks(
-                processes, streams, round_index, rounds, layout.total
+    def probabilities(self) -> np.ndarray:
+        length = self._probabilities.size
+        if not self._cycle:
+            self._epoch_round[self._epoch_round >= length] = 0
+        return self._probabilities[self._epoch_round % length]
+
+    def restart(self, where: np.ndarray) -> None:
+        self._epoch_round[where] = 0
+
+    def advance(
+        self, round_index: int, contended: np.ndarray, codes: np.ndarray
+    ) -> None:
+        self._epoch_round[contended] += 1
+
+
+class _OpenHistorySource:
+    """Open probability source of history-driven protocols: trie nodes.
+
+    Each trial carries a node id into the shared history-trie arena of
+    :mod:`repro.channel.batch`, so probabilities are memoized per
+    distinct history across trials, rounds and runs; a history whose
+    one-shot schedule exhausted restarts at the empty history (the
+    scalar oracle's fresh-session path - the root is known good).
+    """
+
+    def __init__(
+        self,
+        protocol: UniformProtocol,
+        trials: int,
+        channel: Channel,
+        rounds: int,
+    ) -> None:
+        self._arena = arena = _arena_for_run()
+        self._root = arena.root_for(protocol, ("open", next(_run_tokens)))
+        arena.resolve(np.asarray([self._root]))
+        if arena.exhausted[self._root]:
+            raise ProtocolError(
+                f"protocol {protocol.name!r} exhausts its schedule before the "
+                "first round; it cannot serve an open system"
             )
-        fault_draws, adm_draws, retry_draws = _round_draws(
-            channel_draws, column, layout
-        )
-        lifecycle.begin_round(
-            round_index, arrival_counts[:, column], adm_draws, retry_draws
-        )
-        occupancy = lifecycle.occupancy
+        self._node = np.full(trials, self._root, dtype=np.int64)
+        self._collision_detection = channel.collision_detection
+        self._rounds = rounds
 
-        # A one-shot schedule that ran out restarts from the top - the
-        # scalar oracle's fresh-session-after-ScheduleExhausted path.
-        if not schedule.cycle:
-            epoch_round[epoch_round >= length] = 0
-        p = probabilities[epoch_round % length]
-        codes = _trichotomy(channel_draws[:, column, 0], p, occupancy)
-        if fault_state is not None:
-            codes = fault_state.perturb(round_index, codes, fault_draws)
-
-        success = (codes == FB_SUCCESS) & (occupancy > 0)
-        if success.any():
-            rows = np.flatnonzero(success)
-            lifecycle.complete(rows, channel_draws[rows, column, 1], round_index)
-            epoch_round[rows] = 0
-        # Contended non-success rows step their epoch (success rows just
-        # reset; their occupancy decrement cannot re-satisfy the mask).
-        epoch_round[~success & (occupancy > 0)] += 1
-
-        lifecycle.end_round(round_index)
-        epoch_round[lifecycle.occupancy == 0] = 0
-    lifecycle.finish()
-
-
-def _run_open_history(
-    protocol: UniformProtocol,
-    processes: Sequence[ArrivalProcess],
-    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
-    channel: Channel,
-    model: ChannelModel | None,
-    rounds: int,
-    warmup: int,
-    capacity: int,
-    timeout: int | None,
-    admission: AdmissionPolicy,
-    retry: RetryPolicy,
-    store: LatencyStore,
-) -> None:
-    """Vectorized open loop for deterministic history-driven protocols."""
-    arena = _arena_for_run()
-    root = arena.root_for(protocol, ("open", next(_run_tokens)))
-    arena.resolve(np.asarray([root]))
-    if arena.exhausted[root]:
-        raise ProtocolError(
-            f"protocol {protocol.name!r} exhausts its schedule before the "
-            "first round; it cannot serve an open system"
-        )
-
-    trials = len(processes)
-    lifecycle = _BatchLifecycle(
-        trials, capacity, timeout, warmup, admission, retry, store
-    )
-    node = np.full(trials, root, dtype=np.int64)
-    collision_detection = channel.collision_detection
-
-    fault_state = model.batch_state(trials) if model is not None else None
-    layout = _column_layout(model, admission, retry)
-
-    arrival_counts = channel_draws = None
-    for round_index in range(1, rounds + 1):
-        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
-        if column == 0:
-            arrival_counts, channel_draws = _refill_blocks(
-                processes, streams, round_index, rounds, layout.total
-            )
-        fault_draws, adm_draws, retry_draws = _round_draws(
-            channel_draws, column, layout
-        )
-        lifecycle.begin_round(
-            round_index, arrival_counts[:, column], adm_draws, retry_draws
-        )
-        occupancy = lifecycle.occupancy
-
-        # Memoized probability per distinct live history; a history whose
-        # one-shot schedule exhausted restarts at the empty history (the
-        # scalar oracle's fresh-session path - the root is known good).
-        arena.resolve(np.unique(node))
+    def probabilities(self) -> np.ndarray:
+        arena = self._arena
+        node = self._node
+        arena.resolve(node)
         if arena.any_exhausted:
             exhausted = arena.exhausted[node]
             if exhausted.any():
-                node[exhausted] = root
-        p = arena.probability[node]
+                node[exhausted] = self._root
+        return arena.probability[node]
+
+    def restart(self, where: np.ndarray) -> None:
+        self._node[where] = self._root
+
+    def advance(
+        self, round_index: int, contended: np.ndarray, codes: np.ndarray
+    ) -> None:
+        """Move each contended trial to the child of its observation."""
+        if not contended.any() or round_index == self._rounds:
+            return
+        if not self._collision_detection:
+            observed = np.full(int(contended.sum()), OBS_QUIET, dtype=np.int64)
+        else:
+            observed = np.where(
+                codes[contended] == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
+            )
+        self._node[contended] = self._arena.descend(
+            self._node[contended], observed
+        )
+
+
+def _run_open_batch(
+    source: _OpenScheduleSource | _OpenHistorySource,
+    processes: Sequence[ArrivalProcess],
+    streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
+    model: ChannelModel | None,
+    rounds: int,
+    warmup: int,
+    capacity: int,
+    timeout: int | None,
+    admission: AdmissionPolicy,
+    retry: RetryPolicy,
+    store: LatencyStore,
+) -> None:
+    """The one vectorized open loop, rounds across all trials at once.
+
+    It owns the block pre-draw, the request lifecycle, the band compare
+    and the fault perturbation.  ``source`` supplies each trial's
+    protocol side: ``probabilities()`` this round, ``restart(where)``
+    at the empty history (after a delivered success, and whenever a
+    backlog drains) and ``advance`` of the trials that contended without
+    success, given the round's delivered feedback codes.
+    """
+    trials = len(processes)
+    lifecycle = _BatchLifecycle(
+        trials, capacity, timeout, warmup, admission, retry, store
+    )
+    fault_state = model.batch_state(trials) if model is not None else None
+    layout = _column_layout(model, admission, retry)
+
+    arrival_counts = channel_draws = None
+    for round_index in range(1, rounds + 1):
+        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
+        if column == 0:
+            arrival_counts, channel_draws = _refill_blocks(
+                processes, streams, round_index, rounds, layout.total
+            )
+        fault_draws, adm_draws, retry_draws = _round_draws(
+            channel_draws, column, layout
+        )
+        lifecycle.begin_round(
+            round_index, arrival_counts[:, column], adm_draws, retry_draws
+        )
+        occupancy = lifecycle.occupancy
+
+        p = source.probabilities()
         codes = _trichotomy(channel_draws[:, column, 0], p, occupancy)
         if fault_state is not None:
             codes = fault_state.perturb(round_index, codes, fault_draws)
@@ -944,19 +955,13 @@ def _run_open_history(
         if success.any():
             rows = np.flatnonzero(success)
             lifecycle.complete(rows, channel_draws[rows, column, 1], round_index)
-            node[rows] = root
-        advance = ~success & (occupancy > 0)
-        if advance.any() and round_index < rounds:
-            if not collision_detection:
-                observed = np.full(int(advance.sum()), OBS_QUIET, dtype=np.int64)
-            else:
-                observed = np.where(
-                    codes[advance] == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
-                )
-            node[advance] = arena.descend(node[advance], observed)
+            source.restart(rows)
+        # Contended non-success rows move on (success rows just restarted;
+        # their occupancy decrement cannot re-satisfy the mask).
+        source.advance(round_index, ~success & (occupancy > 0), codes)
 
         lifecycle.end_round(round_index)
-        node[lifecycle.occupancy == 0] = root
+        source.restart(lifecycle.occupancy == 0)
     lifecycle.finish()
 
 
@@ -1132,20 +1137,20 @@ def run_open(
     processes = [arrivals.clone() for _ in range(trials)]
     streams = _trial_streams(seed, trials, trial_offset)
     store = LatencyStore()
-    if engine == ENGINE_OPEN_SCHEDULE:
-        _run_open_schedule(
-            protocol, processes, streams, model, rounds, warmup, capacity,
-            timeout, admission, retry, store,
-        )
-    elif engine == ENGINE_OPEN_HISTORY:
-        _run_open_history(
+    if engine == ENGINE_OPEN_SCALAR:
+        _run_open_scalar(
             protocol, processes, streams, channel, model, rounds, warmup,
             capacity, timeout, admission, retry, store,
         )
     else:
-        _run_open_scalar(
-            protocol, processes, streams, channel, model, rounds, warmup,
-            capacity, timeout, admission, retry, store,
+        source = (
+            _OpenScheduleSource(protocol, trials)
+            if engine == ENGINE_OPEN_SCHEDULE
+            else _OpenHistorySource(protocol, trials, channel, rounds)
+        )
+        _run_open_batch(
+            source, processes, streams, model, rounds, warmup, capacity,
+            timeout, admission, retry, store,
         )
     store.round_slots += trials * (rounds - warmup)
     return OpenRunResult(store=store, engine=engine)

@@ -45,18 +45,11 @@ from ..channel.network import (
     SpreadAdversary,
     SuffixAdversary,
 )
-from ..core.advice import (
-    AdviceFunction,
-    FullIdAdvice,
-    MinIdPrefixAdvice,
-    NullAdvice,
-    RangeBlockAdvice,
-)
-from ..core.faulty_advice import AdversarialAdvice, BitFlipAdvice
+from ..core.advice import AdviceFunction
 from ..core.named import Registry
 from ..core.protocol import PlayerProtocol
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
-from .spec import AdviceSpec, JsonCodec, ScenarioError, ScenarioSpec
+from .spec import JsonCodec, ScenarioError, ScenarioSpec
 from .workloads import resolve_prediction, resolve_workload, workload_label
 
 __all__ = [
@@ -222,47 +215,6 @@ class ScenarioResult(JsonCodec):
         return "\n".join(lines)
 
 
-def _resolve_advice(
-    spec: AdviceSpec | None, n: int, rng: np.random.Generator
-) -> AdviceFunction | None:
-    if spec is None:
-        return None
-    if spec.function == "null":
-        base: AdviceFunction = NullAdvice()
-    elif spec.function == "min-id-prefix":
-        base = MinIdPrefixAdvice(spec.bits)
-    elif spec.function == "range-block":
-        base = RangeBlockAdvice(spec.bits)
-    elif spec.function == "full-id":
-        base = FullIdAdvice(n)
-    else:
-        raise ScenarioError(
-            f"unknown advice function {spec.function!r}; "
-            "known: null, min-id-prefix, range-block, full-id"
-        )
-    if spec.corruption is None:
-        return base
-    corruption = dict(spec.corruption)
-    model = corruption.pop("model", None)
-    probability = corruption.pop("probability", None)
-    if corruption:
-        raise ScenarioError(
-            f"unknown advice corruption field(s): {', '.join(sorted(corruption))}"
-        )
-    if probability is None:
-        raise ScenarioError("advice corruption needs a 'probability'")
-    try:
-        if model == "bit-flip":
-            return BitFlipAdvice(base, float(probability), rng)
-        if model == "adversarial":
-            return AdversarialAdvice(base, float(probability), rng)
-    except (TypeError, ValueError) as error:
-        raise ScenarioError(f"bad advice corruption parameters: {error}") from None
-    raise ScenarioError(
-        f"unknown advice corruption model {model!r}; known: bit-flip, adversarial"
-    )
-
-
 @dataclass
 class ResolvedScenario:
     """A spec resolved into runnable objects, not yet executed.
@@ -353,7 +305,7 @@ def resolve_scenario(
                 protocol, spec.batch, model=channel.active_model
             ),
             size_source=size_source,
-            advice=_resolve_advice(spec.advice, spec.n, rng),
+            advice=spec.advice.build(spec.n, rng) if spec.advice else None,
             adversary=ADVERSARIES[spec.adversary](),
         )
     if spec.advice is not None:
@@ -367,9 +319,7 @@ def resolve_scenario(
         channel=channel,
         kind=entry.kind,
         protocol=protocol,
-        engine=select_uniform_engine(
-            protocol, spec.batch, model=channel.active_model
-        ),
+        engine=select_uniform_engine(protocol, spec.batch),
         size_source=size_source,
     )
 

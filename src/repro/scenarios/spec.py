@@ -29,7 +29,17 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar
 
-from ..core.named import Params, ScenarioError
+import numpy as np
+
+from ..core.advice import (
+    AdviceFunction,
+    FullIdAdvice,
+    MinIdPrefixAdvice,
+    NullAdvice,
+    RangeBlockAdvice,
+)
+from ..core.faulty_advice import AdversarialAdvice, BitFlipAdvice
+from ..core.named import Params, Registry, ScenarioError
 
 __all__ = [
     "ScenarioError",
@@ -368,6 +378,24 @@ class PredictionSpec(NamedSpec):
     label = "prediction"
 
 
+#: Advice functions by name: ``(bits, n) -> AdviceFunction``.
+_ADVICE_FUNCTIONS = Registry(
+    "advice function",
+    {
+        "null": lambda bits, n: NullAdvice(),
+        "min-id-prefix": lambda bits, n: MinIdPrefixAdvice(bits),
+        "range-block": lambda bits, n: RangeBlockAdvice(bits),
+        "full-id": lambda bits, n: FullIdAdvice(n),
+    },
+)
+
+#: Advice corruption models by name: ``(base, probability, rng)`` wrappers.
+_ADVICE_CORRUPTIONS = Registry(
+    "advice corruption model",
+    {"bit-flip": BitFlipAdvice, "adversarial": AdversarialAdvice},
+)
+
+
 @dataclass(frozen=True)
 class AdviceSpec:
     """Advice function (and optional corruption) for player protocols.
@@ -377,7 +405,8 @@ class AdviceSpec:
     (ignored by ``full-id``, which always uses the full id width).
     ``corruption`` models faulty advice:
     ``{"model": "bit-flip", "probability": p}`` or
-    ``{"model": "adversarial", "probability": p}``.
+    ``{"model": "adversarial", "probability": p}``.  Both are checked at
+    construction, so a bad name or parameter fails before any run.
     """
 
     function: str
@@ -387,6 +416,30 @@ class AdviceSpec:
     def __post_init__(self) -> None:
         if self.bits < 0:
             raise ScenarioError(f"advice bits must be >= 0, got {self.bits}")
+        _ADVICE_FUNCTIONS[self.function]
+        if self.corruption is not None:
+            self._corrupted(NullAdvice(), None)
+
+    def build(self, n: int, rng: np.random.Generator) -> AdviceFunction:
+        """The advice function for ``n`` ids, any corruption bound to ``rng``.
+
+        Building consumes nothing from ``rng``; the corruption wrapper
+        draws from it as it advises.
+        """
+        base = _ADVICE_FUNCTIONS[self.function](self.bits, n)
+        return base if self.corruption is None else self._corrupted(base, rng)
+
+    def _corrupted(
+        self, base: AdviceFunction, rng: np.random.Generator | None
+    ) -> AdviceFunction:
+        reader = Params(self.corruption, "advice corruption")
+        wrapper = _ADVICE_CORRUPTIONS[reader.take("model", str)]
+        probability = reader.take("probability", float)
+        reader.done()
+        try:
+            return wrapper(base, probability, rng)
+        except ValueError as exc:  # a probability outside [0, 1]
+            raise ScenarioError(f"advice corruption: {exc}") from None
 
     def to_dict(self) -> dict:
         return {

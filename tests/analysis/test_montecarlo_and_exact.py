@@ -4,6 +4,7 @@ The key cross-validation: the exact solve-time distribution for oblivious
 schedules must agree with the simulation engine's statistics.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.exact import (
@@ -220,4 +221,40 @@ class TestMonteCarloHarness:
             estimate_uniform_rounds(
                 DecayProtocol(16), 4, rng, channel=nocd_channel,
                 trials=0, max_rounds=10,
+            )
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize(
+        "size", [np.int64(5), np.int32(5), np.uint8(5)], ids=type
+    )
+    def test_numpy_integer_sizes_run_as_fixed_sizes(
+        self, nocd_channel, batch, size
+    ):
+        def estimate(k):
+            return estimate_uniform_rounds(
+                DecayProtocol(64), k, np.random.default_rng(11),
+                channel=nocd_channel, trials=60, max_rounds=40, batch=batch,
+            )
+
+        assert estimate(size) == estimate(5)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize(
+        "size,complaint",
+        [
+            (True, "got bool"),
+            (False, "got bool"),
+            (5.0, "got float"),
+            ("5", "got str"),
+            (None, "got NoneType"),
+            (np.int64(0), "fixed size must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_size_sources_are_refused(
+        self, rng, nocd_channel, batch, size, complaint
+    ):
+        with pytest.raises(ValueError, match=complaint):
+            estimate_uniform_rounds(
+                DecayProtocol(64), size, rng, channel=nocd_channel,
+                trials=10, max_rounds=10, batch=batch,
             )

@@ -951,11 +951,11 @@ class TestAdversarialAgreement:
         from repro.protocols.backoff import BinaryExponentialBackoff
 
         model = CrashModel(probability=0.5, rejoin_after=2)
-        assert model.batchable and model.shrinks_population
-        assert not model.player_batchable
+        assert model.shrinks_population
+        assert model.needs_fault_draws
 
         assert select_uniform_engine(
-            DecayProtocol(N), batch=True, model=model
+            DecayProtocol(N), batch=True
         ).startswith("batch")
         with pytest.raises(ValueError, match="scalar"):
             select_player_engine(

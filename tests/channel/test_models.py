@@ -56,7 +56,7 @@ class TestObliviousJammer:
         assert ObliviousJammer(budget=0).is_null()
         assert not ObliviousJammer(budget=1).is_null()
         model = ObliviousJammer(budget=1)
-        assert model.batchable and not model.needs_fault_draws
+        assert not model.shrinks_population and not model.needs_fault_draws
 
     def test_validation(self):
         with pytest.raises(ValueError, match="jam budget must be >= 0"):
@@ -204,15 +204,15 @@ class TestCrashModel:
         instant-rejoin variant keeps the population fixed, so only it is
         admissible on the player/open substrates."""
         instant = CrashModel(probability=0.5, rejoin_after=0)
-        assert instant.batchable and instant.player_batchable
+        assert instant.fusable and instant.needs_fault_draws
         assert not instant.shrinks_population
 
         for delayed in (
             CrashModel(probability=0.5, rejoin_after=1),
             CrashModel(probability=0.5),  # rejoin_after=None: dead forever
         ):
-            assert delayed.batchable and delayed.shrinks_population
-            assert not delayed.player_batchable
+            assert delayed.shrinks_population
+            assert delayed.fusable and delayed.needs_fault_draws
             assert delayed.batch_state(4) is not None
 
     def test_rejoin_batch_state_tracks_active_counts(self):
@@ -329,7 +329,7 @@ class TestAdaptiveAdversary:
         assert AdaptiveAdversary(budget=0).is_null()
         model = AdaptiveAdversary(budget=3, strategy="scheduler", mode="front")
         assert not model.is_null()
-        assert model.batchable and model.player_batchable
+        assert not model.shrinks_population
         assert not model.needs_fault_draws
         assert not model.fusable  # deliberate fusion opt-out
 

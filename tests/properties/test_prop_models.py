@@ -247,15 +247,12 @@ class TestModelAlgebra:
         # Every registry model now builds a batch state (the rejoin-delay
         # crash grew a per-trial ring buffer); the finer capability flags
         # must respect the lattice the routing layers assume.
-        assert model.batchable
         assert model.batch_state(4) is not None
-        if model.player_batchable:
-            assert model.batchable
         if model.shrinks_population:
             # Shrinking models express crashes as per-trial active-count
             # bands; only the stacked uniform engines understand those.
             assert isinstance(model, CrashModel)
-            assert not model.player_batchable
+            assert model.rejoin_after != 0
         if isinstance(model, AdaptiveAdversary):
             # Adaptive state partitions cleanly per trial, but fusing
             # would blur which spec drove which jam - kept unfusable.

@@ -221,6 +221,15 @@ class TestChannelModelSpec:
         assert spec.channel.model["params"]["budget"] == 0  # original intact
 
 
+def corrupted(**corruption) -> dict:
+    """An advice spec payload whose bit-flip corruption is overridden."""
+    return {
+        "function": "min-id-prefix",
+        "bits": 2,
+        "corruption": {"model": "bit-flip", "probability": 0.1, **corruption},
+    }
+
+
 class TestStrictFields:
     """Integer and boolean fields are checked, never coerced or leaked."""
 
@@ -276,6 +285,30 @@ class TestStrictFields:
              "'adversary' must be a string"),
             (ScenarioSpec.from_dict, spec_dict(name=7),
              "'name' must be a string"),
+            (AdviceSpec.from_dict, {"function": "psychic"},
+             "unknown advice function 'psychic'"),
+            (AdviceSpec.from_dict, corrupted(probability="0.1"),
+             "advice corruption parameter 'probability' must be a number, "
+             "got str '0.1'"),
+            (AdviceSpec.from_dict, corrupted(probability=True),
+             "'probability' must be a number, got bool True"),
+            (AdviceSpec.from_dict, corrupted(probability=None),
+             "'probability' must be a number, got NoneType"),
+            (AdviceSpec.from_dict, corrupted(probability=1.5),
+             r"advice corruption: flip probability must be in \[0, 1\]"),
+            (AdviceSpec.from_dict, corrupted(model="adversarial", probability=-1),
+             r"advice corruption: error probability must be in \[0, 1\]"),
+            (AdviceSpec.from_dict, corrupted(model=["bit-flip"]),
+             "'model' must be a string"),
+            (AdviceSpec.from_dict, corrupted(model="typo"),
+             "unknown advice corruption model 'typo'"),
+            (AdviceSpec.from_dict, corrupted(extra=1),
+             "unknown parameter\\(s\\) for advice corruption: extra"),
+            (AdviceSpec.from_dict, {"function": "null", "corruption": {}},
+             "advice corruption requires parameter 'model'"),
+            (ScenarioSpec.from_dict,
+             spec_dict(advice=corrupted(probability="0.1")),
+             "'probability' must be a number"),
         ],
     )
     def test_nested_fields_are_checked_not_coerced(self, load, payload, complaint):
