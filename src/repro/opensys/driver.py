@@ -67,10 +67,14 @@ compare, exactly as in the closed engines; a success erased by noise or a
 crash keeps the request in the population - the message was lost.
 
 Randomness is drawn per trial from two :class:`numpy.random.SeedSequence`
-children (arrival stream, channel stream) spawned at
-``spawn_key = (trial_offset + t,)`` - the :func:`~repro.scenarios.sweep.
-derive_point_seeds` discipline - and consumed in fixed-width
-:data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute boundaries.  The
+children keyed ``spawn_key = (trial_offset + t, 0)`` (arrival stream)
+and ``(trial_offset + t, 1)`` (channel stream) - exactly the
+``.spawn(2)`` children of ``SeedSequence(seed, spawn_key=(trial_offset
++ t,))``, the :func:`~repro.scenarios.sweep.derive_point_seeds`
+discipline, built directly - and consumed in fixed-width
+:data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute boundaries.  Each
+trial's arrival counts are checked for shape and integer dtype as they
+are drawn, and the block's counts for negatives once per block.  The
 uniform columns per round are positional - band draw, winner draw, then
 one fault column (fault-drawing models), one admission column
 (``shed``), and one retry column (``backoff`` with jitter) - so the
@@ -271,21 +275,22 @@ def _trial_streams(
 ) -> list[tuple[np.random.Generator, np.random.Generator]]:
     """Per-trial (arrival, channel) generator pairs, prefix-stable.
 
-    Trial ``t`` is keyed by ``SeedSequence(seed, spawn_key=(offset+t,))``
-    - the same child :func:`~repro.scenarios.sweep.derive_point_seeds`
-    would hand out - so shards ``[0, a)`` and ``[a, a+b)`` reproduce
-    exactly the trials of one ``[0, a+b)`` run.
+    Trial ``t`` draws arrivals from ``SeedSequence(seed, spawn_key=(
+    trial_offset + t, 0))`` and channel uniforms from ``(..., 1)``:
+    exactly the ``.spawn(2)`` children of ``SeedSequence(seed,
+    spawn_key=(trial_offset + t,))``, the child :func:`~repro.scenarios.
+    sweep.derive_point_seeds` would hand out, built directly.  Shards
+    ``[0, a)`` and ``[a, a+b)`` therefore reproduce exactly the trials
+    of one ``[0, a+b)`` run.
     """
     streams = []
-    for t in range(trials):
-        root = np.random.SeedSequence(entropy=seed, spawn_key=(trial_offset + t,))
-        arrival_seq, channel_seq = root.spawn(2)
-        streams.append(
-            (
-                np.random.default_rng(arrival_seq),
-                np.random.default_rng(channel_seq),
-            )
-        )
+    for key in range(trial_offset, trial_offset + trials):
+        arrival_seq = np.random.SeedSequence(seed, spawn_key=(key, 0))
+        channel_seq = np.random.SeedSequence(seed, spawn_key=(key, 1))
+        streams.append((
+            np.random.Generator(np.random.PCG64(arrival_seq)),
+            np.random.Generator(np.random.PCG64(channel_seq)),
+        ))
     return streams
 
 
@@ -302,7 +307,9 @@ def _refill_blocks(
     loop and the scalar oracle call exactly this, the oracle with
     one-trial slices): per trial, ``width`` arrival counts from its
     arrival generator, then a ``(width, columns)`` uniform block from its
-    channel generator.
+    channel generator, written in place.  Each trial's counts must be an
+    integer array of shape ``(width,)``; negative counts are caught once
+    per block, naming the first offending trial's process.
     """
     width = min(_OPEN_BLOCK_ROUNDS, rounds - round_index + 1)
     trials = len(processes)
@@ -310,20 +317,24 @@ def _refill_blocks(
     channel_draws = np.empty((trials, width, columns))
     for t in range(trials):
         arrival_rng, channel_rng = streams[t]
-        counts = np.asarray(
-            processes[t].sample_rounds(arrival_rng, width), dtype=np.int64
-        )
+        counts = np.asarray(processes[t].sample_rounds(arrival_rng, width))
         if counts.shape != (width,):
             raise ValueError(
                 f"arrival process {processes[t].name!r} returned shape "
                 f"{counts.shape}, expected ({width},)"
             )
-        if (counts < 0).any():
+        if counts.dtype.kind not in "iu":
             raise ValueError(
-                f"arrival process {processes[t].name!r} returned negative counts"
+                f"arrival process {processes[t].name!r} returned "
+                f"{counts.dtype} counts, expected integers"
             )
         arrival_counts[t] = counts
-        channel_draws[t] = channel_rng.random((width, columns))
+        channel_rng.random(out=channel_draws[t])
+    if arrival_counts.min() < 0:
+        t = int(np.flatnonzero((arrival_counts < 0).any(axis=1))[0])
+        raise ValueError(
+            f"arrival process {processes[t].name!r} returned negative counts"
+        )
     return arrival_counts, channel_draws
 
 

@@ -54,6 +54,60 @@ class SilentArrivals(ArrivalProcess):
         return 0.0
 
 
+class ScriptedArrivals(ArrivalProcess):
+    """Returns ``script(rounds, trial)``; clone ``t`` is named ``name#t``.
+
+    ``run_open`` clones the process once per trial, in trial order, so
+    each clone knows its trial and an error names the trial at fault.
+    """
+
+    def __init__(self, name, script):
+        self.name = name
+        self._script = script
+        self._trial = 0
+        self._clones = 0
+
+    def clone(self):
+        fresh = super().clone()
+        fresh._trial = self._clones
+        fresh.name = f"{self.name}#{self._clones}"
+        self._clones += 1
+        return fresh
+
+    def sample_rounds(self, rng, rounds):
+        return self._script(rounds, self._trial)
+
+    @property
+    def offered_load(self):
+        return 0.0
+
+
+#: Malformed arrival counts, each with the message naming trial 0's (or,
+#: for the negative counts, trial 1's) process.
+BAD_COUNTS = [
+    (
+        "shape-one",
+        lambda rounds, trial: np.zeros(1, dtype=np.int64),
+        r"'shape-one#0' returned shape \(1,\), expected \(16,\)",
+    ),
+    (
+        "scalar",
+        lambda rounds, trial: np.int64(1),
+        r"'scalar#0' returned shape \(\), expected \(16,\)",
+    ),
+    (
+        "float",
+        lambda rounds, trial: np.resize([2.7, 0.4], rounds),
+        r"'float#0' returned float64 counts, expected integers",
+    ),
+    (
+        "negative",
+        lambda rounds, trial: np.full(rounds, -min(trial, 1), dtype=np.int64),
+        r"'negative#1' returned negative counts",
+    ),
+]
+
+
 def run_pair(protocol, channel, *, arrivals=None, **kwargs):
     """(vectorized, scalar) results for one workload, same seed streams."""
     arrivals = arrivals or PoissonArrivals(0.15)
@@ -550,3 +604,41 @@ class TestValidation:
                 admission="shed",
                 **good,
             )
+
+    @pytest.mark.parametrize("batch", [None, False], ids=["schedule", "scalar"])
+    @pytest.mark.parametrize(
+        "name,script,message", BAD_COUNTS, ids=[bad[0] for bad in BAD_COUNTS]
+    )
+    def test_malformed_arrival_counts_name_the_process(
+        self, name, script, message, batch
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_open(
+                DecayProtocol(N),
+                ScriptedArrivals(name, script),
+                channel=without_collision_detection(),
+                trials=3,
+                rounds=16,
+                batch=batch,
+            )
+
+    @pytest.mark.parametrize("batch", [None, False], ids=["schedule", "scalar"])
+    def test_integer_counts_of_any_width_or_a_list_are_accepted(self, batch):
+        stores = [
+            run_open(
+                DecayProtocol(N),
+                ScriptedArrivals(name, script),
+                channel=without_collision_detection(),
+                trials=3,
+                rounds=40,
+                batch=batch,
+            ).store
+            for name, script in (
+                ("int64", lambda rounds, _: np.ones(rounds, dtype=np.int64)),
+                ("int32", lambda rounds, _: np.ones(rounds, dtype=np.int32)),
+                ("uint8", lambda rounds, _: np.ones(rounds, dtype=np.uint8)),
+                ("list", lambda rounds, _: [1] * rounds),
+            )
+        ]
+        assert stores[0].arrivals == 3 * 40
+        assert all(store == stores[0] for store in stores[1:])
