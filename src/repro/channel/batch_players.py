@@ -10,7 +10,8 @@ hook hold the state of every ``(trial, player)`` pair in NumPy arrays of
 shape ``(trials, players)``, so a round costs one vectorized decide (a
 ``rng.random(shape) < 1/window`` draw for backoff, integer compares
 against scan/descent positions for the deterministic advice protocols),
-one ``decisions.sum(axis=1)`` channel resolve across all live trials,
+one transmitter count per live trial (a float32 matrix-vector product,
+exact below ``2**24`` transmitters per trial) to resolve the channel,
 and one vectorized observe that updates state only for unsolved rows.
 
 Faithfulness
@@ -40,7 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.advice import AdviceFunction, NullAdvice
+from ..core.advice import AdviceError, AdviceFunction, NullAdvice
 from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
@@ -186,7 +187,11 @@ def run_players_stacked(
 
     ``advice`` holds one pre-computed advice string per trial (aligned
     with ``participant_sets``).  Raises :class:`ValueError` for protocols
-    that are not :func:`is_player_fusable`.
+    that are not :func:`is_player_fusable`, and
+    :class:`~repro.core.advice.AdviceError` with the messages of
+    :meth:`~repro.core.advice.AdviceFunction.checked_advise` for an id
+    outside ``0..n-1`` or an advice string that is not
+    ``protocol.advice_bits`` binary digits.
     """
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
@@ -202,10 +207,35 @@ def run_players_stacked(
             f"{len(participant_sets)} trials"
         )
     ids = pack_participants(participant_sets)
+    _check_stacked_inputs(ids, n, advice, protocol.advice_bits)
     return _drive_batch_sessions(
         protocol, ids, n, tuple(advice), None, channel=channel,
         max_rounds=max_rounds,
     )
+
+
+def _check_stacked_inputs(
+    ids: np.ndarray, n: int, advice: Sequence[str], bits: int
+) -> None:
+    """``checked_advise``'s checks, with its messages, on caller inputs.
+
+    Packed rows are sorted and padded on the right with ``-1``, so a
+    row's first slot is its smallest id; unchecked, a ``-1`` id would
+    read as padding and an id ``>= n`` would never transmit.
+    """
+    out_of_range = (ids[:, 0] < 0) | (ids.max(axis=1) >= n)
+    if out_of_range.any():
+        row = ids[int(np.argmax(out_of_range))]
+        player = row[0] if row[0] < 0 else row.max()
+        raise AdviceError(f"player id {player} outside 0..{n - 1}")
+    for bits_string in advice:
+        if len(bits_string) != bits:
+            raise AdviceError(
+                f"advice {bits_string!r} has {len(bits_string)} bits, "
+                f"budget is {bits}"
+            )
+        if bits_string.strip("01"):
+            raise AdviceError(f"malformed advice {bits_string!r}")
 
 
 def _drive_batch_sessions(
@@ -218,7 +248,18 @@ def _drive_batch_sessions(
     channel: Channel,
     max_rounds: int,
 ) -> BatchExecutionResult:
-    """The shared lockstep loop behind the batch and stacked entry points."""
+    """The shared lockstep loop behind the batch and stacked entry points.
+
+    Transmitters are counted per trial by one kernel at every width, the
+    float32 product of ``decisions`` with a vector of ones.  The count is
+    exact below ``2**24`` transmitters per trial, and the silence /
+    success / collision verdict it feeds is exact at any width: a float
+    sum of non-negative integer terms reads 0 or 1 only when the exact
+    sum does.  Survivors are filtered only on rounds in which a trial
+    retires (wins or exhausts); on every other round the live set,
+    decisions, counts and feedback pass through as they are and the
+    fault state keeps its rows.
+    """
     trials = ids.shape[0]
     model = channel.active_model
     if model is not None and model.shrinks_population:
@@ -245,6 +286,7 @@ def _drive_batch_sessions(
     solved = np.zeros(trials, dtype=bool)
     rounds = np.zeros(trials, dtype=np.int64)
     live = np.arange(trials)
+    ones = np.ones(ids.shape[1], dtype=np.float32)
     for round_index in range(1, max_rounds + 1):
         decisions, exhausted = sessions.decide(live)
         if exhausted.any():
@@ -253,15 +295,12 @@ def _drive_batch_sessions(
             rounds[live[exhausted]] = round_index - 1
             keep = ~exhausted
             live = live[keep]
-            decisions = decisions[keep]
+            decisions = np.compress(keep, decisions, axis=0)
             if fault_state is not None:
                 fault_state.filter(keep)
             if live.size == 0:
-                return BatchExecutionResult(
-                    solved=solved, rounds=rounds, max_rounds=max_rounds,
-                    ks=_ks(ids),
-                )
-        counts = decisions.sum(axis=1)
+                break
+        counts = decisions.astype(np.float32) @ ones
         if fault_state is None:
             feedback = None
             hit = counts == 1
@@ -279,27 +318,30 @@ def _drive_batch_sessions(
             )
             feedback = fault_state.perturb(round_index, feedback, fault_draws)
             hit = feedback == FB_SUCCESS
-        winners = live[hit]
-        solved[winners] = True
-        rounds[winners] = round_index
-        survivors = live[~hit]
-        if survivors.size == 0:
-            live = survivors
-            break
+        if hit.any():
+            winners = live[hit]
+            solved[winners] = True
+            rounds[winners] = round_index
+            keep = ~hit
+            live = live[keep]
+            if live.size == 0:
+                break
+            decisions = np.compress(keep, decisions, axis=0)
+            counts = counts[keep]
+            if fault_state is not None:
+                feedback = feedback[keep]
+                fault_state.filter(keep)
         if not channel.collision_detection:
-            observations = np.full(survivors.size, OBS_QUIET, dtype=np.int8)
+            observations = np.full(live.size, OBS_QUIET, dtype=np.int8)
         elif feedback is None:
             observations = np.where(
-                counts[~hit] >= 2, OBS_COLLISION, OBS_SILENCE
+                counts >= 2, OBS_COLLISION, OBS_SILENCE
             ).astype(np.int8)
         else:
             observations = np.where(
-                feedback[~hit] == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
+                feedback == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
             ).astype(np.int8)
-        sessions.observe(survivors, observations, decisions[~hit])
-        if fault_state is not None:
-            fault_state.filter(~hit)
-        live = survivors
+        sessions.observe(live, observations, decisions)
     rounds[live] = max_rounds
     return BatchExecutionResult(
         solved=solved, rounds=rounds, max_rounds=max_rounds, ks=_ks(ids)

@@ -119,7 +119,7 @@ class _ScanBatchSessions(PlayerBatchSessions):
                 np.zeros((live.size, self._slots.shape[1]), dtype=bool),
                 np.ones(live.size, dtype=bool),
             )
-        decisions = self._slots[live] == self._round
+        decisions = np.take(self._slots, live, axis=0) == self._round
         self._round += 1
         return decisions, np.zeros(live.size, dtype=bool)
 

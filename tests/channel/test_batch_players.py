@@ -21,6 +21,8 @@ rejected loudly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,7 @@ from repro.channel.network import (
     SuffixAdversary,
 )
 from repro.core.advice import (
+    AdviceError,
     AdviceFunction,
     FullIdAdvice,
     MinIdPrefixAdvice,
@@ -94,6 +97,18 @@ class _WrongSubtreeAdvice(AdviceFunction):
         width = id_bit_width(n)
         true_prefix = id_to_bits(min(participants), width)[: self.bits]
         return "".join("1" if bit == "0" else "0" for bit in true_prefix)
+
+
+class _FixedAdvice(AdviceFunction):
+    """One fixed string for every participant set, valid or not."""
+
+    def __init__(self, bits: int, advice: str) -> None:
+        super().__init__(bits)
+        self._advice = advice
+
+    def advise(self, participants, n: int) -> str:
+        del participants, n
+        return self._advice
 
 
 def _participant_batches(adversary, k: int, trials: int = TRIALS):
@@ -491,6 +506,57 @@ class TestStackedPlayerEngine:
                 max_rounds=5,
             )
 
+    @staticmethod
+    def _checked_case(kind: str):
+        """A b=2 fusable protocol and its channel, at n = 4096."""
+        if kind == "scan":
+            return DeterministicScanProtocol(2), Channel(False)
+        return DeterministicTreeDescentProtocol(2), Channel(True)
+
+    @pytest.mark.parametrize(
+        "participants,message",
+        [
+            ({-1, 3072}, "player id -1 outside 0..4095"),
+            ({3072, 5000}, "player id 5000 outside 0..4095"),
+        ],
+        ids=["padding-sentinel", "above-n"],
+    )
+    @pytest.mark.parametrize("kind", ["scan", "descent"])
+    def test_rejects_ids_outside_the_board(self, kind, participants, message):
+        """-1 is the packing's padding sentinel and an id >= n never
+        transmits: both are refused up front, with the message the
+        checked advice path of run_players gives."""
+        protocol, channel = self._checked_case(kind)
+        with pytest.raises(AdviceError, match=re.escape(message)):
+            run_players(
+                protocol, frozenset(participants), 2**12,
+                np.random.default_rng(0), channel=channel,
+                advice_function=MinIdPrefixAdvice(2),
+            )
+        with pytest.raises(AdviceError, match=re.escape(message)):
+            run_players_stacked(
+                protocol, [frozenset({3072, 3073}), frozenset(participants)],
+                2**12, ["11", "11"], channel=channel, max_rounds=5,
+            )
+
+    @pytest.mark.parametrize("advice", ["110", "1", "", "1x"])
+    @pytest.mark.parametrize("kind", ["scan", "descent"])
+    def test_rejects_advice_off_the_budget(self, kind, advice):
+        """Advice that is not b binary digits raises what run_players
+        raises for the same string, instead of running unsolved."""
+        protocol, channel = self._checked_case(kind)
+        with pytest.raises(AdviceError) as scalar:
+            run_players(
+                protocol, frozenset({3072, 3073}), 2**12,
+                np.random.default_rng(0), channel=channel,
+                advice_function=_FixedAdvice(2, advice),
+            )
+        with pytest.raises(AdviceError, match=re.escape(str(scalar.value))):
+            run_players_stacked(
+                protocol, [frozenset({3072, 3073})], 2**12, [advice],
+                channel=channel, max_rounds=5,
+            )
+
 
 class _CountingRng:
     """Duck-typed generator recording how many uniforms were requested."""
@@ -859,3 +925,43 @@ class TestAdversarialPlayers:
         assert batch.solved_rounds().mean() == pytest.approx(
             scalar_rounds[scalar_solved].mean(), rel=0.15, abs=0.75
         )
+
+
+class TestWideRows:
+    """Rows of 255, 256 and 257 transmitters are counted exactly: a count
+    that wrapped at 8 bits would read 256 transmitters as silence and
+    257 as a success."""
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_descent_over_wide_rows_matches_scalar(self, cd_channel, k):
+        """b=0 descent at n=1024 on ids 0..k-1: every probe of the first
+        rounds has k transmitters, and the scalar engine solves in round
+        10."""
+        protocol = DeterministicTreeDescentProtocol(0)
+        participants = frozenset(range(k))
+        scalar = run_players(
+            protocol, participants, 2**10, np.random.default_rng(0),
+            channel=cd_channel,
+        )
+        assert scalar.solved and scalar.rounds == 10
+        batch = run_players_batch(
+            protocol, [participants], 2**10, np.random.default_rng(0),
+            channel=cd_channel,
+        )
+        stacked = run_players_stacked(
+            protocol, [participants], 2**10, [""], channel=cd_channel,
+        )
+        for result in (batch, stacked):
+            assert result.solved.tolist() == [True]
+            assert result.rounds.tolist() == [scalar.rounds]
+
+    def test_backoff_round_of_257_transmitters_collides(self, cd_channel):
+        """With window 1 all 257 players transmit in round 1: a collision,
+        so a one-round budget leaves the trial unsolved."""
+        batch = run_players_batch(
+            BinaryExponentialBackoff(initial_window=1.0),
+            [frozenset(range(257))], 2**10, np.random.default_rng(0),
+            channel=cd_channel, max_rounds=1,
+        )
+        assert batch.solved.tolist() == [False]
+        assert batch.rounds.tolist() == [1]
