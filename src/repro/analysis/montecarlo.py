@@ -31,16 +31,9 @@ from typing import Protocol
 
 import numpy as np
 
-from ..channel.batch import (
-    is_batchable,
-    run_history_stacked,
-    run_schedule_stacked,
-    run_uniform_batch,
-)
+from ..channel.batch import run_history_stacked, run_schedule_stacked
 from ..channel.batch_players import (
     checked_advice_source,
-    is_player_batchable,
-    is_player_fusable,
     run_players_batch,
     run_players_stacked,
 )
@@ -58,8 +51,8 @@ __all__ = [
     "estimate_success_within",
     "estimate_player_rounds",
     "estimate_player_rounds_many",
-    "select_uniform_engine",
-    "select_player_engine",
+    "Route",
+    "route",
     "ENGINE_BATCH_SCHEDULE",
     "ENGINE_BATCH_HISTORY",
     "ENGINE_BATCH_PLAYER",
@@ -68,6 +61,9 @@ __all__ = [
     "ENGINE_FUSED_SCHEDULE",
     "ENGINE_FUSED_HISTORY",
     "ENGINE_FUSED_PLAYER",
+    "ENGINE_OPEN_SCHEDULE",
+    "ENGINE_OPEN_HISTORY",
+    "ENGINE_OPEN_SCALAR",
 ]
 
 UniformFactory = Callable[[], UniformProtocol] | UniformProtocol
@@ -90,9 +86,9 @@ class SupportsSampleMany(Protocol):
 #: or a bare per-trial callable (always the scalar sampling path).
 SizeSource = int | SupportsSampleMany | Callable[[np.random.Generator], int]
 
-#: Engine labels returned by :func:`select_uniform_engine` /
-#: :func:`select_player_engine` and surfaced in scenario metadata: the
-#: three vectorized batch paths and the two scalar reference loops.
+#: Per-point engine labels chosen by :func:`route` and surfaced in
+#: scenario metadata: the three vectorized batch paths and the two
+#: scalar reference loops.
 ENGINE_BATCH_SCHEDULE = "batch-schedule"
 ENGINE_BATCH_HISTORY = "batch-history"
 ENGINE_BATCH_PLAYER = "batch-player"
@@ -106,6 +102,120 @@ ENGINE_SCALAR_PLAYER = "scalar-player"
 ENGINE_FUSED_SCHEDULE = "fused-schedule"
 ENGINE_FUSED_HISTORY = "fused-history"
 ENGINE_FUSED_PLAYER = "fused-player"
+
+#: Engines of the open-system driver (:mod:`repro.opensys.driver`).
+ENGINE_OPEN_SCHEDULE = "open-schedule"
+ENGINE_OPEN_HISTORY = "open-history"
+ENGINE_OPEN_SCALAR = "open-scalar"
+
+
+@dataclass(frozen=True)
+class Route:
+    """Where a point runs: its engine, and the stacked engine it may share.
+
+    ``fused`` is the label the fused sweep executor records when it
+    stacks the point with compatible ones, or ``None`` when the point
+    always runs alone.
+    """
+
+    engine: str
+    fused: str | None = None
+
+
+def route(
+    protocol: UniformFactory | PlayerProtocol,
+    batch: bool | None = None,
+    *,
+    model: ChannelModel | None = None,
+    open_system: bool = False,
+) -> Route:
+    """The one routing table: which engine runs ``protocol``.
+
+    Pure (no simulation).  ``batch=None`` picks the vectorized engine
+    wherever one applies, ``False`` forces the scalar reference loop and
+    ``True`` insists on a vectorized engine, raising ``ValueError`` where
+    none applies.  ``model`` is the channel's active fault model.
+
+    * **Closed uniform.**  A protocol instance publishing its
+      :meth:`~repro.core.protocol.UniformProtocol.batch_schedule` runs on
+      the schedule engine, one with deterministic sessions on the history
+      engine; factories and randomized sessions run scalar.  Every model
+      runs on both engines.
+    * **Player.**  Protocols with batch sessions run on the player
+      engine, unless the model shrinks the live population (a crash with
+      a rejoin delay), which only the scalar loop expresses.  Only
+      randomness-free sessions stack, and only under a model that draws
+      no fault randomness: the stacked player engine has no generator.
+    * **Open** (``open_system=True``).  The schedule / history split of
+      the closed uniform engines, with the scalar oracle as fallback.
+      Player protocols and population-shrinking models raise: the open
+      population is the arrival process itself.
+
+    A model that is not :attr:`~repro.channel.models.ChannelModel.fusable`
+    (the adaptive adversaries) never stacks, and open points never do.
+    """
+    fusable = model is None or model.fusable
+    if isinstance(protocol, PlayerProtocol) and not open_system:
+        if model is not None and model.shrinks_population:
+            if batch is True:
+                raise ValueError(
+                    f"batch=True but channel model {model.name!r} only runs "
+                    "on the scalar engine (a non-zero crash rejoin delay "
+                    "changes the live participant set mid-trial)"
+                )
+            return Route(ENGINE_SCALAR_PLAYER)
+        batchable = protocol.supports_batch_sessions()
+        if batch is True and not batchable:
+            raise ValueError(
+                "batch=True requires a player protocol with batch sessions "
+                f"({protocol.name!r} supports only the scalar per-player loop)"
+            )
+        if batch is False or not batchable:
+            return Route(ENGINE_SCALAR_PLAYER)
+        stacks = (
+            fusable
+            and protocol.supports_fused_sessions()
+            and not (model is not None and model.needs_fault_draws)
+        )
+        return Route(ENGINE_BATCH_PLAYER, ENGINE_FUSED_PLAYER if stacks else None)
+
+    uniform = isinstance(protocol, UniformProtocol)
+    scheduled = uniform and protocol.batch_schedule() is not None
+    batchable = scheduled or (uniform and protocol.deterministic_sessions)
+    if open_system:
+        if not uniform:
+            raise ValueError(
+                "the open-system driver runs uniform protocols only; "
+                f"got {type(protocol).__name__}"
+            )
+        if model is not None and model.shrinks_population:
+            raise ValueError(
+                f"channel model {model.name!r} shrinks the live population "
+                "(a crash with a non-zero rejoin delay); the open population "
+                "is the arrival process itself, so no open engine can "
+                "express it"
+            )
+        if batch is True and not batchable:
+            raise ValueError(
+                f"protocol {protocol.name!r} has randomized sessions; only the "
+                "scalar open engine can execute it (pass batch=None or False)"
+            )
+        if batch is False or not batchable:
+            return Route(ENGINE_OPEN_SCALAR)
+        return Route(ENGINE_OPEN_SCHEDULE if scheduled else ENGINE_OPEN_HISTORY)
+
+    if batch is True and not batchable:
+        raise ValueError(
+            "batch=True requires a batchable UniformProtocol instance "
+            "(got a factory or a randomized-session protocol)"
+        )
+    if batch is False or not batchable:
+        return Route(ENGINE_SCALAR_UNIFORM)
+    if scheduled:
+        return Route(
+            ENGINE_BATCH_SCHEDULE, ENGINE_FUSED_SCHEDULE if fusable else None
+        )
+    return Route(ENGINE_BATCH_HISTORY, ENGINE_FUSED_HISTORY if fusable else None)
 
 
 @dataclass(frozen=True)
@@ -197,32 +307,16 @@ def _draw_size_batch(
     return np.asarray([source(rng) for _ in range(trials)], dtype=np.int64)
 
 
-def select_uniform_engine(
-    protocol: UniformFactory, batch: bool | None = None
-) -> str:
-    """Which execution engine :func:`estimate_uniform_rounds` will use.
-
-    Pure routing (no simulation): :data:`ENGINE_BATCH_SCHEDULE` for
-    batchable protocols that publish their full probability schedule,
-    :data:`ENGINE_BATCH_HISTORY` for feedback-driven protocols with
-    deterministic sessions, :data:`ENGINE_SCALAR_UNIFORM` otherwise
-    (factories, randomized sessions, or ``batch=False``).  Raises
-    ``ValueError`` when ``batch=True`` insists on an impossible batch run,
-    mirroring the estimator.  Every channel model runs on the uniform
-    batch engines, so routing depends on the protocol alone.
-    """
-    batchable = isinstance(protocol, UniformProtocol) and is_batchable(protocol)
-    if batch is True and not batchable:
-        raise ValueError(
-            "batch=True requires a batchable UniformProtocol instance "
-            "(got a factory or a randomized-session protocol)"
-        )
-    if batch is not False and batchable:
-        assert isinstance(protocol, UniformProtocol)
-        if protocol.batch_schedule() is not None:
-            return ENGINE_BATCH_SCHEDULE
-        return ENGINE_BATCH_HISTORY
-    return ENGINE_SCALAR_UNIFORM
+def _summarize(solved_rounds: list[int], trials: int) -> RoundsEstimate:
+    """The estimate of a scalar loop: its solving rounds over ``trials``."""
+    return RoundsEstimate(
+        rounds=(
+            Summary.from_samples(solved_rounds)
+            if solved_rounds
+            else Summary.empty()
+        ),
+        success=ProportionEstimate(successes=len(solved_rounds), trials=trials),
+    )
 
 
 def estimate_uniform_rounds(
@@ -248,41 +342,32 @@ def estimate_uniform_rounds(
     instance, ``True`` insists on it (raising for protocols that cannot
     batch), ``False`` forces the scalar reference loop.  Factory
     protocols always run scalar - a factory may build per-trial state the
-    lockstep engine cannot share.
+    lockstep engine cannot share.  A batch run is a one-point
+    :func:`estimate_uniform_rounds_many` call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    engine = select_uniform_engine(protocol, batch)
-    if engine != ENGINE_SCALAR_UNIFORM:
-        assert isinstance(protocol, UniformProtocol)
-        ks = _draw_size_batch(size_source, rng, trials)
-        result = run_uniform_batch(
-            protocol, ks, rng, channel=channel, max_rounds=max_rounds
-        )
-        return RoundsEstimate(
-            rounds=result.rounds_summary(), success=result.success_estimate()
-        )
+    if route(protocol, batch).engine != ENGINE_SCALAR_UNIFORM:
+        return estimate_uniform_rounds_many(
+            [protocol],
+            [size_source],
+            [rng],
+            channel=channel,
+            trials=trials,
+            max_rounds=max_rounds,
+        )[0]
 
     make_protocol = _resolve_protocol(protocol)
     draw_size = _resolve_size(size_source)
     solved_rounds: list[int] = []
-    successes = 0
     for _ in range(trials):
         k = draw_size(rng)
         result = run_uniform(
             make_protocol(), k, rng, channel=channel, max_rounds=max_rounds
         )
         if result.solved:
-            successes += 1
             solved_rounds.append(result.rounds)
-    return RoundsEstimate(
-        rounds=(
-            Summary.from_samples(solved_rounds)
-            if solved_rounds
-            else Summary.empty()
-        ),
-        success=ProportionEstimate(successes=successes, trials=trials),
-    )
+    return _summarize(solved_rounds, trials)
 
 
 def estimate_uniform_rounds_many(
@@ -320,8 +405,8 @@ def estimate_uniform_rounds_many(
         raise ValueError(f"trials must be >= 1, got {trials}")
     engines = set()
     for protocol in protocols:
-        engine = select_uniform_engine(protocol)
-        if engine == ENGINE_SCALAR_UNIFORM:
+        engine = route(protocol).engine
+        if engine not in (ENGINE_BATCH_SCHEDULE, ENGINE_BATCH_HISTORY):
             raise ValueError(
                 f"protocol {getattr(protocol, 'name', protocol)!r} cannot "
                 "batch; fuse only batch-schedule or batch-history points"
@@ -386,47 +471,6 @@ def estimate_success_within(
     return estimate.success
 
 
-def select_player_engine(
-    protocol: PlayerProtocol,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
-) -> str:
-    """Which execution engine :func:`estimate_player_rounds` will use.
-
-    Pure routing (no simulation), mirroring :func:`select_uniform_engine`
-    exactly: :data:`ENGINE_BATCH_PLAYER` for protocols implementing the
-    :meth:`~repro.core.protocol.PlayerProtocol.batch_sessions` capability
-    hook, :data:`ENGINE_SCALAR_PLAYER` otherwise (non-batchable
-    combinators, or ``batch=False``).  Raises ``ValueError`` when
-    ``batch=True`` insists on an impossible batch run.
-
-    ``model`` is the channel's *active* fault model: one the batch
-    player engine cannot express (:attr:`~repro.channel.models.
-    ChannelModel.shrinks_population` - a crash model with a non-zero
-    rejoin delay, whose leave/rejoin transition has no vectorized form)
-    forces the scalar per-player loop regardless of protocol
-    capabilities.
-    """
-    batchable = is_player_batchable(protocol)
-    if model is not None and model.shrinks_population:
-        if batch is True:
-            raise ValueError(
-                f"batch=True but channel model {model.name!r} only runs on "
-                "the scalar engine (a non-zero crash rejoin delay changes "
-                "the live participant set mid-trial)"
-            )
-        return ENGINE_SCALAR_PLAYER
-    if batch is True and not batchable:
-        raise ValueError(
-            "batch=True requires a player protocol with batch sessions "
-            f"({protocol.name!r} supports only the scalar per-player loop)"
-        )
-    if batch is not False and batchable:
-        return ENGINE_BATCH_PLAYER
-    return ENGINE_SCALAR_PLAYER
-
-
 def estimate_player_rounds(
     protocol: PlayerProtocol,
     participant_source: Callable[[np.random.Generator], frozenset[int]],
@@ -458,7 +502,7 @@ def estimate_player_rounds(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    engine = select_player_engine(protocol, batch, model=channel.active_model)
+    engine = route(protocol, batch, model=channel.active_model).engine
     if engine == ENGINE_BATCH_PLAYER:
         participant_sets = [participant_source(rng) for _ in range(trials)]
         result = run_players_batch(
@@ -474,7 +518,6 @@ def estimate_player_rounds(
             rounds=result.rounds_summary(), success=result.success_estimate()
         )
     solved_rounds: list[int] = []
-    successes = 0
     for _ in range(trials):
         participants = participant_source(rng)
         result = run_players(
@@ -487,16 +530,8 @@ def estimate_player_rounds(
             max_rounds=max_rounds,
         )
         if result.solved:
-            successes += 1
             solved_rounds.append(result.rounds)
-    return RoundsEstimate(
-        rounds=(
-            Summary.from_samples(solved_rounds)
-            if solved_rounds
-            else Summary.empty()
-        ),
-        success=ProportionEstimate(successes=successes, trials=trials),
-    )
+    return _summarize(solved_rounds, trials)
 
 
 def estimate_player_rounds_many(
@@ -513,13 +548,14 @@ def estimate_player_rounds_many(
     """Estimate many player-protocol points in one stacked engine run.
 
     The fused counterpart of calling :func:`estimate_player_rounds` once
-    per point, for points sharing one *fusable* protocol (randomness-free
-    batch sessions - deterministic scan / tree descent and their fallback
-    wrappers) but differing in adversary, advice quality or seed.  Point
-    ``j`` first draws its participant sets, then its advice strings, from
-    its own ``rngs[j]`` - exactly the solo estimator's consumption order;
-    the engine itself draws nothing, so entry ``j`` of the result is
-    **bit-identical** to the solo call.
+    per point, for points sharing one protocol whose :func:`route` has a
+    stacked engine (randomness-free batch sessions - deterministic scan /
+    tree descent and their fallback wrappers - under a model that draws
+    no fault randomness) but differing in adversary, advice quality or
+    seed.  Point ``j`` first draws its participant sets, then its advice
+    strings, from its own ``rngs[j]`` - exactly the solo estimator's
+    consumption order; the engine itself draws nothing, so entry ``j`` of
+    the result is **bit-identical** to the solo call.
     """
     if not (len(participant_sources) == len(rngs) == len(advice_functions)):
         raise ValueError(
@@ -530,18 +566,11 @@ def estimate_player_rounds_many(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     model = channel.active_model
-    if model is not None and (
-        model.shrinks_population or model.needs_fault_draws
-    ):
+    if route(protocol, model=model).fused is None:
         raise ValueError(
-            f"channel model {model.name!r} cannot run on the stacked "
-            "(fused) player engine; run its points through "
-            "estimate_player_rounds"
-        )
-    if not is_player_fusable(protocol):
-        raise ValueError(
-            f"protocol {protocol.name!r} has no randomness-free batch "
-            "sessions; run its points through estimate_player_rounds"
+            f"protocol {protocol.name!r} under channel model "
+            f"{getattr(model, 'name', None)!r} has no stacked (fused) player "
+            "engine; run its points through estimate_player_rounds"
         )
     all_sets: list[frozenset[int]] = []
     all_advice: list[str] = []
@@ -569,4 +598,3 @@ def estimate_player_rounds_many(
             )
         )
     return estimates
-

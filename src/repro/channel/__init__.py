@@ -37,8 +37,6 @@ from .batch import (
     run_uniform_batch,
 )
 from .batch_players import (
-    is_player_batchable,
-    is_player_fusable,
     pack_participants,
     run_players_batch,
     run_players_stacked,
@@ -78,8 +76,6 @@ __all__ = [
     "run_players",
     "run_players_batch",
     "run_players_stacked",
-    "is_player_batchable",
-    "is_player_fusable",
     "pack_participants",
     "DEFAULT_MAX_ROUNDS",
     "BatchExecutionResult",

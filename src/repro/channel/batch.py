@@ -114,9 +114,10 @@ def is_batchable(protocol: UniformProtocol) -> bool:
     """Whether :func:`run_uniform_batch` can execute ``protocol``.
 
     True when the protocol either publishes its schedule in advance or
-    guarantees deterministic (history-driven) sessions; the Monte Carlo
-    harness uses this to auto-select the batch substrate and fall back to
-    the scalar reference loop otherwise.
+    guarantees deterministic (history-driven) sessions - the uniform
+    engines' capability predicate, which wrappers such as
+    ``UniformAsPlayerProtocol`` consult.  Which engine runs a point is
+    decided by :func:`repro.analysis.montecarlo.route` alone.
     """
     return (
         protocol.batch_schedule() is not None or protocol.deterministic_sessions

@@ -57,35 +57,9 @@ from .trace import BatchExecutionResult
 __all__ = [
     "run_players_batch",
     "run_players_stacked",
-    "is_player_batchable",
-    "is_player_fusable",
     "pack_participants",
     "checked_advice_source",
 ]
-
-
-def is_player_batchable(protocol: PlayerProtocol) -> bool:
-    """Whether :func:`run_players_batch` can execute ``protocol``.
-
-    Pure capability probe (no participant data needed): the Monte Carlo
-    harness uses it to auto-select the batch substrate and fall back to
-    the scalar reference loop otherwise, exactly like
-    :func:`repro.channel.batch.is_batchable` does for uniform protocols.
-    """
-    return protocol.supports_batch_sessions()
-
-
-def is_player_fusable(protocol: PlayerProtocol) -> bool:
-    """Whether :func:`run_players_stacked` can stack ``protocol`` trials
-    from *different scenario points* into one batch.
-
-    Requires batch sessions that consume no engine randomness
-    (:meth:`~repro.core.protocol.PlayerProtocol.supports_fused_sessions`):
-    with nothing drawn inside the engine, a stacked run is bit-identical
-    per point to running each point's batch alone, which is the fused
-    sweep executor's contract.
-    """
-    return protocol.supports_batch_sessions() and protocol.supports_fused_sessions()
 
 
 def checked_advice_source(
@@ -145,9 +119,10 @@ def run_players_batch(
     :class:`~repro.channel.trace.BatchExecutionResult` is an execution on
     ``participant_sets[i]``, with the advice function evaluated once per
     trial on its participant set (Section 3.1), exactly as the scalar
-    engine does.  Raises :class:`ValueError` for protocols that are not
-    :func:`is_player_batchable` - callers wanting transparent fallback
-    should test the capability first.
+    engine does.  Raises :class:`ValueError` for protocols without
+    :meth:`~repro.core.protocol.PlayerProtocol.batch_sessions` - callers
+    wanting transparent fallback route through
+    :func:`repro.analysis.montecarlo.route` first.
     """
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
@@ -179,15 +154,16 @@ def run_players_stacked(
     drawn each point's participant sets and advice strings from that
     point's own generator (in exactly the per-point order), concatenated
     them, and hands the engine pure data.  Because the protocol's batch
-    sessions consume no randomness (:func:`is_player_fusable`), driving
-    the concatenation through one lockstep loop produces, for every
-    point's slice of trials, **bit-identical** results to running that
-    point's batch alone - rows retire independently and the session state
-    of one trial never reads another's.
+    sessions consume no randomness
+    (:meth:`~repro.core.protocol.PlayerProtocol.supports_fused_sessions`),
+    driving the concatenation through one lockstep loop produces, for
+    every point's slice of trials, **bit-identical** results to running
+    that point's batch alone - rows retire independently and the session
+    state of one trial never reads another's.
 
     ``advice`` holds one pre-computed advice string per trial (aligned
     with ``participant_sets``).  Raises :class:`ValueError` for protocols
-    that are not :func:`is_player_fusable`, and
+    without randomness-free batch sessions, and
     :class:`~repro.core.advice.AdviceError` with the messages of
     :meth:`~repro.core.advice.AdviceFunction.checked_advise` for an id
     outside ``0..n-1`` or an advice string that is not
@@ -196,7 +172,9 @@ def run_players_stacked(
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
     _check_channel(protocol.requires_collision_detection, channel)
-    if not is_player_fusable(protocol):
+    if not (
+        protocol.supports_batch_sessions() and protocol.supports_fused_sessions()
+    ):
         raise ValueError(
             f"protocol {protocol.name!r} has no randomness-free batch "
             "sessions; stack its points with the serial executor instead"

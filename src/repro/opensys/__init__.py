@@ -36,7 +36,6 @@ from .driver import (
     ENGINE_OPEN_SCHEDULE,
     OpenRunResult,
     run_open,
-    select_open_engine,
 )
 from .latency import LatencyStore, LatencySummary
 from .policies import (
@@ -67,7 +66,6 @@ __all__ = [
     "ENGINE_OPEN_SCHEDULE",
     "OpenRunResult",
     "run_open",
-    "select_open_engine",
     "LatencyStore",
     "LatencySummary",
     "ADMISSION_POLICIES",

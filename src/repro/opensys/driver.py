@@ -112,9 +112,9 @@ contended without success moves on.
 Crash models with a non-zero rejoin delay are not expressible here (the
 open population *is* the live count; a crashed-but-rejoining requester
 would need per-request identity) and are rejected up front on every
-engine via :attr:`~repro.channel.models.ChannelModel.shrinks_population`
-- the closed-system uniform engines run them through per-trial active
-counts, but an open run has no fixed trial population to shrink.
+engine by :func:`~repro.analysis.montecarlo.route`, which picks the
+engine - the closed-system uniform engines run them through per-trial
+active counts, but an open run has no fixed trial population to shrink.
 Adaptive adversaries plug straight in: their per-trial state rides the
 same ``batch_state``/``perturb`` contract as every other model, and the
 open population never retires mid-run so their budget arrays never even
@@ -128,6 +128,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.montecarlo import (
+    ENGINE_OPEN_HISTORY,
+    ENGINE_OPEN_SCALAR,
+    ENGINE_OPEN_SCHEDULE,
+    route,
+)
 from ..channel.batch import _arena_for_run, _band_edges, _run_tokens
 from ..channel.channel import Channel
 from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
@@ -156,13 +162,8 @@ __all__ = [
     "ENGINE_OPEN_HISTORY",
     "ENGINE_OPEN_SCALAR",
     "OpenRunResult",
-    "select_open_engine",
     "run_open",
 ]
-
-ENGINE_OPEN_SCHEDULE = "open-schedule"
-ENGINE_OPEN_HISTORY = "open-history"
-ENGINE_OPEN_SCALAR = "open-scalar"
 
 #: Rounds of arrivals and channel uniforms pre-drawn per trial at each
 #: absolute block boundary (rounds 1, 1+B, 1+2B, ...).  Boundaries and
@@ -224,50 +225,6 @@ class OpenRunResult:
 
     store: LatencyStore
     engine: str
-
-
-def select_open_engine(
-    protocol: UniformProtocol,
-    batch: bool | None = None,
-    *,
-    model: ChannelModel | None = None,
-) -> str:
-    """The open engine that will execute ``protocol``.
-
-    ``batch=None`` auto-selects (vectorized when the protocol supports
-    it), ``False`` forces the scalar oracle, ``True`` insists on a
-    vectorized engine and raises where none applies.  Mirrors
-    :func:`repro.analysis.montecarlo.select_uniform_engine`, except that
-    an inexpressible fault model is an error rather than a scalar
-    fallback: a population-shrinking model (crash with a non-zero rejoin
-    delay) has no meaning when the live count *is* the arrival process.
-    Retry/admission policies never affect routing - the lifecycle runs
-    identically on every engine.
-    """
-    if not isinstance(protocol, UniformProtocol):
-        raise ValueError(
-            "the open-system driver runs uniform protocols only; "
-            f"got {type(protocol).__name__}"
-        )
-    if model is not None and model.shrinks_population:
-        raise ValueError(
-            f"channel model {model.name!r} shrinks the live population "
-            "(a crash with a non-zero rejoin delay); the open population "
-            "is the arrival process itself, so no open engine can "
-            "express it"
-        )
-    if batch is False:
-        return ENGINE_OPEN_SCALAR
-    if protocol.batch_schedule() is not None:
-        return ENGINE_OPEN_SCHEDULE
-    if protocol.deterministic_sessions:
-        return ENGINE_OPEN_HISTORY
-    if batch is True:
-        raise ValueError(
-            f"protocol {protocol.name!r} has randomized sessions; only the "
-            "scalar open engine can execute it (pass batch=None or False)"
-        )
-    return ENGINE_OPEN_SCALAR
 
 
 def _trial_streams(
@@ -1143,7 +1100,7 @@ def run_open(
         )
     _check_channel(protocol.requires_collision_detection, channel)
     model = channel.active_model
-    engine = select_open_engine(protocol, batch, model=model)
+    engine = route(protocol, batch, model=model, open_system=True).engine
 
     processes = [arrivals.clone() for _ in range(trials)]
     streams = _trial_streams(seed, trials, trial_offset)

@@ -29,7 +29,7 @@ from typing import Any
 from ..channel.channel import Channel
 from ..core.protocol import UniformProtocol
 from ..opensys.arrivals import ARRIVAL_FAMILIES, ArrivalProcess
-from ..opensys.driver import run_open, select_open_engine
+from ..opensys.driver import run_open
 from ..opensys.latency import LatencyStore, LatencySummary
 from ..opensys.policies import (
     ADMISSION_POLICIES,
@@ -38,6 +38,7 @@ from ..opensys.policies import (
     RetryPolicy,
 )
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
+from .runner import route_point
 from .spec import (
     ChannelSpec,
     JsonCodec,
@@ -333,12 +334,9 @@ def resolve_open_scenario(spec: OpenScenarioSpec) -> ResolvedOpenScenario:
         spec.protocol, BuildContext(n=spec.n, prediction=prediction)
     )
     assert isinstance(protocol, UniformProtocol)
-    try:
-        engine = select_open_engine(
-            protocol, spec.batch, model=channel.active_model
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    engine = route_point(
+        protocol, spec.batch, channel.active_model, open_system=True
+    ).engine
     return ResolvedOpenScenario(
         spec=spec,
         channel=channel,

@@ -3,11 +3,12 @@
 :func:`run_scenario` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
 into a :class:`ScenarioResult`: it resolves the workload, prediction,
 advice and protocol, then routes to the right execution engine through
-the existing capability hooks - the vectorized batch-schedule,
-history-indexed (trie-memoized CD) or batch-player engines, or the
-scalar uniform / per-player reference loops - and records which engine actually ran in
-the result metadata.  Experiments, the CLI and the sweep executors all call this
-one facade, so a scenario behaves identically however it is launched.
+:func:`~repro.analysis.montecarlo.route` - the vectorized
+batch-schedule, history-indexed (trie-memoized CD) or batch-player
+engines, or the scalar uniform / per-player reference loops - and
+records which engine actually ran in the result metadata.  Experiments,
+the CLI and the sweep executors all call this one facade, so a scenario
+behaves identically however it is launched.
 
 Results are JSON-round-trippable (:meth:`ScenarioResult.to_dict` /
 ``from_dict``), and a spec plus its seed fully determines the result:
@@ -23,6 +24,7 @@ in the deserialized result against the point it dispatched.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections.abc import Mapping
@@ -32,10 +34,10 @@ import numpy as np
 
 from ..analysis.metrics import ProportionEstimate, Summary
 from ..analysis.montecarlo import (
+    Route,
     estimate_player_rounds,
     estimate_uniform_rounds,
-    select_player_engine,
-    select_uniform_engine,
+    route,
 )
 from ..channel.channel import Channel
 from ..channel.network import (
@@ -232,10 +234,15 @@ class ResolvedScenario:
     channel: Channel
     kind: str  # registry kind: "uniform" or "player"
     protocol: object  # UniformProtocol | PlayerProtocol
-    engine: str  # the per-point engine select_*_engine chose
+    route: Route
     size_source: object  # int | SupportsSampleMany | callable
     advice: AdviceFunction | None = None
     adversary: object | None = None
+
+    @property
+    def engine(self) -> str:
+        """The per-point engine label :attr:`route` chose."""
+        return self.route.engine
 
     def participant_source(self):
         """Per-trial participant draw (player scenarios only)."""
@@ -260,6 +267,23 @@ class ResolvedScenario:
             base["adversary"] = self.adversary.name
             base["advice_bits"] = getattr(self.advice, "bits", 0)
         return base
+
+
+def route_point(
+    protocol, batch: bool | None, model, *, open_system: bool = False
+) -> Route:
+    """:func:`~repro.analysis.montecarlo.route` for a spec's point.
+
+    Shared by the closed and open resolvers, so a point no engine can
+    run fails the same way in both: a :class:`ScenarioError` naming the
+    spec's ``'batch'`` request, before any randomness is consumed.
+    """
+    try:
+        return route(protocol, batch, model=model, open_system=open_system)
+    except ValueError as exc:
+        raise ScenarioError(
+            f"no engine runs this point ('batch' is {json.dumps(batch)}): {exc}"
+        ) from exc
 
 
 def resolve_scenario(
@@ -301,9 +325,7 @@ def resolve_scenario(
             channel=channel,
             kind=entry.kind,
             protocol=protocol,
-            engine=select_player_engine(
-                protocol, spec.batch, model=channel.active_model
-            ),
+            route=route_point(protocol, spec.batch, channel.active_model),
             size_source=size_source,
             advice=spec.advice.build(spec.n, rng) if spec.advice else None,
             adversary=ADVERSARIES[spec.adversary](),
@@ -319,7 +341,7 @@ def resolve_scenario(
         channel=channel,
         kind=entry.kind,
         protocol=protocol,
-        engine=select_uniform_engine(protocol, spec.batch),
+        route=route_point(protocol, spec.batch, channel.active_model),
         size_source=size_source,
     )
 

@@ -61,12 +61,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.montecarlo import (
-    ENGINE_BATCH_HISTORY,
-    ENGINE_BATCH_PLAYER,
-    ENGINE_BATCH_SCHEDULE,
-    ENGINE_FUSED_HISTORY,
     ENGINE_FUSED_PLAYER,
-    ENGINE_FUSED_SCHEDULE,
     estimate_player_rounds_many,
     estimate_uniform_rounds_many,
 )
@@ -410,51 +405,24 @@ def fusion_key(resolved: ResolvedScenario) -> tuple | None:
 
     Points sharing a key can be stacked into one engine run with
     bit-identical per-point results; ``None`` marks points the fused
-    executor must run serially.  Three fusable shapes exist:
-
-    * **schedule points** - uniform protocols routed to the batch
-      schedule engine.  The stacked engine takes per-point schedules and
-      size batches, so swept protocol parameters (``p``, prediction
-      quality, window base) and workloads fuse freely; only the trial
-      count, round budget and channel must agree (the engine advances
-      one shared round loop over a rectangular trial block).
-    * **history points** - uniform protocols routed to the batch history
-      engine (feedback-driven, deterministic sessions: Willard, code
-      search, phased search, history policies).  The stacked engine
-      keeps per-point protocols and a shared history-trie arena, so
-      protocol params, workloads, predictions and seeds all sweep
-      freely; as for schedule points, only trials, round budget and
-      channel must agree.  Points with equal
-      :meth:`~repro.core.protocol.UniformProtocol.history_signature`\\ s
-      additionally share one memoized trie inside the run.
-    * **player points** - player protocols routed to the batch player
-      engine whose sessions are randomness-free
-      (:meth:`~repro.core.protocol.PlayerProtocol.supports_fused_sessions`).
-      The whole group executes through *one* protocol object, so
-      everything protocol construction consumes must match: the protocol
-      spec, ``n``, and the prediction spec (no in-repo player protocol
-      takes a prediction, but registration is open); adversary, advice
-      quality and seed sweep freely - exactly the robustness-curve axis.
-
-    The shared key includes the resolved channel *model* (the fault
-    adversary), so points under different adversaries - or under an
-    adversary and the faithful channel - are **never** stacked into one
-    run: the fault state is per-engine-run, and mixing models would
-    silently perturb the wrong points.  Models that opt out of stacking
-    entirely (:attr:`~repro.channel.models.ChannelModel.fusable` is
-    False - the adaptive adversaries, whose per-point state is kept
-    solo so the "one adversary per execution" reading of a stress curve
-    stays unambiguous) return ``None`` and run serially.  Player points
-    additionally require a model that draws no per-round fault
-    randomness (the stacked player engine runs without a generator);
-    random models (noise, crash) return ``None`` and degrade to the
-    serial path, with the point's recorded engine label saying so.
+    executor must run serially.  Whether a point stacks at all, and on
+    which engine, is its route's
+    :attr:`~repro.analysis.montecarlo.Route.fused` label; the key adds
+    the shape rules.  Stacked points share one rectangular trial block
+    and one round loop, so the trial count, round budget and channel -
+    including its fault model, whose state is per engine run - must
+    agree; protocol params, workloads, predictions and seeds sweep
+    freely.  Player points also run through *one* protocol object, so
+    everything protocol construction consumes must match too: ``n``,
+    the protocol spec and the prediction spec.
     """
+    fused = resolved.route.fused
+    if fused is None:
+        return None
     spec = resolved.spec
     model = resolved.channel.active_model
-    if model is not None and not model.fusable:
-        return None
-    shared = (
+    key = (
+        fused,
         spec.trials,
         spec.max_rounds,
         spec.channel.collision_detection,
@@ -462,28 +430,16 @@ def fusion_key(resolved: ResolvedScenario) -> tuple | None:
         if model is not None
         else None,
     )
-    if resolved.engine == ENGINE_BATCH_SCHEDULE:
-        return ("schedule",) + shared
-    if resolved.engine == ENGINE_BATCH_HISTORY:
-        return ("history",) + shared
-    if (
-        resolved.engine == ENGINE_BATCH_PLAYER
-        and resolved.protocol.supports_fused_sessions()
-        and (model is None or not model.needs_fault_draws)
-    ):
-        return (
-            ("player",)
-            + shared
-            + (
-                spec.n,
-                json.dumps(spec.protocol.to_dict(), sort_keys=True),
-                json.dumps(
-                    spec.prediction.to_dict() if spec.prediction else None,
-                    sort_keys=True,
-                ),
-            )
-        )
-    return None
+    if fused != ENGINE_FUSED_PLAYER:
+        return key
+    return key + (
+        spec.n,
+        json.dumps(spec.protocol.to_dict(), sort_keys=True),
+        json.dumps(
+            spec.prediction.to_dict() if spec.prediction else None,
+            sort_keys=True,
+        ),
+    )
 
 
 def fusion_groups(
@@ -527,7 +483,6 @@ def _run_fused_group(
             trials=spec.trials,
             max_rounds=spec.max_rounds,
         )
-        label = ENGINE_FUSED_PLAYER
     else:
         estimates = estimate_uniform_rounds_many(
             [resolved.protocol for resolved in members],
@@ -537,16 +492,13 @@ def _run_fused_group(
             trials=spec.trials,
             max_rounds=spec.max_rounds,
         )
-        label = (
-            ENGINE_FUSED_HISTORY
-            if first.engine == ENGINE_BATCH_HISTORY
-            else ENGINE_FUSED_SCHEDULE
-        )
     # One stacked run has no meaningful per-point wall clock; record the
     # group's amortized share so sweep totals still add up.
     share = (time.perf_counter() - started) / len(members)
     return [
-        package_result(resolved, estimate, engine=label, elapsed_seconds=share)
+        package_result(
+            resolved, estimate, engine=first.route.fused, elapsed_seconds=share
+        )
         for resolved, estimate in zip(members, estimates)
     ]
 

@@ -11,7 +11,8 @@ and the concrete workload objects the estimators consume:
   families (every public constructor is registered);
 * ``"bursty"`` workloads build the Markov-modulated arrival model of
   :mod:`repro.channel.arrivals` - the correlated-across-trials process
-  an i.i.d. distribution cannot express;
+  an i.i.d. distribution cannot express - from four required rates,
+  ``start_in_burst`` (a bool, default false) and an optional ``name``;
 * ``"trace"`` workloads replay explicit count sequences;
 * ``"poisson"`` / ``"zipf-hotspot"`` workloads reuse the open-system
   arrival families (:mod:`repro.opensys.arrivals`) as batch-size
@@ -25,6 +26,7 @@ is the resolved workload distribution itself.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Callable, Mapping
 
@@ -155,62 +157,96 @@ def _build_distribution(
         ) from None
 
 
+def _taken_whole(params: Params) -> dict:
+    """All of ``params`` at once, for a builder that reads them itself."""
+    whole = dict(params)
+    params.clear()
+    return whole
+
+
+def _fixed_workload(params: Params, n: int) -> int:
+    k = params.take("k", int)
+    if k < 1:
+        raise ScenarioError(f"fixed workload needs an integer k >= 1, got {k!r}")
+    if k > n:
+        raise ScenarioError(f"fixed workload k={k} exceeds n={n}")
+    return k
+
+
+def _bursty_workload(params: Params, n: int) -> MarkovBurstArrivals:
+    rates = {
+        key: params.take(key, float)
+        for key in ("calm_rate", "burst_rate", "burst_arrival", "burst_departure")
+    }
+    start_in_burst = params.take("start_in_burst", bool, False)
+    name = params.take("name", str, None)
+    try:
+        return MarkovBurstArrivals(
+            n, **rates, start_in_burst=start_in_burst, name=name
+        )
+    except ValueError as error:
+        raise ScenarioError(f"bad bursty workload parameters: {error}") from None
+
+
+def _trace_workload(params: Params, n: int) -> TraceArrivals:
+    ks = params.take("ks", list, None)
+    name = params.take("name", str, "trace")
+    if not ks:
+        raise ScenarioError("trace workload needs a non-empty 'ks' list")
+    counts = [Params.check(k, int, "trace workload count") for k in ks]
+    try:
+        return TraceArrivals(counts, name=name)
+    except (TypeError, ValueError) as error:
+        raise ScenarioError(f"bad trace workload parameters: {error}") from None
+
+
+def _arrival_workload(family: str, params: Params, n: int):
+    """An open-system arrival family as a closed batch-size source.
+
+    Each trial's contender count is one round's arrival draw, clamped
+    into ``[MIN_COUNT, n]`` like the bursty/trace kinds.
+    """
+    from ..opensys.arrivals import (
+        ClampedArrivalSizeSource,
+        arrival_process_from_dict,
+    )
+
+    try:
+        whole = {"family": family, **_taken_whole(params)}
+        return ClampedArrivalSizeSource(arrival_process_from_dict(whole), n)
+    except (TypeError, ValueError) as error:
+        raise ScenarioError(f"bad {family} workload parameters: {error}") from None
+
+
+#: Workload kind -> builder ``(params, n) -> size source``.
+_WORKLOADS = Registry(
+    "workload kind",
+    {
+        "fixed": _fixed_workload,
+        "distribution": lambda params, n: resolve_distribution(
+            n, _taken_whole(params)
+        ),
+        "bursty": _bursty_workload,
+        "trace": _trace_workload,
+        "poisson": functools.partial(_arrival_workload, "poisson"),
+        "zipf-hotspot": functools.partial(_arrival_workload, "zipf-hotspot"),
+    },
+)
+
+
 def resolve_workload(spec: WorkloadSpec, n: int):
     """The runnable size source a workload spec describes.
 
     Returns an ``int`` (fixed workloads) or an object with
     ``sample`` / ``sample_many`` - exactly the estimators'
-    ``SizeSource`` protocol.
+    ``SizeSource`` protocol.  Params are read strictly: a mistyped value
+    or a key the kind does not take raises :class:`ScenarioError`.
     """
-    params = dict(spec.params)
-    if spec.kind == "fixed":
-        params = Params(params, "fixed workload")
-        k = params.take("k", int)
-        params.done()
-        if k < 1:
-            raise ScenarioError(f"fixed workload needs an integer k >= 1, got {k!r}")
-        if k > n:
-            raise ScenarioError(f"fixed workload k={k} exceeds n={n}")
-        return k
-    if spec.kind == "distribution":
-        return resolve_distribution(n, params)
-    if spec.kind == "bursty":
-        try:
-            return MarkovBurstArrivals(n, **params)
-        except (TypeError, ValueError) as error:
-            raise ScenarioError(f"bad bursty workload parameters: {error}") from None
-    if spec.kind == "trace":
-        params = Params(params, "trace workload")
-        ks = params.take("ks", list, None)
-        name = params.take("name", str, "trace")
-        params.done()
-        if not ks:
-            raise ScenarioError("trace workload needs a non-empty 'ks' list")
-        counts = [Params.check(k, int, "trace workload count") for k in ks]
-        try:
-            return TraceArrivals(counts, name=name)
-        except (TypeError, ValueError) as error:
-            raise ScenarioError(f"bad trace workload parameters: {error}") from None
-    if spec.kind in ("poisson", "zipf-hotspot"):
-        # Open-system arrival families doubling as closed batch-size
-        # sources: each trial's contender count is one round's arrival
-        # draw, clamped into [MIN_COUNT, n] like the bursty/trace kinds.
-        from ..opensys.arrivals import (
-            ClampedArrivalSizeSource,
-            arrival_process_from_dict,
-        )
-
-        try:
-            process = arrival_process_from_dict({"family": spec.kind, **params})
-            return ClampedArrivalSizeSource(process, n)
-        except (TypeError, ValueError) as error:
-            raise ScenarioError(
-                f"bad {spec.kind} workload parameters: {error}"
-            ) from None
-    raise ScenarioError(
-        f"unknown workload kind {spec.kind!r}; "
-        "known: fixed, distribution, bursty, trace, poisson, zipf-hotspot"
-    )
+    builder = _WORKLOADS[spec.kind]
+    params = Params(spec.params, f"{spec.kind} workload")
+    source = builder(params, n)
+    params.done()
+    return source
 
 
 def workload_label(source) -> str:

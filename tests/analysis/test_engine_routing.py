@@ -10,8 +10,7 @@ from repro.analysis.montecarlo import (
     ENGINE_SCALAR_PLAYER,
     ENGINE_SCALAR_UNIFORM,
     estimate_player_rounds,
-    select_player_engine,
-    select_uniform_engine,
+    route,
 )
 from repro.channel.channel import with_collision_detection
 from repro.channel.network import RandomAdversary
@@ -24,26 +23,26 @@ from repro.protocols.willard import WillardProtocol
 
 class TestSelectUniformEngine:
     def test_schedule_protocols_hit_the_schedule_engine(self):
-        assert select_uniform_engine(DecayProtocol(256)) == ENGINE_BATCH_SCHEDULE
+        assert route(DecayProtocol(256)).engine == ENGINE_BATCH_SCHEDULE
 
     def test_cd_search_hits_the_history_engine(self):
-        assert select_uniform_engine(WillardProtocol(256)) == ENGINE_BATCH_HISTORY
+        assert route(WillardProtocol(256)).engine == ENGINE_BATCH_HISTORY
 
     def test_batch_false_forces_scalar(self):
         assert (
-            select_uniform_engine(DecayProtocol(256), False)
+            route(DecayProtocol(256), False).engine
             == ENGINE_SCALAR_UNIFORM
         )
 
     def test_factories_run_scalar(self):
         assert (
-            select_uniform_engine(lambda: DecayProtocol(256))
+            route(lambda: DecayProtocol(256)).engine
             == ENGINE_SCALAR_UNIFORM
         )
 
     def test_batch_true_on_factory_raises(self):
         with pytest.raises(ValueError, match="batch=True"):
-            select_uniform_engine(lambda: DecayProtocol(256), True)
+            route(lambda: DecayProtocol(256), True)
 
 
 def _fallback_protocol() -> FallbackPlayerProtocol:
@@ -57,17 +56,17 @@ def _fallback_protocol() -> FallbackPlayerProtocol:
 
 
 class TestSelectPlayerEngine:
-    """select_player_engine mirrors select_uniform_engine semantics."""
+    """route's player rules mirror its uniform rules."""
 
     def test_batchable_protocols_hit_the_player_engine(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff())
+            route(BinaryExponentialBackoff()).engine
             == ENGINE_BATCH_PLAYER
         )
 
     def test_batch_false_forces_scalar(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff(), False)
+            route(BinaryExponentialBackoff(), False).engine
             == ENGINE_SCALAR_PLAYER
         )
 
@@ -77,14 +76,14 @@ class TestSelectPlayerEngine:
             UniformAsPlayerProtocol(WillardProtocol(64)),
             budget_rounds=16,
         )
-        assert select_player_engine(protocol) == ENGINE_BATCH_PLAYER
+        assert route(protocol).engine == ENGINE_BATCH_PLAYER
 
     def test_non_batchable_combinators_run_scalar(self):
-        assert select_player_engine(_fallback_protocol()) == ENGINE_SCALAR_PLAYER
+        assert route(_fallback_protocol()).engine == ENGINE_SCALAR_PLAYER
 
     def test_batch_true_on_non_batchable_raises(self):
         with pytest.raises(ValueError, match="batch=True"):
-            select_player_engine(_fallback_protocol(), True)
+            route(_fallback_protocol(), True)
 
 
 class TestPlayerBatchContract:

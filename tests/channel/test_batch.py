@@ -943,26 +943,22 @@ class TestAdversarialAgreement:
         uniform engines (per-trial active-count bands); the player and
         open substrates, whose populations are not per-trial counters,
         still refuse them."""
-        from repro.analysis.montecarlo import (
-            select_player_engine,
-            select_uniform_engine,
-        )
-        from repro.opensys.driver import select_open_engine
+        from repro.analysis.montecarlo import route
         from repro.protocols.backoff import BinaryExponentialBackoff
 
         model = CrashModel(probability=0.5, rejoin_after=2)
         assert model.shrinks_population
         assert model.needs_fault_draws
 
-        assert select_uniform_engine(
+        assert route(
             DecayProtocol(N), batch=True
-        ).startswith("batch")
+        ).engine.startswith("batch")
         with pytest.raises(ValueError, match="scalar"):
-            select_player_engine(
+            route(
                 BinaryExponentialBackoff(), batch=True, model=model
             )
         with pytest.raises(ValueError, match="arrival process"):
-            select_open_engine(DecayProtocol(N), model=model)
+            route(DecayProtocol(N), model=model, open_system=True)
 
     def test_rejoin_crash_deterministic_erasure_exact(self, nocd_channel):
         """probability=1 with a rejoin delay: the lone station's every

@@ -30,11 +30,9 @@ from repro.analysis.montecarlo import (
     ENGINE_BATCH_PLAYER,
     ENGINE_SCALAR_PLAYER,
     estimate_player_rounds,
-    select_player_engine,
+    route,
 )
 from repro.channel import (
-    is_player_batchable,
-    is_player_fusable,
     pack_participants,
     run_players,
     run_players_batch,
@@ -176,7 +174,7 @@ class TestDeterministicExactness:
     ):
         channel = cd_channel if cd else nocd_channel
         protocol = make_protocol()
-        assert is_player_batchable(protocol)
+        assert protocol.supports_batch_sessions()
         sets = _participant_batches(adversary, k=4, trials=64)
         scalar_solved, scalar_rounds = _scalar_results(
             protocol, sets, channel, make_advice(), seed=5
@@ -246,7 +244,7 @@ class TestRandomizedStatistics:
     ):
         channel = cd_channel if cd else nocd_channel
         protocol = make_protocol()
-        assert is_player_batchable(protocol)
+        assert protocol.supports_batch_sessions()
         sets = _participant_batches(RandomAdversary(), k=8)
         scalar_solved, scalar_rounds = _scalar_results(
             protocol, sets, channel, None, seed=11
@@ -278,7 +276,7 @@ class TestFallbackCombinator:
             DeterministicScanProtocol(0),
             budget_rounds=DeterministicScanProtocol(3).worst_case_rounds(N),
         )
-        assert is_player_batchable(protocol)
+        assert protocol.supports_batch_sessions()
         assert protocol.supports_fused_sessions()
         sets = _participant_batches(PrefixAdversary(), k=3, trials=48)
         scalar_solved, scalar_rounds = _scalar_results(
@@ -323,7 +321,7 @@ class TestFallbackCombinator:
                 budget_rounds=DeterministicScanProtocol(3).worst_case_rounds(N),
             )
 
-        assert is_player_batchable(make())
+        assert make().supports_batch_sessions()
         assert not make().supports_fused_sessions()  # randomized half
         sets = _participant_batches(RandomAdversary(), k=6)
         scalar_solved, scalar_rounds = _scalar_results(
@@ -488,7 +486,7 @@ class TestStackedPlayerEngine:
             assert (segment.ks == solo.ks).all(), index
 
     def test_rejects_non_fusable_protocols(self, cd_channel):
-        assert not is_player_fusable(BinaryExponentialBackoff())
+        assert route(BinaryExponentialBackoff()).fused is None
         with pytest.raises(ValueError, match="randomness-free"):
             run_players_stacked(
                 BinaryExponentialBackoff(), [frozenset({1})], N, [""],
@@ -619,7 +617,7 @@ class TestEngineContracts:
             UniformAsPlayerProtocol(WillardProtocol(N)),
             budget_rounds=32,
         )
-        assert is_player_batchable(fallback)
+        assert fallback.supports_batch_sessions()
 
     def test_rejects_non_batchable_protocols(self, cd_channel):
         randomized_half = UniformAsPlayerProtocol(
@@ -630,7 +628,7 @@ class TestEngineContracts:
             randomized_half,
             budget_rounds=32,
         )
-        assert not is_player_batchable(fallback)
+        assert not fallback.supports_batch_sessions()
         with pytest.raises(ValueError, match="no batch player sessions"):
             run_players_batch(
                 fallback, [frozenset({1, 2})], N, np.random.default_rng(0),
@@ -640,8 +638,8 @@ class TestEngineContracts:
 
     def test_uniform_as_player_inherits_inner_batchability(self):
         randomized = RestartProtocol(lambda: DecayProtocol(N, cycle=False))
-        assert not is_player_batchable(UniformAsPlayerProtocol(randomized))
-        assert is_player_batchable(UniformAsPlayerProtocol(DecayProtocol(N)))
+        assert not UniformAsPlayerProtocol(randomized).supports_batch_sessions()
+        assert UniformAsPlayerProtocol(DecayProtocol(N)).supports_batch_sessions()
 
     def test_rejects_bad_inputs(self, cd_channel):
         protocol = BinaryExponentialBackoff()
@@ -731,11 +729,11 @@ class TestMonteCarloWiring:
 
     def test_select_player_engine_routing(self):
         assert (
-            select_player_engine(BinaryExponentialBackoff())
+            route(BinaryExponentialBackoff()).engine
             == ENGINE_BATCH_PLAYER
         )
         assert (
-            select_player_engine(BinaryExponentialBackoff(), False)
+            route(BinaryExponentialBackoff(), False).engine
             == ENGINE_SCALAR_PLAYER
         )
         # The fallback combinator batches when both halves do...
@@ -744,16 +742,16 @@ class TestMonteCarloWiring:
             UniformAsPlayerProtocol(WillardProtocol(N)),
             budget_rounds=16,
         )
-        assert select_player_engine(batchable) == ENGINE_BATCH_PLAYER
+        assert route(batchable).engine == ENGINE_BATCH_PLAYER
         # ...and stays scalar when a half cannot (randomized sessions).
         fallback = FallbackPlayerProtocol(
             DeterministicTreeDescentProtocol(0),
             UniformAsPlayerProtocol(RestartProtocol(lambda: WillardProtocol(N))),
             budget_rounds=16,
         )
-        assert select_player_engine(fallback) == ENGINE_SCALAR_PLAYER
+        assert route(fallback).engine == ENGINE_SCALAR_PLAYER
         with pytest.raises(ValueError, match="batch=True"):
-            select_player_engine(fallback, True)
+            route(fallback, True)
 
 
 class TestAdversarialPlayers:

@@ -9,6 +9,7 @@ channel model, not just the faithful channel.
 import numpy as np
 import pytest
 
+from repro.analysis.montecarlo import route
 from repro.channel import (
     CrashModel,
     NoisyChannel,
@@ -31,7 +32,6 @@ from repro.opensys import (
     TokenBucketPolicy,
     ZipfHotspotArrivals,
     run_open,
-    select_open_engine,
 )
 from repro.core.protocol import ProtocolError
 from repro.protocols.decay import DecayProtocol
@@ -121,22 +121,27 @@ def run_pair(protocol, channel, *, arrivals=None, **kwargs):
 class TestEngineSelection:
     def test_schedule_protocol_routes_to_open_schedule(self):
         assert (
-            select_open_engine(DecayProtocol(N)) == ENGINE_OPEN_SCHEDULE
+            route(DecayProtocol(N), open_system=True).engine
+            == ENGINE_OPEN_SCHEDULE
         )
 
     def test_history_protocol_routes_to_open_history(self):
-        assert select_open_engine(WillardProtocol(N)) == ENGINE_OPEN_HISTORY
+        assert (
+            route(WillardProtocol(N), open_system=True).engine
+            == ENGINE_OPEN_HISTORY
+        )
 
     def test_batch_false_forces_the_scalar_oracle(self):
         assert (
-            select_open_engine(DecayProtocol(N), False) == ENGINE_OPEN_SCALAR
+            route(DecayProtocol(N), False, open_system=True).engine
+            == ENGINE_OPEN_SCALAR
         )
 
     def test_non_batchable_crash_model_is_rejected_everywhere(self):
         rejoining = CrashModel(0.1, rejoin_after=3)
         for batch in (None, True, False):
             with pytest.raises(ValueError, match="rejoin"):
-                select_open_engine(DecayProtocol(N), batch, model=rejoining)
+                route(DecayProtocol(N), batch, model=rejoining, open_system=True)
 
 
 class TestBitIdentity:

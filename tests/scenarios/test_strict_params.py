@@ -13,6 +13,7 @@ import copy
 import pytest
 
 from repro.cli import EXAMPLE_SCENARIO
+from repro.cli import EXAMPLE_PLAYER_SCENARIO
 from repro.scenarios import (
     EXAMPLE_OPEN_SCENARIO,
     OpenScenarioSpec,
@@ -43,6 +44,57 @@ def noise(value) -> dict:
             "model": {"name": "noise", "params": {"success_erasure": value}},
         },
         prediction=None,
+    )
+
+
+def rejoining_crash_batch(protocol: str, params: dict, cd: bool) -> dict:
+    """A player point insisting on ``batch`` under a crash that rejoins.
+
+    No engine runs it, and resolution must say so as a ScenarioError
+    naming ``'batch'``, like every malformed value in this module.
+    """
+    data = copy.deepcopy(EXAMPLE_PLAYER_SCENARIO)
+    data.update(
+        protocol={"id": protocol, "params": params},
+        batch=True,
+        channel={
+            "collision_detection": cd,
+            "model": {
+                "name": "crash",
+                "params": {"probability": 0.1, "rejoin_after": 3},
+            },
+        },
+    )
+    if protocol in ("backoff", "uniform-as-player"):  # no advice bits
+        del data["advice"]
+    return data
+
+
+#: The player protocols, with params their example point builds from.
+PLAYER_PARAMS = {
+    "backoff": {},
+    "deterministic-scan": {"advice_bits": 4},
+    "tree-descent": {"advice_bits": 4},
+    "uniform-as-player": {"inner": {"id": "decay", "params": {}}},
+    "fallback": {
+        "primary": {"id": "tree-descent", "params": {"advice_bits": 4}},
+        "fallback": {"id": "backoff", "params": {}},
+        "budget_rounds": 64,
+    },
+}
+
+
+def bursty(**params) -> dict:
+    rates = {
+        "calm_rate": 0.004,
+        "burst_rate": 0.25,
+        "burst_arrival": 0.05,
+        "burst_departure": 0.2,
+    }
+    return closed(
+        {"id": "decay"},
+        prediction=None,
+        workload={"kind": "bursty", "params": {**rates, **params}},
     )
 
 
@@ -100,6 +152,31 @@ CLOSED = {
     "protocol id 5": (
         closed({"id": 5}),
         "protocol spec 'id' must be a string, got int 5",
+    ),
+    **{
+        f"{protocol} batch true, rejoining crash, cd {cd}": (
+            rejoining_crash_batch(protocol, params, cd),
+            r"'batch' is true\): batch=True but channel model 'crash' only "
+            "runs on the scalar engine",
+        )
+        for protocol, params in PLAYER_PARAMS.items()
+        for cd in (False, True)
+    },
+    "bursty start_in_burst 'false'": (
+        bursty(start_in_burst="false"),
+        "'start_in_burst' must be true or false, got str 'false'",
+    ),
+    "bursty calm_rate true": (
+        bursty(calm_rate=True),
+        "'calm_rate' must be a number, got bool True",
+    ),
+    "bursty calm_rate '0.01'": (
+        bursty(calm_rate="0.01"),
+        "'calm_rate' must be a number, got str '0.01'",
+    ),
+    "bursty unknown key": (
+        bursty(start_in_bursts=True),
+        r"unknown parameter\(s\) for bursty workload: start_in_bursts",
     ),
 }
 

@@ -286,6 +286,26 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    def test_refused_batch_request_exits_2_naming_batch(self, tmp_path, capsys):
+        """No engine runs a player point under a crash that rejoins with
+        ``batch`` insisted on: a scenario error, not a traceback."""
+        from repro.cli import EXAMPLE_PLAYER_SCENARIO
+
+        spec = json.loads(json.dumps(EXAMPLE_PLAYER_SCENARIO))
+        spec["batch"] = True
+        spec["channel"] = {
+            "collision_detection": True,
+            "model": {
+                "name": "crash",
+                "params": {"probability": 0.1, "rejoin_after": 3},
+            },
+        }
+        spec_path = tmp_path / "player.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["scenario", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'batch'" in err and "Traceback" not in err
+
     def test_missing_spec_file(self, capsys):
         assert main(["scenario", "run", "/does/not/exist.json"]) == 2
         assert "cannot read spec" in capsys.readouterr().err
