@@ -42,6 +42,10 @@ N = 2**10
 TRIALS = 96
 STACKED_ROUNDS = 160
 SOLO_ROUNDS = 48
+#: Budgets that end inside a 16-round draw block.  The two above are
+#: block multiples, so only these runs censor at a budget mid-block and
+#: take a final refill narrower than a block (13 and 1 rounds wide).
+OFF_BLOCK_ROUNDS = (45, 33)
 
 SETTINGS = {
     "faithful": None,
@@ -106,8 +110,17 @@ def _pin(result) -> tuple[int, int, str]:
     return int(result.solved.sum()), int(result.rounds.sum()), digest
 
 
-def observe(family: str, setting: str, cd: bool) -> dict[str, list]:
-    """Per-point pins of one stacked run and its solo re-runs."""
+def observe(
+    family: str,
+    setting: str,
+    cd: bool,
+    budgets: tuple[int, int] = (STACKED_ROUNDS, SOLO_ROUNDS),
+) -> dict[str, list]:
+    """Per-point pins of one stacked run and its solo re-runs.
+
+    ``budgets`` is the ``(stacked, solo)`` pair of round budgets.
+    """
+    stacked_rounds, solo_rounds = budgets
     channel = Channel(cd, SETTINGS[setting])
     if family == "schedule":
         protocols = _schedule_protocols()
@@ -116,7 +129,7 @@ def observe(family: str, setting: str, cd: bool) -> dict[str, list]:
             [_ks(j) for j in range(len(protocols))],
             [_rng(family, setting, cd, j) for j in range(len(protocols))],
             channel=channel,
-            max_rounds=STACKED_ROUNDS,
+            max_rounds=stacked_rounds,
         )
     else:
         protocols = _history_protocols()
@@ -125,7 +138,7 @@ def observe(family: str, setting: str, cd: bool) -> dict[str, list]:
             [_ks(j) for j in range(len(protocols))],
             [_rng(family, setting, cd, j) for j in range(len(protocols))],
             channel=channel,
-            max_rounds=STACKED_ROUNDS,
+            max_rounds=stacked_rounds,
         )
     solo = [
         run_uniform_batch(
@@ -133,7 +146,7 @@ def observe(family: str, setting: str, cd: bool) -> dict[str, list]:
             _ks(j),
             _rng("solo-" + family, setting, cd, j),
             channel=channel,
-            max_rounds=SOLO_ROUNDS,
+            max_rounds=solo_rounds,
         )
         for j, protocol in enumerate(protocols)
     ]
@@ -160,6 +173,15 @@ def _case_id(family: str, setting: str, cd: bool) -> str:
 )
 def test_engine_outputs_are_pinned(family, setting, cd):
     assert observe(family, setting, cd) == PINS[_case_id(family, setting, cd)]
+
+
+@pytest.mark.parametrize("cd", [False, True], ids=["nocd", "cd"])
+def test_off_block_budgets_are_pinned(cd):
+    """Faithful schedule runs whose budgets end inside a draw block."""
+    case = _case_id("schedule", "faithful", cd)
+    assert observe("schedule", "faithful", cd, OFF_BLOCK_ROUNDS) == (
+        OFF_BLOCK_PINS[case]
+    )
 
 
 #: ``(successes, sum of rounds, digest prefix)`` per point, in point order.
@@ -418,6 +440,30 @@ PINS = {
             (96, 1170, "1f37cd4a4c14"), (96, 1243, "da6416133338"),
             (55, 837, "6bcf02bd6e11"), (92, 1749, "30dc735df091"),
             (68, 1137, "26426e99314d"),
+        ],
+    },
+}
+
+#: The faithful schedule cases again at :data:`OFF_BLOCK_ROUNDS`.
+OFF_BLOCK_PINS = {
+    "schedule/faithful/nocd": {
+        "stacked": [
+            (96, 645, "40e7499907ae"), (82, 456, "1cdd3780f640"),
+            (77, 557, "a74249f2065e"),
+        ],
+        "solo": [
+            (95, 729, "ed1b127fcfc6"), (71, 526, "921b879336bc"),
+            (82, 557, "eca5fac0b1ff"),
+        ],
+    },
+    "schedule/faithful/cd": {
+        "stacked": [
+            (95, 793, "f709ae564118"), (74, 518, "dd049b7342a6"),
+            (75, 567, "1b6f564d940e"),
+        ],
+        "solo": [
+            (96, 653, "4288850881e6"), (75, 490, "2f4187bab1ed"),
+            (83, 568, "d89b7a4272e0"),
         ],
     },
 }
