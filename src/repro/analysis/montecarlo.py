@@ -11,8 +11,10 @@ Estimation runs on the **vectorized batch engines**
 (:mod:`repro.channel.batch` for uniform protocols,
 :mod:`repro.channel.batch_players` for identity/advice-aware ones)
 whenever the protocol supports it: all trials advance in lockstep - one
-binomial draw per round on the uniform path, one array-state decide /
-observe per round on the player path - which is 5-100x faster than the
+uniform per live trial and round against the round's trichotomy band
+edges on the uniform path (a faithful schedule point settles a
+16-round draw block per step), one array-state decide / observe per
+round on the player path - which is 5-100x faster than the
 per-trial scalar loops at experiment scale.  The scalar loops remain the
 reference implementations and correctness oracles (``batch=False``
 forces them; factory protocols, randomized-session wrappers and
@@ -297,14 +299,15 @@ def _draw_size_batch(
 
     Any source exposing ``sample_many`` (distributions, arrival models)
     is drawn in one vectorized call; bare callables fall back to the
-    per-trial loop.
+    per-trial loop.  Counts keep their dtype: the engines refuse
+    non-integer ones rather than truncate them.
     """
     k = _fixed_size(source)
     if k is not None:
         return np.full(trials, k, dtype=np.int64)
     if hasattr(source, "sample_many"):
-        return np.asarray(source.sample_many(rng, trials), dtype=np.int64)
-    return np.asarray([source(rng) for _ in range(trials)], dtype=np.int64)
+        return np.asarray(source.sample_many(rng, trials))
+    return np.asarray([source(rng) for _ in range(trials)])
 
 
 def _summarize(solved_rounds: list[int], trials: int) -> RoundsEstimate:

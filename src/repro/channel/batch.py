@@ -4,7 +4,8 @@ The scalar engine (:mod:`repro.channel.simulator`) runs one execution at a
 time: a Python loop per round, one channel draw per round, per trial.
 Monte Carlo estimation repeats that thousands of times.  This module
 advances **all trials of a batch in lockstep** instead, one round per
-iteration, retiring solved trials as it goes.
+iteration (one draw block, for a faithful schedule run), retiring solved
+trials as it goes.
 
 Why the batch draw is faithful (paper Section 2.2)
 --------------------------------------------------
@@ -43,9 +44,13 @@ moves on.
   (:meth:`~repro.core.protocol.UniformProtocol.batch_schedule` returns a
   :class:`~repro.core.protocol.BatchSchedule`; the no-CD family of
   Section 2.1).  No session objects at all: band edges are precomputed
-  over a window of rounds per distinct ``(point, k)``, so a round costs
-  one gather plus two compares, and a one-shot point gives up at its
-  horizon.
+  over a window of rounds per distinct ``(point, k)``, and a one-shot
+  point gives up at its horizon.  Such a schedule is oblivious - a
+  trial's outcome in a round depends only on its own uniform and that
+  round's edges - so a faithful run settles each pre-drawn block in one
+  step: the block's uniforms against the block's edges, each trial
+  retiring at its first hit.  Under an active channel model a round
+  costs one gather plus two compares.
 
 * **History source** (:func:`run_history_stacked`) - for
   feedback-driven (CD) protocols with deterministic sessions.  All
@@ -58,9 +63,9 @@ moves on.
   probability function, so a round costs one memoized
   ``next_probability()`` per *distinct history ever seen* (one session
   fork per trie node, amortized over all trials, rounds and stacked
-  points), band edges computed once per distinct ``(node, k)`` pair, and
-  one ``np.unique``-compacted child gather that moves every survivor
-  down its observed branch.  Points sharing a
+  points), band edges computed per live trial from its node's memoized
+  probability, and one ``np.unique``-compacted child gather that moves
+  every survivor down its observed branch.  Points sharing a
   :meth:`~repro.core.protocol.UniformProtocol.history_signature` share
   one trie.  On a no-CD channel every observation is ``QUIET``, so the
   trie is a single path and the source degenerates to a schedule walk
@@ -170,6 +175,10 @@ _BAND_CHUNK_ROUNDS = 512
 #: stacked and solo runs consume identical per-point streams.
 _DRAW_BLOCK_ROUNDS = 16
 
+# A draw block never straddles a band window, so a block settled in one
+# step reads its edges from one window.
+assert _BAND_CHUNK_ROUNDS % _DRAW_BLOCK_ROUNDS == 0
+
 
 def _index_trial_combos(
     ks_arrays: Sequence[np.ndarray],
@@ -215,24 +224,31 @@ def _refill_draw_block(
     second, same-shaped block of fault uniforms immediately after its
     faithful block - still from its own generator, so the per-point
     stream stays solo-identical and the fused executor's bit-identity
-    contract survives fault injection.
+    contract survives fault injection.  Columns past a clipped point's
+    horizon hold NaN, which lands in no band.
     """
     width = min(_DRAW_BLOCK_ROUNDS, int(horizons.max()) - round_index + 1)
     draw_buffer = np.empty((live, width))
     fault_buffer = np.empty((live, width)) if with_fault else None
+    buffers = [draw_buffer, fault_buffer] if with_fault else [draw_buffer]
     start = 0
     for point in np.flatnonzero(counts):
         stop = start + counts[point]
         effective = min(
             _DRAW_BLOCK_ROUNDS, int(horizons[point]) - round_index + 1
         )
-        draw_buffer[start:stop, :effective] = rngs[point].random(
-            (stop - start, effective)
-        )
-        if fault_buffer is not None:
-            fault_buffer[start:stop, :effective] = rngs[point].random(
-                (stop - start, effective)
-            )
+        for buffer in buffers:
+            if effective == width:
+                # Full-width rows are one C-order slab: fill it in place,
+                # the same fill as random((rows, width)).
+                rngs[point].random(out=buffer[start:stop])
+            else:
+                buffer[start:stop, :effective] = rngs[point].random(
+                    (stop - start, effective)
+                )
+                # Past the point's horizon no round is played: NaN never
+                # lands in a band, so a whole-block compare cannot hit.
+                buffer[start:stop, effective:] = np.nan
         start = stop
     return draw_buffer, fault_buffer
 
@@ -330,12 +346,19 @@ def _checked_stack(
         raise ValueError("stacked run needs at least one point")
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
-    ks_arrays = [np.asarray(ks, dtype=np.int64) for ks in ks_list]
-    for ks in ks_arrays:
+    ks_arrays = []
+    for ks in map(np.asarray, ks_list):
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("ks must be a non-empty 1-d array of trial sizes")
+        # An int64 cast would truncate a float count and read a bool as
+        # 1, so only integer dtypes pass.
+        if ks.dtype.kind not in "iu":
+            raise ValueError(
+                f"participant counts must be integers, got {ks.dtype}"
+            )
         if (ks < 1).any():
             raise ValueError("participant counts must all be >= 1")
+        ks_arrays.append(ks.astype(np.int64, copy=False))
     return ks_arrays
 
 
@@ -383,6 +406,14 @@ def _run_stacked(
     trial's band edges (``k_eff``: the live counts of a
     population-shrinking model, else None) and ``advance`` moves the
     survivors' protocol state on.
+
+    A faithful schedule run (no active model) takes the block step
+    instead: at each block boundary it compares the whole pre-drawn
+    block with the source's ``block_bands``, retires every trial at its
+    first hit or at a horizon inside the block, and jumps to the next
+    boundary.  It reads the same uniforms and leaves the same live rows
+    at every boundary as the per-round body, so the streams and the
+    results are those of stepping round by round.
     """
     points = len(ks_arrays)
     trials = np.asarray([ks.size for ks in ks_arrays])
@@ -410,10 +441,18 @@ def _run_stacked(
     trial_ks = np.concatenate(ks_arrays) if shrinking else None
     source.start(live, unique_ks, trial_point)
     horizons = source.horizons
+    # A faithful schedule point ignores feedback, so a trial's outcome in
+    # a round depends only on its own uniform and that round's bands: the
+    # loop settles its whole draw block at the boundary.  Any other run
+    # depends on the previous round's feedback or fault state and steps
+    # one round at a time.
+    settle = model is None and isinstance(source, _ScheduleSource)
     draw_buffer = np.empty((0, 0))
     fault_buffer: np.ndarray | None = None
 
-    for round_index in range(1, int(horizons.max()) + 1):
+    last_round = int(horizons.max())
+    round_index = 1
+    while round_index <= last_round:
         # Clean give-ups (a one-shot horizon or an exhausted history)
         # retire *before* the round's draw, with rounds actually played -
         # the scalar ScheduleExhausted path.
@@ -423,16 +462,6 @@ def _run_stacked(
             live.keep(~expired, fault_state)
         if live.trial.size == 0:
             break
-
-        # Shrinking models' live counts are asked once per round, before
-        # the outcome - the scalar loop's active_count/binomial ordering.
-        k_eff = (
-            fault_state.active_counts(trial_ks[live.trial], round_index)
-            .astype(float)
-            if shrinking
-            else None
-        )
-        lo, hi = source.bands(round_index, live, k_eff)
 
         # Uniform draws come in *absolute* blocks of _DRAW_BLOCK_ROUNDS
         # rounds: at each block boundary every live point pre-draws one
@@ -451,6 +480,49 @@ def _run_stacked(
                 with_fault,
             )
             live.buffer = np.arange(live.trial.size)
+            if settle:
+                # The block step: compare the whole (rows x width) block
+                # with its bands, one edge block alive at a time.  Each
+                # row retires at its first hit; flatnonzero walks the
+                # block row by row, columns ascending within a row.
+                width = draw_buffer.shape[1]
+                lo, hi = source.block_bands(round_index, width)
+                hit = draw_buffer >= lo[live.cidx]
+                hit &= draw_buffer < hi[live.cidx]
+                cells = np.flatnonzero(hit)
+                hit_rows = cells // width
+                first = np.ones(cells.size, dtype=bool)
+                np.not_equal(hit_rows[1:], hit_rows[:-1], out=first[1:])
+                won_rows = hit_rows[first]
+                winners = live.trial[won_rows]
+                solved[winners] = True
+                rounds[winners] = round_index + cells[first] % width
+                done = np.zeros(live.trial.size, dtype=bool)
+                done[won_rows] = True
+                # A horizon ending inside the block retires the rows that
+                # did not hit by then, at rounds played = horizon.  One
+                # ending on the block's last round is the next boundary's
+                # give-up, as in the per-round body.
+                end = round_index + width - 1
+                if ((horizons >= round_index) & (horizons < end)).any():
+                    row_horizon = horizons[trial_point[live.trial]]
+                    ended = ~done & (row_horizon < end)
+                    rounds[live.trial[ended]] = row_horizon[ended]
+                    done |= ended
+                if done.any():
+                    live.keep(~done, None)
+                round_index += width
+                continue
+
+        # Shrinking models' live counts are asked once per round, before
+        # the outcome - the scalar loop's active_count/binomial ordering.
+        k_eff = (
+            fault_state.active_counts(trial_ks[live.trial], round_index)
+            .astype(float)
+            if shrinking
+            else None
+        )
+        lo, hi = source.bands(round_index, live, k_eff)
         draws = draw_buffer[live.buffer, column]
 
         if fault_state is None:
@@ -481,6 +553,7 @@ def _run_stacked(
             survive = ~hit
             live.keep(survive, fault_state)
         source.advance(round_index, live, draws, hi, feedback, survive)
+        round_index += 1
 
     # Whatever survives was right-censored: by the budget (rounds played =
     # max_rounds) or by one-shot exhaustion (rounds played = schedule
@@ -527,15 +600,14 @@ class _ScheduleSource:
                 return expired
         return None
 
-    def bands(
-        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _window_row(self, round_index: int, shrinking: bool) -> int:
+        """The window row of ``round_index``, refilling past the window."""
         if round_index > self._base + self._length:
             self._base = round_index - 1
             self._length = min(
                 _BAND_CHUNK_ROUNDS, int(self.horizons.max()) - self._base
             )
-            if k_eff is None:
+            if not shrinking:
                 blocks = [
                     _success_bands(schedule, uniques, round_index, self._length)
                     for schedule, uniques in zip(
@@ -554,10 +626,31 @@ class _ScheduleSource:
                     ],
                     axis=1,
                 )
-        row = round_index - self._base - 1
+        return round_index - self._base - 1
+
+    def bands(
+        self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        row = self._window_row(round_index, k_eff is not None)
         if k_eff is None:
             return self._lo[row][live.cidx], self._hi[row][live.cidx]
         return _band_edges(self._p[row, self._trial_point[live.trial]], k_eff)
+
+    def block_bands(
+        self, round_index: int, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Band edges of the ``width`` rounds from ``round_index``, per combo.
+
+        Returns ``(lo, hi)`` of shape ``(combos, width)``: gathered at the
+        live rows' ``cidx`` they line up with the rows' draw block.  A
+        block never straddles a window, so one window serves it.
+        """
+        row = self._window_row(round_index, False)
+        rows = slice(row, row + width)
+        return (
+            np.ascontiguousarray(self._lo[rows].T),
+            np.ascontiguousarray(self._hi[rows].T),
+        )
 
     def advance(self, round_index, live, draws, hi, feedback, survive) -> None:
         """Schedules never branch on feedback: nothing moves on."""
@@ -766,10 +859,10 @@ class _HistorySource:
 
     Each live trial carries a node id into the shared
     :class:`_HistoryArena` (its ``node`` row).  A round resolves one
-    memoized probability per distinct live history, computes band edges
-    once per distinct ``(node, k)`` pair, gives up the trials whose
-    history exhausted its schedule, and moves every survivor to the
-    child of its observation.
+    memoized probability per distinct live history, computes each live
+    trial's band edges from its node's probability, gives up the trials
+    whose history exhausted its schedule, and moves every survivor to
+    the child of its observation.
     """
 
     def __init__(
@@ -791,9 +884,6 @@ class _HistorySource:
             dtype=np.int64,
         )
         self._combo_ks = np.empty(0)
-        # This round's distinct (node, k) pairs, the node of each, and
-        # each live trial's pair - set by expired(), read by bands().
-        self._pairs = self._pair_node = self._pair_of = np.empty(0, np.int64)
 
     def start(
         self,
@@ -805,35 +895,23 @@ class _HistorySource:
         live.node = self._roots[trial_point]
 
     def expired(self, round_index: int, live: _LiveRows) -> np.ndarray | None:
-        # One sort of the live pair keys yields the distinct (history, k)
-        # combinations and, via its quotients, their histories, so
-        # thresholds are computed once per distinct pair and gathered
-        # back, and probabilities are memoized once per node.
-        combos = self._combo_ks.size
-        self._pairs, self._pair_of = np.unique(
-            live.node * combos + live.cidx, return_inverse=True
-        )
-        self._pair_node = self._pairs // combos
+        # The arena memoizes one probability per distinct node, so the
+        # live rows' nodes go in as they are, repeats and all.
         arena = self._arena
-        arena.resolve(self._pair_node)
+        arena.resolve(live.node)
         if arena.any_exhausted:
             expired = arena.exhausted[live.node]
             if expired.any():
-                self._pair_of = self._pair_of[~expired]
                 return expired
         return None
 
     def bands(
         self, round_index: int, live: _LiveRows, k_eff: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Exhausted histories keep NaN probabilities; their band rows are
-        # never gathered - every trial on one just retired.
-        p = self._arena.probability[self._pair_node]
-        if k_eff is not None:
-            return _band_edges(p[self._pair_of], k_eff)
-        combo_ks = self._combo_ks
-        lo, hi = _band_edges(p, combo_ks[self._pairs % combo_ks.size])
-        return lo[self._pair_of], hi[self._pair_of]
+        # Edges per live row.  Exhausted histories keep NaN probabilities,
+        # but every trial on one just retired.
+        k = self._combo_ks[live.cidx] if k_eff is None else k_eff
+        return _band_edges(self._arena.probability[live.node], k)
 
     def advance(
         self,
@@ -893,8 +971,8 @@ def run_history_stacked(
        :data:`_DRAW_BLOCK_ROUNDS`-round pre-drawn blocks (absolute
        boundaries, shapes depending only on the point's own live count -
        the same stream contract as schedule points) compared against
-       ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges gathered
-       from a ``(node, k)``-unique band cache;
+       ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges computed
+       per live trial from its node's memoized probability;
     4. a ``np.unique``-compacted trie descent moving every surviving
        trial to its observed child history.
 

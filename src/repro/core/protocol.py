@@ -83,8 +83,10 @@ class BatchSchedule:
     ``len(probabilities)`` rounds otherwise.  Returned by
     :meth:`UniformProtocol.batch_schedule` and consumed by the batch
     simulation engine (:mod:`repro.channel.batch`), which advances every
-    Monte Carlo trial through the same precomputed schedule with one
-    vectorized binomial draw per round.
+    Monte Carlo trial through the same precomputed schedule, comparing
+    one uniform per trial and round with that round's trichotomy band
+    edges - a whole pre-drawn block of rounds per step when no channel
+    model is active.
     """
 
     probabilities: tuple[float, ...]

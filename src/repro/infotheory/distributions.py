@@ -184,6 +184,8 @@ class SizeDistribution:
         if not selected:
             raise ValueError("must select at least one range")
         for i in selected:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"range index {i!r} is not an integer")
             if not 1 <= i <= count:
                 raise ValueError(f"range {i} out of bounds 1..{count} for n={n}")
         if spread not in ("point", "uniform"):

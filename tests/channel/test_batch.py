@@ -565,6 +565,48 @@ class TestBatchEngineContracts:
                 protocol, [3], rng, channel=nocd_channel, max_rounds=0
             )
 
+    @pytest.mark.parametrize(
+        "ks,dtype",
+        [
+            (np.asarray([2.0, 3.0]), "float64"),
+            ([2.7, 3.9, 1.5], "float64"),
+            (np.asarray([True, True]), "bool"),
+        ],
+        ids=["float", "fractional", "bool"],
+    )
+    def test_refuses_non_integer_counts(self, ks, dtype, rng, cd_channel):
+        """Non-integer counts used to be truncated (2.7 ran as 2) while
+        the scalar engine ran them as given; every entry point refuses."""
+        message = f"must be integers, got {dtype}"
+        with pytest.raises(ValueError, match=message):
+            run_uniform_batch(
+                DecayProtocol(N), ks, rng, channel=cd_channel, max_rounds=5
+            )
+        with pytest.raises(ValueError, match=message):
+            run_schedule_stacked(
+                [DecayProtocol(N).batch_schedule()] * 2, [[4, 5], ks],
+                [rng, rng], channel=cd_channel, max_rounds=5,
+            )
+        with pytest.raises(ValueError, match=message):
+            run_history_stacked(
+                [WillardProtocol(N)], [ks], [rng], channel=cd_channel,
+                max_rounds=5,
+            )
+
+    def test_accepts_any_integer_dtype(self, rng, nocd_channel):
+        results = [
+            run_uniform_batch(
+                DecayProtocol(N), np.asarray([3, 9, 1], dtype=dtype),
+                np.random.default_rng(3), channel=nocd_channel,
+                max_rounds=40,
+            )
+            for dtype in (np.int64, np.int32, np.uint8)
+        ]
+        for result in results:
+            assert result.ks.dtype == np.int64
+            np.testing.assert_array_equal(result.ks, [3, 9, 1])
+            np.testing.assert_array_equal(result.rounds, results[0].rounds)
+
     def test_cd_protocol_needs_cd_channel(self, rng, nocd_channel):
         with pytest.raises(ProtocolError):
             run_uniform_batch(
@@ -650,6 +692,18 @@ class TestBatchEngineContracts:
 
 class TestMonteCarloWiring:
     """estimate_uniform_rounds routes to the batch engine correctly."""
+
+    def test_batch_refuses_float_size_samples(self, rng, nocd_channel):
+        class FloatSampler:
+            def sample_many(self, rng, trials):
+                return np.full(trials, 3.0)
+
+        for source in (lambda rng: 2.5, FloatSampler()):
+            with pytest.raises(ValueError, match="integers, got float64"):
+                estimate_uniform_rounds(
+                    DecayProtocol(N), source, rng, channel=nocd_channel,
+                    trials=8, max_rounds=5, batch=True,
+                )
 
     def test_auto_uses_batch_and_agrees_with_scalar(self, nocd_channel):
         protocol = DecayProtocol(N)

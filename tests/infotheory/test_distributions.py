@@ -64,6 +64,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SizeDistribution.range_uniform_subset(256, [9])
 
+    @pytest.mark.parametrize(
+        "ranges", [[1.0, 4], [2, 3.5], [True, 4]], ids=["float", "frac", "bool"]
+    )
+    def test_range_uniform_subset_rejects_non_integer_ranges(self, ranges):
+        """A float index used to reach the pmf as a float size (an
+        IndexError for the point spread); now it is refused by name."""
+        for spread in ("point", "uniform"):
+            with pytest.raises(ValueError, match="not an integer"):
+                SizeDistribution.range_uniform_subset(
+                    256, ranges, spread=spread
+                )
+
+    def test_range_uniform_subset_accepts_numpy_integers(self):
+        d = SizeDistribution.range_uniform_subset(256, np.asarray([2, 5]))
+        assert d.condense().probability(5) == pytest.approx(0.5)
+
     def test_interpolated_entropy_hits_target(self):
         for target in (0.0, 0.7, 1.5, 2.9):
             d = SizeDistribution.interpolated_entropy(2**16, target)

@@ -159,6 +159,16 @@ class TestValidation:
                     "params": {"family": "range_uniform_subset", "ranges": [999]},
                 }
             )
+        with pytest.raises(ScenarioError, match="1.0 is not an integer"):
+            run(
+                workload={
+                    "kind": "distribution",
+                    "params": {
+                        "family": "range_uniform_subset",
+                        "ranges": [1.0, 4, 6, 8],
+                    },
+                }
+            )
         with pytest.raises(ScenarioError, match="bursty"):
             run(
                 workload={
