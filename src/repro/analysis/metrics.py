@@ -53,20 +53,45 @@ class Summary:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "Summary":
+        """Summarise a non-empty sample, field for field as numpy would.
+
+        ``mean``, ``std`` (``ddof=1``; 0.0 for one sample), ``minimum``
+        and ``maximum`` read the samples as given.  ``median`` and ``p90``
+        skip the generic wrappers of ``np.median`` and ``np.quantile`` but
+        make their partitions (the same kth lists) and their arithmetic:
+        the mean of the middle slice, and the default "linear" rule at
+        0.9 (:func:`_linear_quantile`).  Every field equals what those
+        numpy functions return, down to the sign of zero, and a NaN
+        sample makes the median and p90 NaN.
+        """
         if len(samples) == 0:
             raise ValueError(
                 "cannot summarise an empty sample; use Summary.empty() for "
                 "the explicit no-samples state"
             )
         data = np.asarray(samples, dtype=float)
+        size = data.size
+        half = size // 2
+        # np.median's own partition: its kth list, the middle pair (or
+        # element) plus the last index, where any NaN lands.
+        middle = np.partition(
+            data, [half - 1, half, -1] if size % 2 == 0 else [half, -1]
+        )
+        if math.isnan(middle[-1]):
+            median = p90 = middle[-1]
+        else:
+            # A 1-element slice even for odd sizes: np.median takes the
+            # mean of it, which reads a middle -0.0 as 0.0.
+            median = np.mean(middle[(size - 1) // 2 : half + 1])
+            p90 = _linear_quantile(data, 0.9)
         return cls(
-            count=int(data.size),
+            count=int(size),
             mean=float(data.mean()),
-            std=float(data.std(ddof=1)) if data.size > 1 else 0.0,
+            std=float(data.std(ddof=1)) if size > 1 else 0.0,
             minimum=float(data.min()),
             maximum=float(data.max()),
-            median=float(np.median(data)),
-            p90=float(np.quantile(data, 0.9)),
+            median=float(median),
+            p90=float(p90),
         )
 
     @property
@@ -82,6 +107,35 @@ class Summary:
     def ci95(self) -> tuple[float, float]:
         """Normal-approximation 95% confidence interval for the mean."""
         return self.mean - self.ci95_halfwidth, self.mean + self.ci95_halfwidth
+
+
+def _linear_quantile(data: np.ndarray, q: float) -> np.float64:
+    """``np.quantile(data, q)`` of a NaN-free sample, step for step.
+
+    numpy's default "linear" rule: the virtual index ``(n - 1) q`` sits
+    between two order statistics, blended by its fractional part.  At or
+    past the last index both neighbours are the last element and the
+    weight is the index plus one, as numpy's ``_get_indexes`` and
+    ``_get_gamma`` set them - which is why one infinite sample reads NaN,
+    as in numpy.  The order statistics come from numpy's own partition
+    (the same kth list): a sort may order tied zeros of opposite sign
+    differently, and the blend, ``_lerp``'s two-sided formula, keeps the
+    sign of the zeros it reads.
+    """
+    last = data.size - 1
+    virtual = last * q
+    below = math.floor(virtual)
+    if virtual >= last:
+        below = above = -1
+    else:
+        above = below + 1
+    gamma = virtual - below
+    part = np.partition(data, sorted({0, -1, below, above}))
+    low, high = part[below], part[above]
+    diff = high - low
+    if gamma >= 0.5:
+        return high - diff * (1 - gamma)
+    return low + diff * gamma
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ from .models import (
     BatchFaultState,
     ChannelModel,
 )
-from .simulator import DEFAULT_MAX_ROUNDS, _check_channel
+from .simulator import DEFAULT_MAX_ROUNDS, _check_budget, _check_channel
 from .trace import BatchExecutionResult
 
 __all__ = [
@@ -344,8 +344,7 @@ def _checked_stack(
         )
     if points == 0:
         raise ValueError("stacked run needs at least one point")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    _check_budget(max_rounds)
     ks_arrays = []
     for ks in map(np.asarray, ks_list):
         if ks.ndim != 1 or ks.size == 0:

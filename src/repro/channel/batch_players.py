@@ -13,6 +13,9 @@ against scan/descent positions for the deterministic advice protocols),
 one transmitter count per live trial (a float32 matrix-vector product,
 exact below ``2**24`` transmitters per trial) to resolve the channel,
 and one vectorized observe that updates state only for unsolved rows.
+Sessions that read no feedback and draw nothing (the candidate scan)
+go further on a faithful channel: one engine step settles a block of
+:data:`_BLOCK_ROUNDS` rounds from their per-round transmitter counts.
 
 Faithfulness
 ------------
@@ -51,7 +54,7 @@ from ..core.protocol import (
 )
 from .channel import Channel
 from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS
-from .simulator import DEFAULT_MAX_ROUNDS, _check_channel
+from .simulator import DEFAULT_MAX_ROUNDS, _check_budget, _check_channel
 from .trace import BatchExecutionResult
 
 __all__ = [
@@ -124,8 +127,7 @@ def run_players_batch(
     wanting transparent fallback route through
     :func:`repro.analysis.montecarlo.route` first.
     """
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
     ids = pack_participants(participant_sets)
 
@@ -169,8 +171,7 @@ def run_players_stacked(
     outside ``0..n-1`` or an advice string that is not
     ``protocol.advice_bits`` binary digits.
     """
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
     if not (
         protocol.supports_batch_sessions() and protocol.supports_fused_sessions()
@@ -216,6 +217,12 @@ def _check_stacked_inputs(
             raise AdviceError(f"malformed advice {bits_string!r}")
 
 
+#: Rounds a faithful run settles per engine step when its sessions count
+#: a block at once.  It changes no result: a block leaves every trial
+#: where stepping its rounds one by one would.
+_BLOCK_ROUNDS = 16
+
+
 def _drive_batch_sessions(
     protocol: PlayerProtocol,
     ids: np.ndarray,
@@ -228,8 +235,9 @@ def _drive_batch_sessions(
 ) -> BatchExecutionResult:
     """The shared lockstep loop behind the batch and stacked entry points.
 
-    Transmitters are counted per trial by one kernel at every width, the
-    float32 product of ``decisions`` with a vector of ones.  The count is
+    In the per-round body, transmitters are counted per trial by one
+    kernel at every width, the float32 product of ``decisions`` with a
+    vector of ones.  The count is
     exact below ``2**24`` transmitters per trial, and the silence /
     success / collision verdict it feeds is exact at any width: a float
     sum of non-negative integer terms reads 0 or 1 only when the exact
@@ -237,6 +245,16 @@ def _drive_batch_sessions(
     retires (wins or exhausts); on every other round the live set,
     decisions, counts and feedback pass through as they are and the
     fault state keeps its rows.
+
+    A faithful run (no active channel model) first asks the sessions
+    for a block's transmitter counts
+    (:meth:`~repro.core.protocol.PlayerBatchSessions.block_counts`).
+    Sessions that answer settle a block per step: a trial retires at
+    its first single-transmitter column, a trial whose schedule is spent
+    inside the block gives up with the rounds actually played, and the
+    rest carry over to the next block.  Sessions that answer ``None``
+    take the per-round body for the whole run, as does every run under
+    a channel model.
     """
     trials = ids.shape[0]
     model = channel.active_model
@@ -265,7 +283,31 @@ def _drive_batch_sessions(
     rounds = np.zeros(trials, dtype=np.int64)
     live = np.arange(trials)
     ones = np.ones(ids.shape[1], dtype=np.float32)
-    for round_index in range(1, max_rounds + 1):
+    settle = model is None
+    round_index = 1
+    while round_index <= max_rounds:
+        if settle:
+            width = min(_BLOCK_ROUNDS, max_rounds - round_index + 1)
+            block = sessions.block_counts(live, width)
+            if block is None:
+                settle = False  # no block hook: step round by round
+            else:
+                counts, playable = block
+                hit = counts == 1
+                won = hit.any(axis=1)
+                winners = live[won]
+                solved[winners] = True
+                rounds[winners] = round_index + hit[won].argmax(axis=1)
+                live = live[~won]
+                if playable < width:
+                    # The schedule is spent inside the block: the rest
+                    # give up with rounds actually played, as below.
+                    rounds[live] = round_index + playable - 1
+                    live = live[:0]
+                if live.size == 0:
+                    break
+                round_index += width
+                continue
         decisions, exhausted = sessions.decide(live)
         if exhausted.any():
             # Clean one-shot give-up: rounds actually played, like the
@@ -320,6 +362,7 @@ def _drive_batch_sessions(
                 feedback == FB_COLLISION, OBS_COLLISION, OBS_SILENCE
             ).astype(np.int8)
         sessions.observe(live, observations, decisions)
+        round_index += 1
     rounds[live] = max_rounds
     return BatchExecutionResult(
         solved=solved, rounds=rounds, max_rounds=max_rounds, ks=_ks(ids)

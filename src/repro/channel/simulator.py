@@ -55,6 +55,23 @@ def _check_channel(protocol_requires_cd: bool, channel: Channel) -> None:
         )
 
 
+def _check_budget(max_rounds: int) -> None:
+    """Refuse a round budget that is not an integer >= 1.
+
+    A float budget would otherwise play ``floor`` rounds on one engine
+    and raise a stray ``TypeError`` on another, and a bool would run as
+    a 1-round budget.  NumPy integers pass.
+    """
+    if isinstance(max_rounds, bool) or not isinstance(
+        max_rounds, (int, np.integer)
+    ):
+        raise ValueError(
+            f"round budget must be an integer >= 1, got {max_rounds!r}"
+        )
+    if max_rounds < 1:
+        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+
+
 def run_uniform(
     protocol: UniformProtocol,
     k: int,
@@ -78,8 +95,7 @@ def run_uniform(
     """
     if k < 1:
         raise ValueError(f"participant count must be >= 1, got {k}")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
 
     model = channel.active_model
@@ -150,8 +166,7 @@ def run_players(
     """
     if not participants:
         raise ValueError("participant set must be non-empty")
-    if max_rounds < 1:
-        raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+    _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
 
     advice_source = advice_function if advice_function is not None else NullAdvice()

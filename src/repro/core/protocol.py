@@ -230,12 +230,14 @@ class PlayerBatchSessions(abc.ABC):
     The per-player counterpart of the uniform batch hooks: one object
     holds the state of every ``(trial, player)`` pair as NumPy arrays and
     advances all live trials in lockstep.  The engine
-    (:func:`repro.channel.batch_players.run_players_batch`) drives it with
-    exactly one :meth:`decide` call per round, passing the indices of the
-    still-live trials; solved, exhausted and budget-censored trials are
-    never passed again, so state updates (and randomness consumption)
-    stop for a trial the moment it retires - mirroring the scalar loop,
-    where a finished execution's sessions are simply dropped.
+    (:func:`repro.channel.batch_players.run_players_batch`) drives it one
+    round per :meth:`decide` call, passing the indices of the still-live
+    trials - or, on a faithful channel, a whole block of rounds per
+    :meth:`block_counts` call when the sessions implement it.  Solved,
+    exhausted and budget-censored trials are never passed again, so
+    state updates (and randomness consumption) stop for a trial the
+    moment it retires - mirroring the scalar loop, where a finished
+    execution's sessions are simply dropped.
     """
 
     @abc.abstractmethod
@@ -268,6 +270,26 @@ class PlayerBatchSessions(abc.ABC):
         solved trials - success ends the execution, as in the scalar
         engine.
         """
+
+    def block_counts(
+        self, live: "np.ndarray", width: int
+    ) -> "tuple[np.ndarray, int] | None":
+        """Transmitter counts of the live trials for the next ``width`` rounds.
+
+        The block hook of sessions whose decisions read neither feedback
+        nor a generator (the candidate scan): their rounds can be settled
+        together.  Returns ``(counts, playable)``: ``counts[i, c]`` is how
+        many players of trial ``live[i]`` transmit in round ``c`` of the
+        block, and ``playable`` is how many of the block's rounds are
+        played before the schedule is spent - every live trial exhausts
+        at the same round, so columns from ``playable`` on are zero.  A
+        call that returns counts advances the sessions by ``width``
+        rounds, and the engine calls neither :meth:`decide` nor
+        :meth:`observe` for those rounds.  The default ``None`` has no
+        side effect: the engine then steps round by round.
+        """
+        del live, width
+        return None
 
 
 class PlayerProtocol(abc.ABC):

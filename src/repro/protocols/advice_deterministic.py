@@ -98,6 +98,9 @@ class _ScanBatchSessions(PlayerBatchSessions):
     ``r`` of every trial is a single ``slots == r - 1`` compare.  The
     scan is oblivious and all trials share the advice length, so the
     round counter is global and exhaustion hits every live trial at once.
+    The scan reads no feedback and draws nothing, so it also counts a
+    whole block of rounds in one :meth:`block_counts` call: each player
+    transmits at most once, in the block column ``slot - round``.
     """
 
     def __init__(
@@ -122,6 +125,21 @@ class _ScanBatchSessions(PlayerBatchSessions):
         decisions = np.take(self._slots, live, axis=0) == self._round
         self._round += 1
         return decisions, np.zeros(live.size, dtype=bool)
+
+    def block_counts(
+        self, live: np.ndarray, width: int
+    ) -> tuple[np.ndarray, int]:
+        playable = max(0, min(width, self._rounds_total - self._round))
+        offsets = (np.take(self._slots, live, axis=0) - self._round).ravel()
+        sent = np.flatnonzero((offsets >= 0) & (offsets < playable))
+        # One bincount over (row, column) cells; a 3-d (rows, width,
+        # players) compare-and-sum reduces the short player axis slowly.
+        rows = sent // self._slots.shape[1]
+        counts = np.bincount(
+            rows * width + offsets[sent], minlength=live.size * width
+        ).reshape(live.size, width)
+        self._round += width
+        return counts, playable
 
     def observe(
         self, live: np.ndarray, observations: np.ndarray, decisions: np.ndarray

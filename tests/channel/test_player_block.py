@@ -29,6 +29,7 @@ import pytest
 from repro.channel import (
     Channel,
     ObliviousJammer,
+    pack_participants,
     run_players,
     run_players_batch,
     run_players_stacked,
@@ -36,7 +37,14 @@ from repro.channel import (
 from repro.channel.network import RandomAdversary, SuffixAdversary
 from repro.core.advice import MinIdPrefixAdvice
 from repro.core.faulty_advice import BitFlipAdvice
-from repro.protocols import DeterministicScanProtocol
+from repro.protocols import (
+    BinaryExponentialBackoff,
+    DecayProtocol,
+    DeterministicScanProtocol,
+    DeterministicTreeDescentProtocol,
+    FallbackPlayerProtocol,
+    UniformAsPlayerProtocol,
+)
 
 SIZES = ((64, 3), (100, 2), (256, 0))  # (n, advice bits)
 BUDGETS = (1, 7, 8, 9, 16, 17, 33, "pass", "pass+1", "pass+17")
@@ -47,10 +55,10 @@ INERT = ObliviousJammer(budget=1, start=10**6)
 ADVERSARIES = {"random": RandomAdversary(), "suffix": SuffixAdversary()}
 
 
-def _budget(label: int | str, protocol: DeterministicScanProtocol, n: int) -> int:
+def _budget(label: int | str, scan: DeterministicScanProtocol, n: int) -> int:
     if isinstance(label, int):
         return label
-    return protocol.worst_case_rounds(n) + PASS_OFFSETS[label]
+    return scan.worst_case_rounds(n) + PASS_OFFSETS[label]
 
 
 def _advice(bits: int, corrupt: bool, point: int):
@@ -108,6 +116,56 @@ def _engine(engine, protocol, points, n, channel, bits, corrupt, max_rounds):
          run.rounds[j * TRIALS : (j + 1) * TRIALS])
         for j in range(len(points))
     ]
+
+
+def test_scan_block_counts_transmitters_and_advances():
+    """Column c counts round c of the block; the pass ends at ``playable``."""
+    ids = pack_participants([frozenset({1, 5}), frozenset({60, 61, 63})])
+    scan = DeterministicScanProtocol(3)  # n = 64: an 8-round pass
+    sessions = scan.batch_sessions(ids, 64, ("000", "111"))
+    live = np.array([0, 1])
+    counts, playable = sessions.block_counts(live, 4)
+    assert playable == 4
+    np.testing.assert_array_equal(counts, [[0, 1, 0, 0], [0, 0, 0, 0]])
+    # The call advanced the sessions by 4 rounds: round 5 is slot 4.
+    decisions, exhausted = sessions.decide(live[1:])
+    np.testing.assert_array_equal(decisions, [[True, False, False]])
+    assert not exhausted.any()
+    counts, playable = sessions.block_counts(live, 16)
+    assert playable == 3  # slots 5, 6 and 7 are left
+    np.testing.assert_array_equal(counts[:, :4], [[1, 0, 0, 0], [1, 0, 1, 0]])
+    assert not counts[:, 4:].any()
+    counts, playable = sessions.block_counts(live, 16)
+    assert playable == 0 and not counts.any()
+
+
+NO_BLOCK_HOOK = {
+    "descent": lambda: DeterministicTreeDescentProtocol(3),
+    "backoff": lambda: BinaryExponentialBackoff(),
+    "uniform-as-player": lambda: UniformAsPlayerProtocol(DecayProtocol(64)),
+    # A fallback whose primary is a scan still steps round by round.
+    "fallback": lambda: FallbackPlayerProtocol(
+        DeterministicScanProtocol(3), DeterministicScanProtocol(0),
+        budget_rounds=8,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NO_BLOCK_HOOK))
+def test_other_sessions_answer_none_without_side_effect(label):
+    protocol = NO_BLOCK_HOOK[label]()
+    ids = pack_participants([frozenset({1, 5}), frozenset({60, 61, 63})])
+    advice = ("0" * protocol.advice_bits,) * 2
+    probed = protocol.batch_sessions(
+        ids, 64, advice, rng=np.random.default_rng(3)
+    )
+    fresh = protocol.batch_sessions(
+        ids, 64, advice, rng=np.random.default_rng(3)
+    )
+    live = np.array([0, 1])
+    assert probed.block_counts(live, 16) is None
+    for got, want in zip(probed.decide(live), fresh.decide(live)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_inert_jammer_is_active_and_never_fires():
