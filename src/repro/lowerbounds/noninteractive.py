@@ -228,7 +228,13 @@ def scheme_from_protocol(
         worst_bits = max(worst_bits, len(advice_string))
         return advice_string
 
+    # A replay depends on the advice string alone, and a reduction
+    # queries far more sets than it sees distinct strings.
+    firing_sets: dict[str, frozenset[int]] = {}
+
     def transmitters(advice_string: str) -> frozenset[int]:
+        if advice_string in firing_sets:
+            return firing_sets[advice_string]
         base_bits = advice_function.bits
         base_advice = advice_string[:base_bits]
         solving_round = int(advice_string[base_bits : base_bits + round_bits], 2)
@@ -252,7 +258,8 @@ def scheme_from_protocol(
                 session.observe(observation, transmitted=transmitted)
             if transmitted:
                 firing.add(player_id)
-        return frozenset(firing)
+        firing_sets[advice_string] = frozenset(firing)
+        return firing_sets[advice_string]
 
     scheme = NonInteractiveScheme(n, advice, transmitters)
     return scheme, worst_bits

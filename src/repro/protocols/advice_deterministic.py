@@ -78,16 +78,20 @@ class _ScanSession(PlayerSession):
         del observation, transmitted
 
 
-def _advice_ints(advice: tuple[str, ...], width: int, n: int) -> np.ndarray:
-    """Per-trial advice strings decoded to integers, with scalar-path checks."""
-    values = np.empty(len(advice), dtype=np.int64)
-    for row, bits in enumerate(advice):
-        if len(bits) > width:
-            raise AdviceError(
-                f"advice {bits!r} longer than id width {width} for n={n}"
-            )
-        values[row] = bits_to_int(bits)
-    return values
+def _advice_ints(
+    advice: tuple[str, ...], bits: int, width: int, n: int
+) -> np.ndarray:
+    """Per-trial advice strings decoded to integers.
+
+    The engine entry points have already checked that each string is
+    ``bits`` binary digits, so only the scalar sessions' width check is
+    left, and it holds for every string at once.
+    """
+    if bits > width:
+        raise AdviceError(
+            f"advice {advice[0]!r} longer than id width {width} for n={n}"
+        )
+    return np.array([int(string or "0", 2) for string in advice], dtype=np.int64)
 
 
 class _ScanBatchSessions(PlayerBatchSessions):
@@ -107,7 +111,7 @@ class _ScanBatchSessions(PlayerBatchSessions):
         self, ids: np.ndarray, n: int, advice: tuple[str, ...], bits: int
     ) -> None:
         width = id_bit_width(n)
-        targets = _advice_ints(advice, width, n)
+        targets = _advice_ints(advice, bits, width, n)
         self._rounds_total = 2 ** (width - bits)
         valid = ids >= 0
         prefixes = np.where(valid, ids, 0) >> (width - bits)
@@ -265,7 +269,7 @@ class _TreeDescentBatchSessions(PlayerBatchSessions):
         self._width = id_bit_width(n)
         self._ids = ids
         self._valid = ids >= 0
-        self._prefixes = _advice_ints(advice, self._width, n)
+        self._prefixes = _advice_ints(advice, bits, self._width, n)
         self._depth = bits
         self._failed = np.zeros(len(advice), dtype=bool)
 

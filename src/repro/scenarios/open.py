@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import dataclass, field
 
 from ..channel.channel import Channel
 from ..core.protocol import UniformProtocol
@@ -40,18 +39,21 @@ from ..opensys.policies import (
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
 from .runner import route_point
 from .spec import (
+    _BATCH,
+    _COUNT,
+    _INT64,
+    _N,
+    _SEED,
+    _STRING,
     ChannelSpec,
+    FieldRule,
     JsonCodec,
     NamedSpec,
     PredictionSpec,
     ProtocolSpec,
     ScenarioError,
-    _boolean_field,
-    _check_known_keys,
-    _integer_field,
+    SpecCodec,
     _require_mapping,
-    _string_field,
-    _with_overrides,
 )
 from .workloads import resolve_prediction
 
@@ -122,7 +124,7 @@ class AdmissionSpec(NamedSpec):
 
 
 @dataclass(frozen=True)
-class OpenScenarioSpec(JsonCodec):
+class OpenScenarioSpec(SpecCodec):
     """One open-system simulation, ready to serialize or run.
 
     Attributes
@@ -179,95 +181,31 @@ class OpenScenarioSpec(JsonCodec):
     name: str = ""
 
     json_label = "open scenario"
+    field_rules = {
+        "protocol": FieldRule(ProtocolSpec),
+        "arrivals": FieldRule(ArrivalSpec),
+        "channel": FieldRule(ChannelSpec),
+        "n": _N,
+        "trials": _COUNT,
+        "rounds": _COUNT,
+        "warmup": _INT64,
+        "capacity": _COUNT,
+        "timeout": FieldRule(int, nullable=True, at_least=1),
+        "retry": FieldRule(RetrySpec),
+        "admission": FieldRule(AdmissionSpec),
+        "seed": _SEED,
+        "batch": _BATCH,
+        "prediction": FieldRule(PredictionSpec, nullable=True),
+        "name": _STRING,
+    }
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ScenarioError(f"n must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise ScenarioError(f"trials must be >= 1, got {self.trials}")
-        if self.rounds < 1:
-            raise ScenarioError(f"rounds must be >= 1, got {self.rounds}")
+        super().__post_init__()
         if not 0 <= self.warmup < self.rounds:
             raise ScenarioError(
                 f"warmup must be in [0, rounds), got {self.warmup} of "
                 f"{self.rounds}"
             )
-        if self.capacity < 1:
-            raise ScenarioError(f"capacity must be >= 1, got {self.capacity}")
-        if self.timeout is not None and self.timeout < 1:
-            raise ScenarioError(
-                f"timeout must be >= 1 or None, got {self.timeout}"
-            )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-native dict; ``from_dict`` inverts it exactly."""
-        return {
-            "protocol": self.protocol.to_dict(),
-            "arrivals": self.arrivals.to_dict(),
-            "channel": self.channel.to_dict(),
-            "n": self.n,
-            "trials": self.trials,
-            "rounds": self.rounds,
-            "warmup": self.warmup,
-            "capacity": self.capacity,
-            "timeout": self.timeout,
-            "retry": self.retry.to_dict(),
-            "admission": self.admission.to_dict(),
-            "seed": self.seed,
-            "batch": self.batch,
-            "prediction": self.prediction.to_dict() if self.prediction else None,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OpenScenarioSpec":
-        data = _require_mapping(data, "open scenario spec")
-        allowed = {f.name for f in fields(cls)}
-        _check_known_keys(data, allowed, "open scenario spec")
-        what = "open scenario spec"
-        for required in ("protocol", "arrivals", "channel", "n", "trials", "rounds"):
-            if required not in data:
-                raise ScenarioError(f"{what} needs {required!r}")
-        prediction = data.get("prediction")
-        return cls(
-            protocol=ProtocolSpec.from_dict(data["protocol"]),
-            arrivals=ArrivalSpec.from_dict(data["arrivals"]),
-            channel=ChannelSpec.from_dict(data["channel"]),
-            n=_integer_field(data, "n", what=what),
-            trials=_integer_field(data, "trials", what=what),
-            rounds=_integer_field(data, "rounds", what=what),
-            warmup=_integer_field(data, "warmup", what=what, default=0),
-            capacity=_integer_field(data, "capacity", what=what, default=256),
-            timeout=_integer_field(data, "timeout", what=what, nullable=True),
-            retry=RetrySpec.from_dict(data.get("retry", "give-up")),
-            admission=AdmissionSpec.from_dict(data.get("admission", "capacity")),
-            seed=_integer_field(
-                data, "seed", what=what, default=2021, minimum=0, maximum=None
-            ),
-            batch=_boolean_field(data, "batch", what=what, nullable=True),
-            prediction=(
-                PredictionSpec.from_dict(prediction)
-                if prediction is not None
-                else None
-            ),
-            name=_string_field(data, "name", what=what),
-        )
-
-    # ------------------------------------------------------------------
-    # Derivation
-    # ------------------------------------------------------------------
-    def override(self, overrides: Mapping[str, Any]) -> "OpenScenarioSpec":
-        """A new spec with dotted-path fields replaced (re-validated).
-
-        Same contract as :meth:`ScenarioSpec.override`: paths index into
-        :meth:`to_dict` (``"trials"``, ``"arrivals.params.rate"``,
-        ``"channel.model.params.budget"``) and the result re-loads
-        through :meth:`from_dict`.
-        """
-        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
 
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""

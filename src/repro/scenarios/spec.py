@@ -12,6 +12,10 @@ Design rules:
 
 * every field is a JSON-native value or a nested spec of JSON-native
   values - ``spec.from_json(spec.to_json())`` is the identity;
+* every field is checked once, in its class's ``__post_init__`` (or
+  field table), so a spec built in Python passes the same gate, with
+  the same messages, as one loaded from JSON; ``from_dict`` only
+  refuses non-mappings, unknown keys and missing required keys;
 * a spec plus its ``seed`` fully determines the result: two processes
   loading the same JSON produce bit-identical
   :class:`~repro.scenarios.runner.ScenarioResult` tables;
@@ -26,7 +30,7 @@ import copy
 import json
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
@@ -44,6 +48,8 @@ from ..core.named import Params, Registry, ScenarioError
 __all__ = [
     "ScenarioError",
     "JsonCodec",
+    "FieldRule",
+    "SpecCodec",
     "NamedSpec",
     "ProtocolSpec",
     "ChannelSpec",
@@ -58,10 +64,10 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 
 
-def _require_mapping(data: object, what: str) -> dict:
+def _require_mapping(data: object, what: str) -> Mapping:
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{what} must be a mapping, got {type(data).__name__}")
-    return dict(data)
+    return data
 
 
 def _check_known_keys(data: Mapping, allowed: set[str], what: str) -> None:
@@ -73,77 +79,22 @@ def _check_known_keys(data: Mapping, allowed: set[str], what: str) -> None:
         )
 
 
-def _integer_field(
-    data: Mapping,
-    name: str,
-    *,
-    what: str = "scenario spec",
-    default: object = None,
-    minimum: int | None = None,
-    maximum: int | None = _INT64_MAX,
-    nullable: bool = False,
-) -> int | None:
-    """``data[name]`` as a Python int, refusing anything but an integer.
+def _integer(value: object, label: str) -> int:
+    """``value`` as a Python int, refusing anything else.
 
-    Python and NumPy integers pass (``operator.index``); bools, floats,
-    numeric strings and every other type raise a :class:`ScenarioError`
-    naming the field instead of being coerced.  ``maximum`` defaults to
-    the int64 bound of the engines' count arrays; null passes only when
-    ``nullable``.
+    Python and NumPy integers pass (``operator.index``) and come back as
+    ``int``; bools, floats, numeric strings and every other type raise a
+    :class:`ScenarioError` naming ``label`` instead of being coerced.
     """
-    raw = data.get(name, default)
-    if nullable and raw is None:
-        return None
     try:
-        value = operator.index(raw)
+        number = operator.index(value)
     except TypeError:
-        value = None
-    if value is None or isinstance(raw, bool):
+        number = None
+    if number is None or isinstance(value, bool):
         raise ScenarioError(
-            f"{what} field {name!r} must be an integer, got "
-            f"{type(raw).__name__} {raw!r}"
+            f"{label} must be an integer, got {type(value).__name__} {value!r}"
         )
-    if minimum is not None and value < minimum:
-        raise ScenarioError(
-            f"{what} field {name!r} must be >= {minimum}, got {value}"
-        )
-    if maximum is not None and value > maximum:
-        raise ScenarioError(
-            f"{what} field {name!r} must fit in int64 "
-            f"(<= {maximum}), got {value}"
-        )
-    return value
-
-
-def _boolean_field(
-    data: Mapping,
-    name: str,
-    *,
-    what: str = "scenario spec",
-    default: object = None,
-    nullable: bool = False,
-) -> bool | None:
-    """``data[name]`` if it is a JSON boolean (or null, when ``nullable``).
-
-    Strings such as ``"false"`` and numbers are refused with a
-    :class:`ScenarioError` naming the field rather than coerced by truth
-    value.
-    """
-    value = data.get(name, default)
-    if isinstance(value, bool) or (nullable and value is None):
-        return value
-    allowed = "true, false or null" if nullable else "true or false"
-    raise ScenarioError(
-        f"{what} field {name!r} must be {allowed}, got "
-        f"{type(value).__name__} {value!r}"
-    )
-
-
-def _string_field(
-    data: Mapping, name: str, *, what: str = "scenario spec", default: str = ""
-) -> str:
-    """``data[name]`` if it is a string; anything else is refused, not ``str()``-ed."""
-    return Params.check(data.get(name, default), str, f"{what} field {name!r}")
+    return number
 
 
 def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
@@ -157,7 +108,8 @@ def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
                 child = {}
                 node[part] = child
             node = child
-        node[parts[-1]] = copy.deepcopy(value)
+        scalar = isinstance(value, (str, int, float, type(None)))
+        node[parts[-1]] = value if scalar else copy.deepcopy(value)
     return data
 
 
@@ -180,6 +132,145 @@ class JsonCodec:
         except (ValueError, RecursionError) as error:
             raise ScenarioError(f"invalid {cls.json_label} JSON: {error}") from None
         return cls.from_dict(data)
+
+
+@dataclass(frozen=True)
+class FieldRule:
+    """What one field of a top-level spec holds, checked at construction.
+
+    ``kind`` is ``int``, ``bool``, ``str`` or a nested spec class, which
+    :meth:`SpecCodec.from_dict` loads with the class's own ``from_dict``
+    and :meth:`SpecCodec.to_dict` writes with the value's ``to_dict``.
+    ``None`` passes only when ``nullable``.  An ``int`` lies in the
+    JSON range ``[minimum, maximum]`` (by default int64's, the engines'
+    count arrays) and is at least the spec's bound ``at_least``, whose
+    message names the field bare.
+    """
+
+    kind: type
+    nullable: bool = False
+    at_least: int | None = None
+    minimum: int | None = None
+    maximum: int | None = _INT64_MAX
+
+    def check(self, value: object, name: str, what: str) -> object:
+        """Field ``name`` of a ``what`` if admitted, a NumPy integer as ``int``."""
+        kind = self.kind
+        if type(value) is not kind:
+            if value is None and self.nullable:
+                return None
+            label = f"{what} field {name!r}"
+            if kind is bool and self.nullable:
+                raise ScenarioError(
+                    f"{label} must be true, false or null, got "
+                    f"{type(value).__name__} {value!r}"
+                )
+            if kind is not int:
+                return Params.check(value, kind, label)
+            value = _integer(value, label)
+        elif kind is not int:
+            return value
+        if self.minimum is not None and value < self.minimum:
+            raise ScenarioError(
+                f"{what} field {name!r} must be >= {self.minimum}, got {value}"
+            )
+        if self.maximum is not None and value > self.maximum:
+            raise ScenarioError(
+                f"{what} field {name!r} must fit in int64 (<= {self.maximum}), "
+                f"got {value}"
+            )
+        if self.at_least is not None and value < self.at_least:
+            bound = f"{self.at_least} or None" if self.nullable else self.at_least
+            raise ScenarioError(f"{name} must be >= {bound}, got {value}")
+        return value
+
+
+#: Rules of fields both top-level specs have, and of a few others.
+_FLAG = FieldRule(bool)
+_INT64 = FieldRule(int)
+_N = FieldRule(int, at_least=2)
+_COUNT = FieldRule(int, at_least=1)
+_SEED = FieldRule(int, minimum=0, maximum=None)
+_BATCH = FieldRule(bool, nullable=True)
+_STRING = FieldRule(str)
+
+
+class SpecCodec(JsonCodec):
+    """``to_dict``, ``from_dict`` and ``override`` of a top-level spec.
+
+    A subclass is a frozen dataclass whose ``field_rules`` maps each of
+    its fields, in field order, to a :class:`FieldRule`; ``json_label``
+    names it in messages.  Every field passes its rule in
+    ``__post_init__``, so keyword construction, ``dataclasses.replace``,
+    JSON and :meth:`override` all pass one gate.  :meth:`to_dict` keys
+    follow field order, which the CLI's ``--json`` output and the
+    pinned ``spec_key``\\ s depend on.
+    """
+
+    field_rules: ClassVar[dict[str, FieldRule]]
+    #: The rules whose kind is a nested spec, taken from ``field_rules``.
+    nested_rules: ClassVar[dict[str, FieldRule]]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.nested_rules = {
+            name: rule
+            for name, rule in cls.field_rules.items()
+            if rule.kind not in (int, bool, str)
+        }
+
+    def __post_init__(self) -> None:
+        """Check each field against its rule; NumPy integers become ``int``."""
+        what = f"{self.json_label} spec"
+        for name, rule in self.field_rules.items():
+            value = getattr(self, name)
+            checked = rule.check(value, name, what)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+
+    def to_dict(self) -> dict:
+        """JSON-native dict; ``from_dict`` inverts it exactly.
+
+        A frozen dataclass's instance dict holds its fields and nothing
+        else, in field order, so one copy of it takes every scalar.
+        """
+        data = dict(vars(self))
+        for name in self.nested_rules:
+            value = data[name]
+            if value is not None:
+                data[name] = value.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        what = f"{cls.json_label} spec"
+        data = _require_mapping(data, what)
+        _check_known_keys(data, cls.field_rules.keys(), what)
+        for name, spec_field in cls.__dataclass_fields__.items():
+            if (
+                name not in data
+                and spec_field.default is MISSING
+                and spec_field.default_factory is MISSING
+            ):
+                raise ScenarioError(f"{what} needs {name!r}")
+        values = dict(data)
+        for name, rule in cls.nested_rules.items():
+            if name in values and (values[name] is not None or not rule.nullable):
+                values[name] = rule.kind.from_dict(values[name])
+        return cls(**values)
+
+    def override(self, overrides: Mapping[str, Any]):
+        """A new spec with dotted-path fields replaced.
+
+        Keys are dotted paths into :meth:`to_dict` - e.g. ``"trials"``,
+        ``"workload.params.k"``, ``"arrivals.params.rate"`` - and the
+        whole dict is re-validated through :meth:`from_dict`, so an
+        override can never produce a spec that would not load from JSON.
+        Intermediate mappings are created as needed (overriding
+        ``"prediction.source"`` on a spec without a prediction starts one
+        from an empty mapping).
+        """
+        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
 
 
 class NamedSpec:
@@ -211,6 +302,7 @@ class NamedSpec:
             raise ScenarioError(
                 f"{self.label} spec needs a non-empty {self.name_key}"
             )
+        _require_mapping(self.params, f"{self.label} params")
         if self.builder is not None:
             try:
                 self.build()
@@ -239,8 +331,7 @@ class NamedSpec:
         # A name with a dataclass default (prediction "truth") has it as a
         # class attribute; a missing name without one fails as empty.
         name = data.get(cls.name_key, getattr(cls, cls.name_key, ""))
-        params = _require_mapping(data.get("params", {}), f"{cls.label} params")
-        return cls(name, copy.deepcopy(params))
+        return cls(name, copy.deepcopy(data.get("params", {})))
 
 
 @dataclass(frozen=True)
@@ -279,7 +370,9 @@ class ChannelSpec:
     model: dict | None = None
 
     def __post_init__(self) -> None:
+        _FLAG.check(self.collision_detection, "collision_detection", "channel spec")
         if self.model is not None:
+            _require_mapping(self.model, "channel model spec")
             # Eager validation: build (and discard) the model so spec
             # errors surface at construction, with the scenario-layer
             # error type.
@@ -321,15 +414,7 @@ class ChannelSpec:
         _check_known_keys(data, {"collision_detection", "model"}, "channel spec")
         if "collision_detection" not in data:
             raise ScenarioError("channel spec needs 'collision_detection'")
-        model = data.get("model")
-        if model is not None:
-            model = copy.deepcopy(_require_mapping(model, "channel model spec"))
-        return cls(
-            collision_detection=_boolean_field(
-                data, "collision_detection", what="channel spec"
-            ),
-            model=model,
-        )
+        return cls(data["collision_detection"], copy.deepcopy(data.get("model")))
 
 
 @dataclass(frozen=True)
@@ -414,10 +499,14 @@ class AdviceSpec:
     corruption: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ScenarioError(f"advice bits must be >= 0, got {self.bits}")
+        _STRING.check(self.function, "function", "advice spec")
+        bits = _INT64.check(self.bits, "bits", "advice spec")
+        if bits < 0:
+            raise ScenarioError(f"advice bits must be >= 0, got {bits}")
+        object.__setattr__(self, "bits", bits)
         _ADVICE_FUNCTIONS[self.function]
         if self.corruption is not None:
+            _require_mapping(self.corruption, "advice corruption")
             self._corrupted(NullAdvice(), None)
 
     def build(self, n: int, rng: np.random.Generator) -> AdviceFunction:
@@ -452,22 +541,15 @@ class AdviceSpec:
     def from_dict(cls, data: Mapping) -> "AdviceSpec":
         data = _require_mapping(data, "advice spec")
         _check_known_keys(data, {"function", "bits", "corruption"}, "advice spec")
-        corruption = data.get("corruption")
         return cls(
-            function=_string_field(
-                data, "function", what="advice spec", default="null"
-            ),
-            bits=_integer_field(data, "bits", what="advice spec", default=0),
-            corruption=(
-                copy.deepcopy(_require_mapping(corruption, "advice corruption"))
-                if corruption is not None
-                else None
-            ),
+            data.get("function", "null"),
+            data.get("bits", 0),
+            copy.deepcopy(data.get("corruption")),
         )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec(JsonCodec):
+class ScenarioSpec(SpecCodec):
     """One complete simulation scenario, ready to serialize or run.
 
     Attributes
@@ -517,79 +599,20 @@ class ScenarioSpec(JsonCodec):
     name: str = ""
 
     json_label = "scenario"
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ScenarioError(f"n must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise ScenarioError(f"trials must be >= 1, got {self.trials}")
-        if self.max_rounds < 1:
-            raise ScenarioError(f"max_rounds must be >= 1, got {self.max_rounds}")
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-native dict; ``from_dict`` inverts it exactly."""
-        return {
-            "protocol": self.protocol.to_dict(),
-            "workload": self.workload.to_dict(),
-            "channel": self.channel.to_dict(),
-            "n": self.n,
-            "trials": self.trials,
-            "max_rounds": self.max_rounds,
-            "seed": self.seed,
-            "batch": self.batch,
-            "prediction": self.prediction.to_dict() if self.prediction else None,
-            "advice": self.advice.to_dict() if self.advice else None,
-            "adversary": self.adversary,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        data = _require_mapping(data, "scenario spec")
-        allowed = {f.name for f in fields(cls)}
-        _check_known_keys(data, allowed, "scenario spec")
-        for required in ("protocol", "workload", "channel", "n", "trials", "max_rounds"):
-            if required not in data:
-                raise ScenarioError(f"scenario spec needs {required!r}")
-        prediction = data.get("prediction")
-        advice = data.get("advice")
-        return cls(
-            protocol=ProtocolSpec.from_dict(data["protocol"]),
-            workload=WorkloadSpec.from_dict(data["workload"]),
-            channel=ChannelSpec.from_dict(data["channel"]),
-            n=_integer_field(data, "n"),
-            trials=_integer_field(data, "trials"),
-            max_rounds=_integer_field(data, "max_rounds"),
-            seed=_integer_field(
-                data, "seed", default=2021, minimum=0, maximum=None
-            ),
-            batch=_boolean_field(data, "batch", nullable=True),
-            prediction=(
-                PredictionSpec.from_dict(prediction) if prediction is not None else None
-            ),
-            advice=AdviceSpec.from_dict(advice) if advice is not None else None,
-            adversary=_string_field(data, "adversary", default="random"),
-            name=_string_field(data, "name"),
-        )
-
-    # ------------------------------------------------------------------
-    # Derivation
-    # ------------------------------------------------------------------
-    def override(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
-        """A new spec with dotted-path fields replaced.
-
-        Keys are dotted paths into :meth:`to_dict` - e.g. ``"trials"``,
-        ``"workload.params.k"``, ``"protocol.params.one_shot"`` - and the
-        whole dict is re-validated through :meth:`from_dict`, so an
-        override can never produce a spec that would not load from JSON.
-        Intermediate mappings are created as needed (overriding
-        ``"prediction.source"`` on a spec without a prediction starts one
-        from an empty mapping).
-        """
-        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
+    field_rules = {
+        "protocol": FieldRule(ProtocolSpec),
+        "workload": FieldRule(WorkloadSpec),
+        "channel": FieldRule(ChannelSpec),
+        "n": _N,
+        "trials": _COUNT,
+        "max_rounds": _COUNT,
+        "seed": _SEED,
+        "batch": _BATCH,
+        "prediction": FieldRule(PredictionSpec, nullable=True),
+        "advice": FieldRule(AdviceSpec, nullable=True),
+        "adversary": _STRING,
+        "name": _STRING,
+    }
 
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""

@@ -72,7 +72,7 @@ from .runner import (
     package_result,
     resolve_scenario,
 )
-from .spec import JsonCodec, ScenarioError, ScenarioSpec, _boolean_field
+from .spec import _FLAG, JsonCodec, ScenarioError, ScenarioSpec
 from .store import ResultStore, SweepJournal, spec_family, spec_key, sweep_key
 
 if TYPE_CHECKING:
@@ -136,8 +136,12 @@ def derive_point_seeds(base_seed: int, count: int) -> list[int]:
     ]
 
 
-def _grid_values(path: str, values: object) -> list:
+def _grid_values(path: object, values: object) -> list:
     """A grid path's values as a list, refusing anything but a non-empty list."""
+    if not isinstance(path, str):
+        raise ScenarioError(
+            f"grid paths must be strings, got {type(path).__name__} {path!r}"
+        )
     if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
         raise ScenarioError(
             f"grid values for {path!r} must be a list, got "
@@ -170,8 +174,16 @@ class Sweep(JsonCodec):
     json_label = "sweep"
 
     def __post_init__(self) -> None:
-        for path, values in self.grid.items():
-            _grid_values(path, values)
+        if not isinstance(self.base, spec_family(self.base).spec):
+            raise ScenarioError(
+                f"sweep spec field 'base' must be ScenarioSpec or "
+                f"OpenScenarioSpec, got {type(self.base).__name__} {self.base!r}"
+            )
+        if not isinstance(self.grid, Mapping):
+            raise ScenarioError("sweep 'grid' must be a mapping")
+        grid = {path: _grid_values(path, values) for path, values in self.grid.items()}
+        object.__setattr__(self, "grid", grid)
+        _FLAG.check(self.vary_seed, "vary_seed", "sweep spec")
 
     def _grid_cells(self) -> list[dict]:
         """Each point's grid overrides, in row-major grid order."""
@@ -227,19 +239,11 @@ class Sweep(JsonCodec):
             )
         if "base" not in data:
             raise ScenarioError("sweep spec needs a 'base' scenario")
-        grid = data.get("grid", {})
-        if not isinstance(grid, Mapping):
-            raise ScenarioError("sweep 'grid' must be a mapping")
         base = data["base"]
         return cls(
-            base=spec_family(base).spec.from_dict(base),
-            grid={
-                str(path): _grid_values(path, values)
-                for path, values in grid.items()
-            },
-            vary_seed=_boolean_field(
-                data, "vary_seed", what="sweep spec", default=True
-            ),
+            spec_family(base).spec.from_dict(base),
+            data.get("grid", {}),
+            data.get("vary_seed", True),
         )
 
 
