@@ -18,6 +18,7 @@ from repro.scenarios import (
     ScenarioSpec,
     SimulatedCrash,
     Sweep,
+    SweepPointError,
     make_supervised_executor,
     run_sweep,
 )
@@ -185,6 +186,66 @@ class TestCrashResumeBitIdentity:
         replayed = run_sweep(sweep, executor="serial", resume=journal)
         assert replayed.resumed == 4
         assert replayed.results == reference.results
+
+
+class TestResumedGridIndices:
+    """A resumed sweep names its points by grid index, not by position.
+
+    The journal holds points 0 and 1 of a 4-point grid, so only points 2
+    and 3 execute on resume; whatever fails there must carry index 3 and
+    point 3's grid overrides, and faults scripted for a replayed point
+    never fire.
+    """
+
+    def _journal_two_points(self, sweep, journal) -> None:
+        with pytest.raises(SimulatedCrash):
+            run_sweep(
+                sweep,
+                executor="serial",
+                resume=journal,
+                fault_plan=FaultPlan(crash_driver_after=2),
+            )
+
+    def test_supervised_manifest_names_the_grid_index(self, tmp_path):
+        sweep = serial_sweep()
+        reference = run_sweep(sweep, executor="serial")
+        journal = tmp_path / "j.jsonl"
+        self._journal_two_points(sweep, journal)
+        out = run_sweep(
+            sweep,
+            executor=SUPERVISED_FAST,
+            max_workers=1,
+            resume=journal,
+            fault_plan=FaultPlan(crash={0: 1, 3: 1}),
+        )
+        assert out.resumed == 2
+        assert out.results == reference.results[:3]
+        assert len(out.failures) == 1
+        failure = out.failures[0]
+        assert list(failure) == [
+            "error", "attempts", "index", "name", "overrides", "spec",
+        ]
+        assert failure["index"] == 3
+        assert failure["attempts"] == 1
+        assert failure["overrides"] == {"workload.params.k": 8}
+        assert failure["name"] == "rz[3]"
+        assert ScenarioSpec.from_dict(failure["spec"]) == sweep.points()[3]
+
+    @pytest.mark.parametrize("executor", ["serial", "process", "fused"])
+    def test_point_error_names_the_grid_index(self, tmp_path, executor):
+        sweep = Sweep(
+            base=base_spec(trials=5),
+            grid={"protocol.id": ["decay", "decay", "decay", "no-such-protocol"]},
+        )
+        journal = tmp_path / "j.jsonl"
+        self._journal_two_points(sweep, journal)
+        with pytest.raises(SweepPointError) as info:
+            run_sweep(sweep, executor=executor, max_workers=2, resume=journal)
+        error = info.value
+        assert error.index == 3
+        assert error.overrides == {"protocol.id": "no-such-protocol"}
+        assert error.spec == sweep.points()[3]
+        assert "sweep point 3" in str(error)
 
 
 class TestCache:
