@@ -87,8 +87,6 @@ _EXPORTS = {
     "fusion_key": ".sweep",
     "fusion_groups": ".sweep",
     "EXECUTORS": ".sweep",
-    "register_executor": ".sweep",
-    "unregister_executor": ".sweep",
     # durability
     "SCHEMA_VERSION": ".store",
     "spec_key": ".store",

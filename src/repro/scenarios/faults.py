@@ -25,7 +25,7 @@ crash-and-resume smoke without writing Python.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..core.named import Params
@@ -73,8 +73,8 @@ def _fault_map(data: object, what: str) -> dict[int, int]:
 class FaultPlan(JsonCodec):
     """Deterministic, scripted faults for one sweep execution.
 
-    ``crash`` / ``hang`` / ``corrupt`` map a point index to the number
-    of attempts that suffer that fault; a point's attempts consume its
+    ``crash`` / ``hang`` / ``corrupt`` map a point's grid index to the
+    number of attempts that suffer that fault; a point's attempts consume its
     faults in that order (first the crashes, then the hangs, then the
     corruptions) and succeed afterwards.  A count above the supervised
     executor's retry budget therefore exhausts the point into the
@@ -134,29 +134,6 @@ class FaultPlan(JsonCodec):
     def has_worker_faults(self) -> bool:
         """Whether any point-level (worker) fault is scripted."""
         return bool(self.crash or self.hang or self.corrupt)
-
-    def remap(self, indices: Sequence[int]) -> "FaultPlan":
-        """The plan's worker faults re-indexed onto a point subset.
-
-        ``indices[i]`` is the global grid index the executor's local
-        point ``i`` corresponds to; driver faults stay with the driver
-        and are dropped here.
-        """
-        positions = {global_index: i for i, global_index in enumerate(indices)}
-
-        def narrowed(plan: Mapping[int, int]) -> dict[int, int]:
-            return {
-                positions[gi]: count
-                for gi, count in plan.items()
-                if gi in positions
-            }
-
-        return FaultPlan(
-            crash=narrowed(self.crash),
-            hang=narrowed(self.hang),
-            corrupt=narrowed(self.corrupt),
-            hang_seconds=self.hang_seconds,
-        )
 
     # ------------------------------------------------------------------
     # Serialization

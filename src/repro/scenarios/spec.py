@@ -97,6 +97,50 @@ def _integer(value: object, label: str) -> int:
     return number
 
 
+#: Types JSON writes as they are.  Exact types: NumPy's ``float64`` is a
+#: ``float`` subclass, yet it is stored as a plain ``float`` too.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_mapping(data: object, what: str) -> dict:
+    """A copy of mapping ``data`` holding only JSON values, at any depth.
+
+    NumPy scalars and arrays come back as ``int``, ``float``, ``bool``
+    and lists, tuples as lists, and every container is fresh, so a spec
+    never shares one with its caller.  Anything else JSON cannot encode
+    (a set, an object, a non-string key) is a :class:`ScenarioError`
+    naming ``what`` and the key.
+    """
+
+    def native(value: object, path: str) -> object:
+        if isinstance(value, Mapping):
+            copied = {}
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise ScenarioError(f"{what} keys must be strings, got {key!r}")
+                if type(item) not in _JSON_SCALARS:
+                    item = native(item, f"{path}.{key}" if path else key)
+                copied[key] = item
+            return copied
+        if isinstance(value, np.ndarray):
+            return native(value.tolist(), path)  # a 0-d array lists as a scalar
+        if isinstance(value, (list, tuple)):
+            return [
+                item if type(item) in _JSON_SCALARS else native(item, path)
+                for item in value
+            ]
+        if isinstance(value, np.generic):
+            value = value.item()
+        if isinstance(value, (str, int, float, type(None))):
+            return value
+        raise ScenarioError(
+            f"{what} {path!r} must hold JSON values, got "
+            f"{type(value).__name__} {value!r}"
+        )
+
+    return native(_require_mapping(data, what), "")
+
+
 def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced."""
     for path, value in overrides.items():
@@ -302,7 +346,8 @@ class NamedSpec:
             raise ScenarioError(
                 f"{self.label} spec needs a non-empty {self.name_key}"
             )
-        _require_mapping(self.params, f"{self.label} params")
+        params = _json_mapping(self.params, f"{self.label} params")
+        object.__setattr__(self, "params", params)
         if self.builder is not None:
             try:
                 self.build()
@@ -331,7 +376,7 @@ class NamedSpec:
         # A name with a dataclass default (prediction "truth") has it as a
         # class attribute; a missing name without one fails as empty.
         name = data.get(cls.name_key, getattr(cls, cls.name_key, ""))
-        return cls(name, copy.deepcopy(data.get("params", {})))
+        return cls(name, data.get("params", {}))
 
 
 @dataclass(frozen=True)
@@ -372,7 +417,8 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         _FLAG.check(self.collision_detection, "collision_detection", "channel spec")
         if self.model is not None:
-            _require_mapping(self.model, "channel model spec")
+            model = _json_mapping(self.model, "channel model spec")
+            object.__setattr__(self, "model", model)
             # Eager validation: build (and discard) the model so spec
             # errors surface at construction, with the scenario-layer
             # error type.
@@ -414,7 +460,7 @@ class ChannelSpec:
         _check_known_keys(data, {"collision_detection", "model"}, "channel spec")
         if "collision_detection" not in data:
             raise ScenarioError("channel spec needs 'collision_detection'")
-        return cls(data["collision_detection"], copy.deepcopy(data.get("model")))
+        return cls(data["collision_detection"], data.get("model"))
 
 
 @dataclass(frozen=True)
@@ -506,7 +552,8 @@ class AdviceSpec:
         object.__setattr__(self, "bits", bits)
         _ADVICE_FUNCTIONS[self.function]
         if self.corruption is not None:
-            _require_mapping(self.corruption, "advice corruption")
+            corruption = _json_mapping(self.corruption, "advice corruption")
+            object.__setattr__(self, "corruption", corruption)
             self._corrupted(NullAdvice(), None)
 
     def build(self, n: int, rng: np.random.Generator) -> AdviceFunction:
@@ -544,7 +591,7 @@ class AdviceSpec:
         return cls(
             data.get("function", "null"),
             data.get("bits", 0),
-            copy.deepcopy(data.get("corruption")),
+            data.get("corruption"),
         )
 
 

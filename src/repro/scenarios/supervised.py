@@ -17,9 +17,10 @@ point in its own supervised process:
   process boundary as JSON; a mismatch means the worker answered the
   wrong question);
 * **graceful degradation** - a point that exhausts its attempts is
-  recorded in a structured failure manifest and the sweep *continues*;
-  :func:`~repro.scenarios.sweep.run_sweep` returns the points that did
-  complete plus the manifest instead of raising.
+  recorded in a structured failure manifest, keyed by grid index, and
+  the sweep *continues*; :func:`~repro.scenarios.sweep.run_sweep`
+  returns the points that did complete plus the manifest instead of
+  raising.
 
 Because every point still runs its family's runner - closed
 :func:`~repro.scenarios.runner.run_scenario` or open
@@ -29,7 +30,8 @@ spec, supervised results are bit-identical to the serial executor's -
 supervision changes what happens on failure, never what a success
 computes.
 
-The sweep registry's built-in ``"supervised"`` entry runs
+The built-in ``"supervised"`` entry of
+:data:`~repro.scenarios.sweep.EXECUTORS` runs
 :func:`make_supervised_executor` with library defaults, importing this
 module on first use; the CLI builds one with the user's timeout/retry
 settings instead.
@@ -37,10 +39,11 @@ settings instead.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping
 from multiprocessing.connection import wait as _wait_connections
 
 from .faults import FaultPlan
@@ -114,32 +117,33 @@ def make_supervised_executor(
     ``retries`` is how many *extra* attempts a failed point gets (so a
     point runs at most ``retries + 1`` times); ``backoff`` seeds the
     exponential sleep before retry ``a`` (``backoff * 2**(a-1)``).
-    The returned callable fits the executor registry and accepts the
-    checkpoint-aware keywords ``checkpoint`` and ``fault_plan``.
+    The returned callable is a sweep executor
+    (:data:`~repro.scenarios.sweep.Executor`) that ``supervises``
+    workers, so :func:`~repro.scenarios.sweep.run_sweep` hands it the
+    fault plan's worker faults.
     """
-    if timeout <= 0:
-        raise ScenarioError(f"timeout must be > 0, got {timeout}")
+    what = "supervised executor option"
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ScenarioError(f"{what} 'timeout' must be finite and > 0, got {timeout}")
     if retries < 0:
-        raise ScenarioError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise ScenarioError(f"backoff must be >= 0, got {backoff}")
+        raise ScenarioError(f"{what} 'retries' must be >= 0, got {retries}")
+    if not (math.isfinite(backoff) and backoff >= 0):
+        raise ScenarioError(f"{what} 'backoff' must be finite and >= 0, got {backoff}")
 
     def supervised(
-        points: Sequence,
-        max_workers: int | None,
+        pending: Mapping[int, object],
         *,
-        checkpoint: Callable | None = None,
-        fault_plan: FaultPlan | None = None,
-    ):
+        max_workers: int | None,
+        checkpoint: Callable,
+        fault_plan: FaultPlan | None,
+    ) -> list[dict]:
         if max_workers is None:
-            max_workers = min(len(points), multiprocessing.cpu_count())
-        max_workers = max(1, max_workers)
+            max_workers = min(len(pending), multiprocessing.cpu_count())
         context = _pool_context()
         plan = fault_plan if fault_plan is not None else FaultPlan()
 
-        results: list = [None] * len(points)
         failures: list[dict] = []
-        waiting: list[tuple[int, int]] = [(i, 0) for i in range(len(points))]
+        waiting: list[tuple[int, int]] = [(index, 0) for index in pending]
         active: list[_Attempt] = []
 
         def launch(index: int, number: int) -> None:
@@ -150,7 +154,7 @@ def make_supervised_executor(
                 target=_supervised_point_worker,
                 args=(
                     child_conn,
-                    points[index].to_dict(),
+                    pending[index].to_dict(),
                     plan.directive(index, number),
                     plan.hang_seconds,
                 ),
@@ -176,15 +180,16 @@ def make_supervised_executor(
             else:
                 failures.append(
                     {
-                        "index": attempt.index,
                         "error": error,
                         "attempts": attempt.number + 1,
+                        "index": attempt.index,
                     }
                 )
 
         def attempt_succeeded(attempt: _Attempt, payload: dict) -> None:
-            result = spec_family(points[attempt.index]).result.from_dict(payload)
-            if result.spec != points[attempt.index]:
+            point = pending[attempt.index]
+            result = spec_family(point).result.from_dict(payload)
+            if result.spec != point:
                 attempt_failed(
                     attempt,
                     "corrupted result: embedded spec does not match the "
@@ -193,11 +198,9 @@ def make_supervised_executor(
                 return
             attempt.kill()
             active.remove(attempt)
-            results[attempt.index] = result
             # Outside any try: a checkpoint-raised SimulatedCrash (or
             # journal error) must unwind, not count as a point failure.
-            if checkpoint is not None:
-                checkpoint([attempt.index], [result])
+            checkpoint([attempt.index], [result])
 
         try:
             while waiting or active:
@@ -239,7 +242,8 @@ def make_supervised_executor(
             for attempt in list(active):
                 attempt.kill()
 
-        return results, failures
+        return failures
 
     supervised.executor_name = "supervised"
+    supervised.supervises = True
     return supervised

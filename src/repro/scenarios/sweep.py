@@ -32,6 +32,11 @@ and graceful degradation - on exhausted retries the sweep returns the
 points that did complete plus a structured failure manifest instead of
 raising.
 
+Every executor has one signature (:data:`Executor`): it takes the
+points still to run keyed by grid index, reports each completed point
+through :func:`run_sweep`'s checkpoint, and returns the failure manifest
+of the points it gave up on (always empty for the raising executors).
+
 Specs and results cross the process boundary as JSON-native dicts, so
 the pool never pickles protocol objects or RNG state - workers rebuild
 everything from the spec, exactly as a fresh process loading the JSON
@@ -49,7 +54,6 @@ recovery paths stay tested.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import json
 import os
@@ -72,7 +76,7 @@ from .runner import (
     package_result,
     resolve_scenario,
 )
-from .spec import _FLAG, JsonCodec, ScenarioError, ScenarioSpec
+from .spec import _FLAG, JsonCodec, ScenarioError, ScenarioSpec, _integer, _json_mapping
 from .store import ResultStore, SweepJournal, spec_family, spec_key, sweep_key
 
 if TYPE_CHECKING:
@@ -87,8 +91,6 @@ __all__ = [
     "fusion_key",
     "fusion_groups",
     "EXECUTORS",
-    "register_executor",
-    "unregister_executor",
 ]
 
 
@@ -182,7 +184,7 @@ class Sweep(JsonCodec):
         if not isinstance(self.grid, Mapping):
             raise ScenarioError("sweep 'grid' must be a mapping")
         grid = {path: _grid_values(path, values) for path, values in self.grid.items()}
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _json_mapping(grid, "sweep grid"))
         _FLAG.check(self.vary_seed, "vary_seed", "sweep spec")
 
     def _grid_cells(self) -> list[dict]:
@@ -328,24 +330,22 @@ def _run_point_payload(spec_data: dict) -> dict:
 
 
 def _run_serial(
-    points: Sequence,
-    max_workers: int | None,
+    pending: Mapping[int, object],
     *,
-    checkpoint: Callable | None = None,
-) -> list:
-    del max_workers
-    results = []
-    for index, point in enumerate(points):
+    max_workers: int | None,
+    checkpoint: Callable,
+    fault_plan: FaultPlan | None,
+) -> list[dict]:
+    del max_workers, fault_plan
+    for index, point in pending.items():
         try:
             result = spec_family(point).run(point)
         except Exception as error:
             raise SweepPointError(index, point, error) from error
-        results.append(result)
         # Outside the try: a checkpoint-injected SimulatedCrash must
         # unwind like a real crash, not get repackaged as a point error.
-        if checkpoint is not None:
-            checkpoint([index], [result])
-    return results
+        checkpoint([index], [result])
+    return []
 
 
 def _pool_context():
@@ -357,51 +357,48 @@ def _pool_context():
 
 
 def _run_process_pool(
-    points: Sequence,
-    max_workers: int | None,
+    pending: Mapping[int, object],
     *,
-    checkpoint: Callable | None = None,
-) -> list:
+    max_workers: int | None,
+    checkpoint: Callable,
+    fault_plan: FaultPlan | None,
+) -> list[dict]:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+    del fault_plan
     if max_workers is None:
-        max_workers = min(len(points), multiprocessing.cpu_count())
-    max_workers = max(1, max_workers)
-    results: list = [None] * len(points)
+        max_workers = min(len(pending), multiprocessing.cpu_count())
     with ProcessPoolExecutor(
         max_workers=max_workers, mp_context=_pool_context()
     ) as pool:
         futures = {
             pool.submit(_run_point_payload, point.to_dict()): index
-            for index, point in enumerate(points)
+            for index, point in pending.items()
         }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        running = set(futures)
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
             # Checkpoint completions in index order within each wave so
             # a crash-and-resume journal has a deterministic shape.
             for future in sorted(done, key=futures.__getitem__):
                 index = futures[future]
+                point = pending[index]
                 try:
                     payload = future.result()
                 except Exception as error:
-                    for leftover in pending:
+                    for leftover in running:
                         leftover.cancel()
-                    raise SweepPointError(
-                        index, points[index], error
-                    ) from error
-                result = spec_family(points[index]).result.from_dict(payload)
-                results[index] = result
-                if checkpoint is not None:
-                    try:
-                        checkpoint([index], [result])
-                    except BaseException:
-                        # Driver crash (or journal error): don't block on
-                        # points the journal will never see.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-    return results  # type: ignore[return-value]
+                    raise SweepPointError(index, point, error) from error
+                result = spec_family(point).result.from_dict(payload)
+                try:
+                    checkpoint([index], [result])
+                except BaseException:
+                    # Driver crash (or journal error): don't block on
+                    # points the journal will never see.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
+    return []
 
 
 def fusion_key(resolved: ResolvedScenario) -> tuple | None:
@@ -508,57 +505,46 @@ def _run_fused_group(
 
 
 def _run_fused(
-    points: Sequence,
-    max_workers: int | None,
-    *,
-    checkpoint: Callable | None = None,
-) -> list:
+    pending: Mapping[int, object], *, checkpoint: Callable, **options
+) -> list[dict]:
     """The fused executor: stack compatible points, serial-run the rest.
 
     Checkpoint granularity is the fusion *group*: a stacked run either
     lands whole or not at all, so a resumed sweep re-fuses exactly the
     still-missing groups and every point keeps its stacked engine label.
+    ``max_workers`` and ``fault_plan`` (in ``options``) go unused, as in
+    the serial executor.
     """
-    if spec_family(points[0]).kind == "open":  # no stacked open engine
-        return _run_serial(points, max_workers, checkpoint=checkpoint)
-    del max_workers
+    indices = list(pending)
+    if spec_family(pending[indices[0]]).kind == "open":  # no stacked open engine
+        return _run_serial(pending, checkpoint=checkpoint, **options)
     resolved_points: list[ResolvedScenario] = []
-    for index, point in enumerate(points):
+    for index, point in pending.items():
         try:
             resolved_points.append(resolve_scenario(point))
         except Exception as error:
             raise SweepPointError(index, point, error) from error
-    results: list[ScenarioResult | None] = [None] * len(points)
     for group in fusion_groups(resolved_points):
+        members = [indices[position] for position in group]
         try:
             if len(group) == 1:
                 # Nothing to amortize (or unfusable): the serial
                 # reference run, which re-resolves from the spec -
                 # resolution consumes no randomness, so the duplicate
                 # resolution is free of stream effects.
-                point = points[group[0]]
+                point = pending[members[0]]
                 group_results = [spec_family(point).run(point)]
             else:
                 group_results = _run_fused_group(
-                    [resolved_points[i] for i in group]
+                    [resolved_points[position] for position in group]
                 )
         except Exception as error:
-            first = group[0]
-            raise SweepPointError(first, points[first], error) from error
-        for index, result in zip(group, group_results):
-            results[index] = result
-        if checkpoint is not None:
-            checkpoint(list(group), group_results)
-    return results  # type: ignore[return-value]
+            raise SweepPointError(members[0], pending[members[0]], error) from error
+        checkpoint(members, group_results)
+    return []
 
 
-def _run_supervised(
-    points: Sequence,
-    max_workers: int | None,
-    *,
-    checkpoint: Callable | None = None,
-    fault_plan: FaultPlan | None = None,
-):
+def _run_supervised(pending: Mapping[int, object], **options) -> list[dict]:
     """The supervised executor with library-default failure policy.
 
     :mod:`repro.scenarios.supervised` is imported on first use, so a
@@ -566,72 +552,28 @@ def _run_supervised(
     """
     from .supervised import make_supervised_executor
 
-    return make_supervised_executor()(
-        points, max_workers, checkpoint=checkpoint, fault_plan=fault_plan
-    )
+    return make_supervised_executor()(pending, **options)
 
 
-Executor = Callable[..., "list | tuple"]
+_run_supervised.supervises = True
 
-#: Executor name -> callable ``(points, max_workers) -> results``.
-#: Checkpoint-aware executors additionally accept a ``checkpoint``
-#: keyword (and, for supervising executors, ``fault_plan``); legacy
-#: two-argument executors keep working and are checkpointed by
-#: :func:`run_sweep` after they return.
+#: A sweep executor: ``executor(pending, *, max_workers, checkpoint,
+#: fault_plan) -> failures``.  ``pending`` maps each grid index still to
+#: run to its spec, in grid order; every completed point is reported as
+#: ``checkpoint(grid_indices, results)``.  A failing point either raises
+#: :class:`SweepPointError` with its grid index or, for an executor that
+#: degrades, becomes an ``{"error", "attempts", "index"}`` entry of the
+#: returned failure list.  :func:`run_sweep` refuses a fault plan with
+#: worker faults unless the executor's ``supervises`` attribute is true.
+Executor = Callable[..., "list[dict]"]
+
+#: The built-in executors by name.
 EXECUTORS: dict[str, Executor] = {
     "serial": _run_serial,
     "process": _run_process_pool,
     "fused": _run_fused,
     "supervised": _run_supervised,
 }
-
-_BUILTIN_EXECUTORS = frozenset(EXECUTORS)
-
-
-def register_executor(
-    name: str, executor: Executor, *, replace: bool = False
-) -> None:
-    """Register a custom sweep executor (e.g. a cluster dispatcher).
-
-    Duplicate names are an error unless ``replace=True``, which swaps
-    the registration in place.
-    """
-    if name in EXECUTORS and not replace:
-        raise ScenarioError(
-            f"executor {name!r} already registered (pass replace=True to swap)"
-        )
-    EXECUTORS[name] = executor
-
-
-def unregister_executor(name: str) -> None:
-    """Remove a registered executor; built-ins cannot be removed.
-
-    The cleanup half of :func:`register_executor`, so tests that install
-    an executor don't leak it into the global registry.
-    """
-    if name in _BUILTIN_EXECUTORS:
-        raise ScenarioError(f"cannot unregister built-in executor {name!r}")
-    if name not in EXECUTORS:
-        raise ScenarioError(f"executor {name!r} is not registered")
-    del EXECUTORS[name]
-
-
-def _accepts_keyword(executor: Callable, name: str) -> bool:
-    """Whether ``executor`` can be called with keyword ``name``."""
-    try:
-        parameters = inspect.signature(executor).parameters
-    except (TypeError, ValueError):
-        return False
-    if name in parameters:
-        kind = parameters[name].kind
-        return kind in (
-            inspect.Parameter.KEYWORD_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 def run_sweep(
@@ -665,6 +607,12 @@ def run_sweep(
     Closed and open-system points share every executor, the store and
     the journal; a point list mixing the two families is refused.
     """
+    if max_workers is not None:
+        max_workers = _integer(max_workers, "sweep option 'max_workers'")
+        if max_workers < 1:
+            raise ScenarioError(
+                f"sweep option 'max_workers' must be >= 1 or None, got {max_workers}"
+            )
     points = sweep.points() if isinstance(sweep, Sweep) else list(sweep)
     if not points:
         raise ScenarioError("sweep expanded to zero points")
@@ -691,13 +639,10 @@ def run_sweep(
                 f"{', '.join(sorted(EXECUTORS))}"
             ) from None
         executor_name = executor
-
-    checkpoint_aware = _accepts_keyword(run, "checkpoint")
-    supervising = _accepts_keyword(run, "fault_plan")
     if (
         fault_plan is not None
         and fault_plan.has_worker_faults()
-        and not supervising
+        and not getattr(run, "supervises", False)
     ):
         raise ScenarioError(
             f"executor {executor_name!r} does not supervise workers, so the "
@@ -746,28 +691,22 @@ def run_sweep(
                 if journal is not None:
                     journal.append([(index, hit.to_dict())])
 
-        missing = [index for index in range(total) if slots[index] is None]
         crash_after = fault_plan.crash_driver_after if fault_plan else None
         completed_this_run = 0
 
-        def checkpoint(
-            sub_indices: Sequence[int], results: Sequence
-        ) -> None:
+        def checkpoint(indices: Sequence[int], results: Sequence) -> None:
             nonlocal completed_this_run
             entries: list[tuple[int, dict]] = []
-            for local_index, result in zip(sub_indices, results):
-                global_index = missing[local_index]
-                slots[global_index] = result
+            for index, result in zip(indices, results):
+                slots[index] = result
                 if journal is not None:
-                    entries.append((global_index, result.to_dict()))
+                    entries.append((index, result.to_dict()))
                 if store is not None:
                     assert keys is not None
-                    store.put(
-                        points[global_index], result, key=keys[global_index]
-                    )
+                    store.put(points[index], result, key=keys[index])
             if journal is not None and entries:
                 journal.append(entries)
-            completed_this_run += len(sub_indices)
+            completed_this_run += len(indices)
             if crash_after is not None and completed_this_run >= crash_after:
                 raise SimulatedCrash(
                     f"injected driver crash after {completed_this_run} "
@@ -779,56 +718,34 @@ def run_sweep(
             # is already on disk, exactly as a crash there would leave it.
             raise SimulatedCrash("injected driver crash before any point ran")
 
-        if missing:
-            sub_points = [points[index] for index in missing]
-            call_kwargs: dict = {}
-            if checkpoint_aware:
-                call_kwargs["checkpoint"] = checkpoint
-            if supervising:
-                call_kwargs["fault_plan"] = (
-                    fault_plan.remap(missing) if fault_plan is not None else None
-                )
+        pending = {
+            index: point for index, point in enumerate(points) if slots[index] is None
+        }
+        if pending:
             try:
-                out = run(sub_points, max_workers, **call_kwargs)
+                manifest = run(
+                    pending,
+                    max_workers=max_workers,
+                    checkpoint=checkpoint,
+                    fault_plan=fault_plan,
+                )
             except SweepPointError as error:
-                global_index = missing[error.index]
                 raise SweepPointError(
-                    global_index,
+                    error.index,
                     error.spec,
                     error.cause,
-                    overrides=point_overrides()[global_index],
+                    overrides=point_overrides()[error.index],
                 ) from error.cause
-
-            sub_results: Sequence | None
-            if (
-                isinstance(out, tuple)
-                and len(out) == 2
-                and isinstance(out[1], list)
-            ):
-                sub_results, sub_failures = out
-            else:
-                sub_results, sub_failures = out, []
-            if sub_results is not None:
-                # Fill (and checkpoint) anything the executor returned
-                # without reporting through the checkpoint hook - the
-                # whole result list, for legacy two-argument executors.
-                for local_index, result in enumerate(sub_results):
-                    if result is None:
-                        continue
-                    if slots[missing[local_index]] is None:
-                        checkpoint([local_index], [result])
-            for failure in sub_failures:
-                enriched = dict(failure)
-                local_index = int(enriched.pop("index"))
-                global_index = missing[local_index]
-                point = points[global_index]
-                enriched.update(
-                    index=global_index,
-                    name=point.label(),
-                    overrides=point_overrides()[global_index],
-                    spec=point.to_dict(),
+            for failure in manifest:
+                point = points[failure["index"]]
+                failures.append(
+                    {
+                        **failure,
+                        "name": point.label(),
+                        "overrides": point_overrides()[failure["index"]],
+                        "spec": point.to_dict(),
+                    }
                 )
-                failures.append(enriched)
     finally:
         if journal is not None:
             journal.close()

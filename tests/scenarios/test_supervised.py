@@ -13,9 +13,7 @@ from repro.scenarios import (
     SweepPointError,
     fault_plan_from_json,
     make_supervised_executor,
-    register_executor,
     run_sweep,
-    unregister_executor,
 )
 from repro.scenarios.spec import ScenarioError
 
@@ -66,13 +64,6 @@ class TestFaultPlan:
             "crash", "hang", "corrupt", None,
         ]
         assert plan.directive(1, 0) is None
-
-    def test_remap_narrows_to_subset_and_drops_driver_fault(self):
-        plan = FaultPlan(crash={2: 1}, hang={5: 2}, crash_driver_after=1)
-        sub = plan.remap([2, 4, 5])
-        assert sub.crash == {0: 1}
-        assert sub.hang == {2: 2}
-        assert sub.crash_driver_after is None
 
     def test_json_round_trip(self):
         plan = FaultPlan(crash={1: 2}, corrupt={0: 1},
@@ -233,27 +224,6 @@ class TestSupervisedRecovery:
 
     def test_registered_by_default(self):
         assert "supervised" in EXECUTORS
-
-
-class TestRegistry:
-    def test_duplicate_registration_needs_replace(self):
-        def fake(points, max_workers):
-            raise AssertionError("never called")
-
-        register_executor("reg-test", fake)
-        try:
-            with pytest.raises(ScenarioError, match="already registered"):
-                register_executor("reg-test", fake)
-            register_executor("reg-test", fake, replace=True)  # no raise
-        finally:
-            unregister_executor("reg-test")
-        assert "reg-test" not in EXECUTORS
-
-    def test_unregister_guards(self):
-        with pytest.raises(ScenarioError, match="built-in"):
-            unregister_executor("serial")
-        with pytest.raises(ScenarioError, match="not registered"):
-            unregister_executor("no-such-executor")
 
 
 class TestSweepErrorReporting:
