@@ -142,18 +142,22 @@ def _json_mapping(data: object, what: str) -> dict:
 
 
 def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
-    """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced."""
+    """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced.
+
+    Values go in as they are: the spec built from ``data`` copies every
+    container it keeps.  Each mapping a path passes through is copied
+    first, so a path never writes into a mapping an earlier path set,
+    which belongs to the caller (a sweep's grid, say).
+    """
     for path, value in overrides.items():
         parts = path.split(".")
         node = data
         for part in parts[:-1]:
             child = node.get(part)
-            if not isinstance(child, dict):
-                child = {}
-                node[part] = child
+            child = dict(child) if isinstance(child, dict) else {}
+            node[part] = child
             node = child
-        scalar = isinstance(value, (str, int, float, type(None)))
-        node[parts[-1]] = value if scalar else copy.deepcopy(value)
+        node[parts[-1]] = value
     return data
 
 

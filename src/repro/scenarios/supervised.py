@@ -46,8 +46,9 @@ import time
 from collections.abc import Callable, Mapping
 from multiprocessing.connection import wait as _wait_connections
 
+from ..core.named import Params
 from .faults import FaultPlan
-from .spec import ScenarioError
+from .spec import ScenarioError, _integer
 from .store import spec_family
 from .sweep import _pool_context, _run_point_payload
 
@@ -123,6 +124,9 @@ def make_supervised_executor(
     fault plan's worker faults.
     """
     what = "supervised executor option"
+    timeout = Params.check(timeout, float, f"{what} 'timeout'")
+    retries = _integer(retries, f"{what} 'retries'")
+    backoff = Params.check(backoff, float, f"{what} 'backoff'")
     if not (math.isfinite(timeout) and timeout > 0):
         raise ScenarioError(f"{what} 'timeout' must be finite and > 0, got {timeout}")
     if retries < 0:

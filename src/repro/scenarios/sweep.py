@@ -139,11 +139,17 @@ def derive_point_seeds(base_seed: int, count: int) -> list[int]:
 
 
 def _grid_values(path: object, values: object) -> list:
-    """A grid path's values as a list, refusing anything but a non-empty list."""
+    """A grid path's values as a list, refusing anything but a non-empty list.
+
+    A NumPy array is a list of its rows, so ``np.linspace(0, 0.5, 6)`` is
+    a six-value grid.
+    """
     if not isinstance(path, str):
         raise ScenarioError(
             f"grid paths must be strings, got {type(path).__name__} {path!r}"
         )
+    if isinstance(values, np.ndarray) and values.ndim > 0:
+        values = values.tolist()
     if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
         raise ScenarioError(
             f"grid values for {path!r} must be a list, got "

@@ -180,9 +180,16 @@ class TestFlagChecks:
             ({"backoff": math.inf}, "'backoff'"),
             ({"backoff": -0.5}, "'backoff'"),
             ({"retries": -1}, "'retries'"),
+            ({"timeout": "5"}, "'timeout' must be a number, got str"),
+            ({"timeout": None}, "'timeout' must be a number, got NoneType"),
+            ({"timeout": True}, "'timeout' must be a number, got bool"),
+            ({"backoff": "0.1"}, "'backoff' must be a number, got str"),
+            ({"retries": 1.5}, "'retries' must be an integer, got float"),
+            ({"retries": "2"}, "'retries' must be an integer, got str"),
+            ({"retries": None}, "'retries' must be an integer, got NoneType"),
         ],
     )
-    def test_supervised_options_must_be_finite(self, options, name):
+    def test_malformed_supervised_options_are_refused(self, options, name):
         with pytest.raises(ScenarioError, match=name):
             make_supervised_executor(**options)
 
@@ -292,6 +299,45 @@ class TestNumpyValues:
         ranges.append(6)
         params["extra"] = 1
         assert spec.params == {"family": "range_uniform_subset", "ranges": [2, 4]}
+
+    def test_override_leaves_the_callers_mappings_alone(self):
+        params = {"k": 2}
+        spec = base_spec().override({"workload.params": params, "workload.params.k": 5})
+        assert spec.workload.params == {"k": 5} and params == {"k": 2}
+        sweep = Sweep(
+            base=base_spec(),
+            grid={"workload.params": [{"k": 2}], "workload.params.k": [3, 4]},
+        )
+        text = sweep.to_json()
+        assert [p.workload.params for p in sweep.points()] == [{"k": 3}, {"k": 4}]
+        assert sweep.to_json() == text
+
+    def test_an_array_is_a_value_list(self):
+        advice = {
+            "function": "min-id-prefix",
+            "bits": 2,
+            "corruption": {"model": "bit-flip", "probability": 0.0},
+        }
+        path = "advice.corruption.probability"
+        array = Sweep(base=base_spec(advice=advice), grid={path: np.linspace(0, 0.5, 5)})
+        plain = Sweep(
+            base=base_spec(advice=advice), grid={path: [0.0, 0.125, 0.25, 0.375, 0.5]}
+        )
+        assert array == plain and array.to_json() == plain.to_json()
+        assert [spec_key(p) for p in array.points()] == [
+            spec_key(p) for p in plain.points()
+        ]
+        grid = {"workload.params.k": np.arange(2, 6)}
+        ints = {"workload.params.k": [2, 3, 4, 5]}
+        assert run_sweep(Sweep(base=base_spec(), grid=grid)).results == run_sweep(
+            Sweep(base=base_spec(), grid=ints)
+        ).results
+        rows = Sweep(
+            base=numpy_grid().base, grid={"workload.params.ranges": np.eye(2, dtype=int)}
+        )
+        assert rows.grid == {"workload.params.ranges": [[1, 0], [0, 1]]}
+        with pytest.raises(ScenarioError, match="must be a list, got ndarray"):
+            Sweep(base=base_spec(), grid={"workload.params.k": np.array(3)})
 
     @pytest.mark.parametrize(
         "make, message",

@@ -1,7 +1,7 @@
 """Count the lines of the package source: raw lines and code lines.
 
-Raw lines are every line of every ``.py`` file under the source tree.
-Code lines are the lines that hold a token of code, read with
+Raw lines are every line of every ``.py`` file under ``src/``.  Code
+lines are the lines that hold a token of code, read with
 :mod:`tokenize`: blank lines, comment lines and docstrings (a string
 that is a statement of its own) do not count; a line holding code and a
 trailing comment does.  A code token that spans lines, such as a
@@ -9,17 +9,16 @@ multi-line string argument, counts every line it spans.
 
 Usage::
 
-    python tools/code_lines.py [--root src] [--json]
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tokenize
 from pathlib import Path
 
+#: The package source, found from this file so any working directory will do.
+SRC = Path(__file__).resolve().parents[1] / "src"
 #: Tokens that are neither code nor statement boundaries.
 _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
 #: Tokens that end a statement or open or close a block.
@@ -50,43 +49,15 @@ def count_file(path: Path) -> tuple[int, int]:
     return len(path.read_bytes().splitlines()), len(code)
 
 
-def count_tree(root: Path) -> dict:
-    """Files, raw lines and code lines of every ``.py`` file under ``root``."""
-    files = sorted(root.rglob("*.py"))
+def main() -> None:
+    files = sorted(SRC.rglob("*.py"))
     raw = code = 0
     for path in files:
         file_raw, file_code = count_file(path)
         raw += file_raw
         code += file_code
-    return {
-        "root": str(root),
-        "files": len(files),
-        "raw_lines": raw,
-        "code_lines": code,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default="src", help="source tree (default: src)")
-    parser.add_argument(
-        "--json", action="store_true", help="print the counts as JSON"
-    )
-    args = parser.parse_args(argv)
-    root = Path(args.root)
-    if not root.is_dir():
-        print(f"no such directory: {root}", file=sys.stderr)
-        return 2
-    counts = count_tree(root)
-    if args.json:
-        print(json.dumps(counts))
-    else:
-        print(
-            f"{counts['root']}: {counts['files']} files, {counts['raw_lines']} raw "
-            f"lines, {counts['code_lines']} code lines"
-        )
-    return 0
+    print(f"src: {len(files)} files, {raw} raw lines, {code} code lines")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
