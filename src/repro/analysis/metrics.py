@@ -55,14 +55,20 @@ class Summary:
     def from_samples(cls, samples: Sequence[float]) -> "Summary":
         """Summarise a non-empty sample, field for field as numpy would.
 
-        ``mean``, ``std`` (``ddof=1``; 0.0 for one sample), ``minimum``
-        and ``maximum`` read the samples as given.  ``median`` and ``p90``
-        skip the generic wrappers of ``np.median`` and ``np.quantile`` but
-        make their partitions (the same kth lists) and their arithmetic:
-        the mean of the middle slice, and the default "linear" rule at
-        0.9 (:func:`_linear_quantile`).  Every field equals what those
-        numpy functions return, down to the sign of zero, and a NaN
-        sample makes the median and p90 NaN.
+        ``mean`` and ``std`` (``ddof=1``; 0.0 for one sample) are
+        ``np.mean`` and ``np.std``'s own steps without their wrappers:
+        ``np.add.reduce`` over the samples in their given order (numpy's
+        pairwise summation), the division, and for ``std`` the squared
+        deviations and the square root.  ``median`` and ``p90`` skip the
+        generic wrappers of ``np.median`` and ``np.quantile`` but make
+        their partitions (the same kth lists) and their arithmetic: the
+        mean of the middle slice, and the default "linear" rule at 0.9
+        (:func:`_linear_quantile`).  An integer array (what
+        :meth:`~repro.channel.trace.BatchExecutionResult.rounds_summary`
+        passes) holds no NaN and no signed zero, and its floats keep its
+        order, so one sort gives all four order statistics.  Every field
+        equals what those numpy functions return, down to the sign of
+        zero, and a NaN sample makes the median and p90 NaN.
         """
         if len(samples) == 0:
             raise ValueError(
@@ -72,24 +78,37 @@ class Summary:
         data = np.asarray(samples, dtype=float)
         size = data.size
         half = size // 2
-        # np.median's own partition: its kth list, the middle pair (or
-        # element) plus the last index, where any NaN lands.
-        middle = np.partition(
-            data, [half - 1, half, -1] if size % 2 == 0 else [half, -1]
-        )
-        if math.isnan(middle[-1]):
-            median = p90 = middle[-1]
+        if isinstance(samples, np.ndarray) and samples.dtype.kind in "iu":
+            ordered = np.sort(data)
+            minimum, maximum = ordered[0], ordered[-1]
+            # One middle element twice for odd sizes: (x + x) / 2 is x.
+            median = (ordered[(size - 1) // 2] + ordered[half]) / 2
+            p90 = _linear_quantile(ordered, 0.9)
         else:
-            # A 1-element slice even for odd sizes: np.median takes the
-            # mean of it, which reads a middle -0.0 as 0.0.
-            median = np.mean(middle[(size - 1) // 2 : half + 1])
-            p90 = _linear_quantile(data, 0.9)
+            # np.median's own partition: its kth list, the middle pair (or
+            # element) plus the last index, where any NaN lands.
+            middle = np.partition(
+                data, [half - 1, half, -1] if size % 2 == 0 else [half, -1]
+            )
+            minimum, maximum = data.min(), data.max()
+            if math.isnan(middle[-1]):
+                median = p90 = middle[-1]
+            else:
+                # A 1-element slice even for odd sizes: np.median takes the
+                # mean of it, which reads a middle -0.0 as 0.0.
+                median = np.mean(middle[(size - 1) // 2 : half + 1])
+                p90 = _linear_quantile(data, 0.9)
+        mean = np.add.reduce(data) / size
+        std = 0.0
+        if size > 1:
+            deviations = data - mean
+            std = math.sqrt(np.add.reduce(deviations * deviations) / (size - 1))
         return cls(
             count=int(size),
-            mean=float(data.mean()),
-            std=float(data.std(ddof=1)) if size > 1 else 0.0,
-            minimum=float(data.min()),
-            maximum=float(data.max()),
+            mean=float(mean),
+            std=std,
+            minimum=float(minimum),
+            maximum=float(maximum),
             median=float(median),
             p90=float(p90),
         )

@@ -556,9 +556,10 @@ def estimate_player_rounds_many(
     tree descent and their fallback wrappers - under a model that draws
     no fault randomness) but differing in adversary, advice quality or
     seed.  Point ``j`` first draws its participant sets, then its advice
-    strings, from its own ``rngs[j]`` - exactly the solo estimator's
-    consumption order; the engine itself draws nothing, so entry ``j`` of
-    the result is **bit-identical** to the solo call.
+    (one :meth:`~repro.core.advice.AdviceFunction.advise_many` call),
+    from its own ``rngs[j]`` - exactly the solo estimator's consumption
+    order; the engine itself draws nothing, so entry ``j`` of the result
+    is **bit-identical** to the solo call.
     """
     if not (len(participant_sources) == len(rngs) == len(advice_functions)):
         raise ValueError(
@@ -576,19 +577,16 @@ def estimate_player_rounds_many(
             "engine; run its points through estimate_player_rounds"
         )
     all_sets: list[frozenset[int]] = []
-    all_advice: list[str] = []
+    all_advice: list[np.ndarray] = []
     for source, advice_function, rng in zip(
         participant_sources, advice_functions, rngs
     ):
         advice_source = checked_advice_source(protocol, advice_function)
         point_sets = [source(rng) for _ in range(trials)]
         all_sets.extend(point_sets)
-        all_advice.extend(
-            advice_source.checked_advise(participants, n)
-            for participants in point_sets
-        )
+        all_advice.append(advice_source.advise_many(point_sets, n))
     stacked = run_players_stacked(
-        protocol, all_sets, n, all_advice, channel=channel,
+        protocol, all_sets, n, np.concatenate(all_advice), channel=channel,
         max_rounds=max_rounds,
     )
     estimates = []

@@ -121,8 +121,10 @@ def run_players_batch(
     entry ``i`` of the returned
     :class:`~repro.channel.trace.BatchExecutionResult` is an execution on
     ``participant_sets[i]``, with the advice function evaluated once per
-    trial on its participant set (Section 3.1), exactly as the scalar
-    engine does.  Raises :class:`ValueError` for protocols without
+    trial on its participant set (Section 3.1), as the scalar engine
+    does: the ids are checked, then one
+    :meth:`~repro.core.advice.AdviceFunction.advise_many` call advises
+    every set.  Raises :class:`ValueError` for protocols without
     :meth:`~repro.core.protocol.PlayerProtocol.batch_sessions` - callers
     wanting transparent fallback route through
     :func:`repro.analysis.montecarlo.route` first.
@@ -130,12 +132,9 @@ def run_players_batch(
     _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
     ids = pack_participants(participant_sets)
-
+    _check_ids(ids, n)
     advice_source = checked_advice_source(protocol, advice_function)
-    advice = tuple(
-        advice_source.checked_advise(participants, n)
-        for participants in participant_sets
-    )
+    advice = advice_source.advise_many(participant_sets, n)
     return _drive_batch_sessions(
         protocol, ids, n, advice, rng, channel=channel, max_rounds=max_rounds
     )
@@ -145,7 +144,7 @@ def run_players_stacked(
     protocol: PlayerProtocol,
     participant_sets: Sequence[frozenset[int]],
     n: int,
-    advice: Sequence[str],
+    advice: Sequence[str] | np.ndarray,
     *,
     channel: Channel,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
@@ -153,7 +152,7 @@ def run_players_stacked(
     """Execute trials of *many scenario points* as one stacked batch.
 
     The fused sweep executor's player substrate: the caller has already
-    drawn each point's participant sets and advice strings from that
+    drawn each point's participant sets and advice from that
     point's own generator (in exactly the per-point order), concatenated
     them, and hands the engine pure data.  Because the protocol's batch
     sessions consume no randomness
@@ -163,13 +162,16 @@ def run_players_stacked(
     that point's batch alone - rows retire independently and the session
     state of one trial never reads another's.
 
-    ``advice`` holds one pre-computed advice string per trial (aligned
-    with ``participant_sets``).  Raises :class:`ValueError` for protocols
-    without randomness-free batch sessions, and
+    ``advice`` holds one pre-computed advice value per trial (aligned
+    with ``participant_sets``): an int64 array, as
+    :meth:`~repro.core.advice.AdviceFunction.advise_many` returns it, or
+    ``b``-bit strings, decoded here.  Raises :class:`ValueError` for
+    protocols without randomness-free batch sessions, and
     :class:`~repro.core.advice.AdviceError` with the messages of
     :meth:`~repro.core.advice.AdviceFunction.checked_advise` for an id
     outside ``0..n-1`` or an advice string that is not
-    ``protocol.advice_bits`` binary digits.
+    ``protocol.advice_bits`` binary digits, and for an int outside
+    ``[0, 2**advice_bits)``.
     """
     _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
@@ -186,17 +188,15 @@ def run_players_stacked(
             f"{len(participant_sets)} trials"
         )
     ids = pack_participants(participant_sets)
-    _check_stacked_inputs(ids, n, advice, protocol.advice_bits)
+    _check_ids(ids, n)
     return _drive_batch_sessions(
-        protocol, ids, n, tuple(advice), None, channel=channel,
-        max_rounds=max_rounds,
+        protocol, ids, n, _advice_array(advice, protocol.advice_bits), None,
+        channel=channel, max_rounds=max_rounds,
     )
 
 
-def _check_stacked_inputs(
-    ids: np.ndarray, n: int, advice: Sequence[str], bits: int
-) -> None:
-    """``checked_advise``'s checks, with its messages, on caller inputs.
+def _check_ids(ids: np.ndarray, n: int) -> None:
+    """``checked_advise``'s id check, with its message, on packed ids.
 
     Packed rows are sorted and padded on the right with ``-1``, so a
     row's first slot is its smallest id; unchecked, a ``-1`` id would
@@ -207,6 +207,21 @@ def _check_stacked_inputs(
         row = ids[int(np.argmax(out_of_range))]
         player = row[0] if row[0] < 0 else row.max()
         raise AdviceError(f"player id {player} outside 0..{n - 1}")
+
+
+def _advice_array(advice: Sequence[str] | np.ndarray, bits: int) -> np.ndarray:
+    """Caller advice as int64, checked against the ``bits`` budget.
+
+    Strings get ``checked_advise``'s checks and messages; ints must lie
+    in ``[0, 2**bits)``, the values a ``bits``-bit string reads.
+    """
+    if isinstance(advice, np.ndarray) and advice.dtype.kind in "iu":
+        outside = advice[(advice < 0) | (advice >= 2**bits)]
+        if outside.size:
+            raise AdviceError(
+                f"advice {outside[0]} outside 0..{2**bits - 1} for a {bits}-bit budget"
+            )
+        return advice.astype(np.int64)
     for bits_string in advice:
         if len(bits_string) != bits:
             raise AdviceError(
@@ -215,6 +230,7 @@ def _check_stacked_inputs(
             )
         if bits_string.strip("01"):
             raise AdviceError(f"malformed advice {bits_string!r}")
+    return np.array([int(string or "0", 2) for string in advice], dtype=np.int64)
 
 
 #: Rounds a faithful run settles per engine step when its sessions count
@@ -227,7 +243,7 @@ def _drive_batch_sessions(
     protocol: PlayerProtocol,
     ids: np.ndarray,
     n: int,
-    advice: tuple[str, ...],
+    advice: np.ndarray,
     rng: np.random.Generator | None,
     *,
     channel: Channel,

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import abc
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
+
+import numpy as np
 
 from ..infotheory.condense import num_ranges, range_of_size
 
@@ -39,6 +41,11 @@ __all__ = [
     "bits_to_int",
     "range_blocks",
 ]
+
+
+#: Participant sets, one per trial, as :meth:`AdviceFunction.advise_many`
+#: takes them.
+ParticipantSets = Sequence[Collection[int]]
 
 
 class AdviceError(ValueError):
@@ -133,6 +140,18 @@ class AdviceFunction(abc.ABC):
             raise AdviceError(f"malformed advice {advice!r}")
         return advice
 
+    def advise_many(self, participant_sets: ParticipantSets, n: int) -> np.ndarray:
+        """One int64 advice value per set: its string read in base 2.
+
+        The batch engines' form of the advice (``""`` reads 0).  This
+        default decodes :meth:`checked_advise` set by set, in order, so a
+        subclass that implements only :meth:`advise` keeps its checks,
+        messages and draws.  An override must return the same values and
+        leave any generator it draws from where this default leaves it.
+        """
+        strings = [self.checked_advise(s, n) for s in participant_sets]
+        return np.array([int(s or "0", 2) for s in strings], dtype=np.int64)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} b={self.bits}>"
 
@@ -147,6 +166,10 @@ class NullAdvice(AdviceFunction):
         del participants, n
         return ""
 
+    def advise_many(self, participant_sets: ParticipantSets, n: int) -> np.ndarray:
+        del n
+        return np.zeros(len(participant_sets), dtype=np.int64)
+
 
 class MinIdPrefixAdvice(AdviceFunction):
     """First ``b`` bits of the minimum active player's id.
@@ -159,13 +182,22 @@ class MinIdPrefixAdvice(AdviceFunction):
     """
 
     def advise(self, participants: Collection[int], n: int) -> str:
+        width = self._width(n)
+        target = min(participants)
+        return id_to_bits(target, width)[: self.bits]
+
+    def advise_many(self, participant_sets: ParticipantSets, n: int) -> np.ndarray:
+        # The engines check the ids; a prefix is the id's top bits.
+        shift = self._width(n) - self.bits
+        return np.array([min(s) for s in participant_sets], dtype=np.int64) >> shift
+
+    def _width(self, n: int) -> int:
         width = id_bit_width(n)
         if self.bits > width:
             raise AdviceError(
                 f"budget {self.bits} exceeds id width {width} for n={n}"
             )
-        target = min(participants)
-        return id_to_bits(target, width)[: self.bits]
+        return width
 
 
 class RangeBlockAdvice(AdviceFunction):

@@ -25,7 +25,7 @@ from collections.abc import Collection
 
 import numpy as np
 
-from .advice import AdviceFunction
+from .advice import AdviceFunction, ParticipantSets
 
 __all__ = ["BitFlipAdvice", "AdversarialAdvice"]
 
@@ -63,6 +63,15 @@ class BitFlipAdvice(AdviceFunction):
             ("1" if bit == "0" else "0") if flipped else bit
             for bit, flipped in zip(clean, flips)
         )
+
+    def advise_many(self, participant_sets: ParticipantSets, n: int) -> np.ndarray:
+        clean = self.base.advise_many(participant_sets, n)
+        if self.flip_probability == 0.0 or not self.bits:
+            return clean
+        # Row i holds set i's uniforms, the ones advise() draws for it;
+        # column j flips bit j of the string, most significant first.
+        flips = self._rng.random((len(clean), self.bits)) < self.flip_probability
+        return clean ^ (flips @ (1 << np.arange(self.bits - 1, -1, -1)))
 
 
 class AdversarialAdvice(AdviceFunction):

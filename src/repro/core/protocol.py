@@ -355,7 +355,7 @@ class PlayerProtocol(abc.ABC):
         self,
         player_ids: "np.ndarray",
         n: int,
-        advice: tuple[str, ...],
+        advice: "np.ndarray",
         rng: "np.random.Generator | None" = None,
     ) -> PlayerBatchSessions | None:
         """Array-state sessions for a whole batch of executions.
@@ -363,8 +363,10 @@ class PlayerProtocol(abc.ABC):
         ``player_ids`` is an int64 ``(trials, players)`` array of each
         trial's participant ids in ascending order, right-padded with
         ``-1`` where participant sets are smaller than the widest one;
-        ``advice`` holds one advice string per trial (all participants of
-        a trial share it, Section 3.1).  The default ``None`` keeps the
+        ``advice`` is an int64 array of one advice value per trial, its
+        ``advice_bits``-bit string read in base 2 (all participants of a
+        trial share it, Section 3.1), already checked against
+        ``[0, 2**advice_bits)``.  The default ``None`` keeps the
         protocol on the scalar per-player loop - wrappers whose per-round
         behaviour cannot be expressed as lockstep array updates (e.g. the
         fallback combinator) simply never override it.

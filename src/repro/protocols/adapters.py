@@ -246,7 +246,7 @@ class UniformAsPlayerProtocol(PlayerProtocol):
         self,
         player_ids: np.ndarray,
         n: int,
-        advice: tuple[str, ...],
+        advice: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> _UniformPlayerBatchSessions | None:
         del n, advice

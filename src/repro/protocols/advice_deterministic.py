@@ -79,19 +79,20 @@ class _ScanSession(PlayerSession):
 
 
 def _advice_ints(
-    advice: tuple[str, ...], bits: int, width: int, n: int
+    advice: np.ndarray, bits: int, width: int, n: int
 ) -> np.ndarray:
-    """Per-trial advice strings decoded to integers.
+    """A copy of the per-trial int64 advice, after the width check.
 
-    The engine entry points have already checked that each string is
-    ``bits`` binary digits, so only the scalar sessions' width check is
-    left, and it holds for every string at once.
+    The engine entry points have already checked each value against
+    ``[0, 2**bits)``, so only the scalar sessions' width check is left,
+    and it holds for every trial at once; its message shows the first
+    trial's advice as the string the scalar session would refuse.
     """
     if bits > width:
         raise AdviceError(
-            f"advice {advice[0]!r} longer than id width {width} for n={n}"
+            f"advice '{advice[0]:0{bits}b}' longer than id width {width} for n={n}"
         )
-    return np.array([int(string or "0", 2) for string in advice], dtype=np.int64)
+    return np.array(advice, dtype=np.int64)
 
 
 class _ScanBatchSessions(PlayerBatchSessions):
@@ -108,7 +109,7 @@ class _ScanBatchSessions(PlayerBatchSessions):
     """
 
     def __init__(
-        self, ids: np.ndarray, n: int, advice: tuple[str, ...], bits: int
+        self, ids: np.ndarray, n: int, advice: np.ndarray, bits: int
     ) -> None:
         width = id_bit_width(n)
         targets = _advice_ints(advice, bits, width, n)
@@ -193,7 +194,7 @@ class DeterministicScanProtocol(PlayerProtocol):
         self,
         player_ids: np.ndarray,
         n: int,
-        advice: tuple[str, ...],
+        advice: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> _ScanBatchSessions:
         del rng  # deterministic protocol
@@ -264,7 +265,7 @@ class _TreeDescentBatchSessions(PlayerBatchSessions):
     """
 
     def __init__(
-        self, ids: np.ndarray, n: int, advice: tuple[str, ...], bits: int
+        self, ids: np.ndarray, n: int, advice: np.ndarray, bits: int
     ) -> None:
         self._width = id_bit_width(n)
         self._ids = ids
@@ -357,7 +358,7 @@ class DeterministicTreeDescentProtocol(PlayerProtocol):
         self,
         player_ids: np.ndarray,
         n: int,
-        advice: tuple[str, ...],
+        advice: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> _TreeDescentBatchSessions:
         del rng  # deterministic protocol

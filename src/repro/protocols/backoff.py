@@ -161,7 +161,7 @@ class BinaryExponentialBackoff(PlayerProtocol):
         self,
         player_ids: np.ndarray,
         n: int,
-        advice: tuple[str, ...],
+        advice: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> _BackoffBatchSessions:
         del n, advice  # identity- and advice-oblivious, like session()

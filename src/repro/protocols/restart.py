@@ -318,7 +318,7 @@ class FallbackPlayerProtocol(PlayerProtocol):
         self,
         player_ids: np.ndarray,
         n: int,
-        advice: tuple[str, ...],
+        advice: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> _FallbackBatchSessions | None:
         if not self.supports_batch_sessions():
@@ -327,14 +327,15 @@ class FallbackPlayerProtocol(PlayerProtocol):
         assert primary is not None  # guaranteed by supports_batch_sessions
         trials = player_ids.shape[0]
         # The scalar wrapper hands the fallback an empty advice string
-        # (it must not trust advice); mirror that per trial.  Creation is
-        # deferred to the first switch, like the scalar lazy factory -
-        # batch-session constructors consume no randomness, so laziness
-        # is a convenience, not a correctness requirement.
+        # (it must not trust advice), which reads 0; mirror that per
+        # trial.  Creation is deferred to the first switch, like the
+        # scalar lazy factory - batch-session constructors consume no
+        # randomness, so laziness is a convenience, not a correctness
+        # requirement.
         return _FallbackBatchSessions(
             primary,
             lambda: self.fallback.batch_sessions(
-                player_ids, n, ("",) * trials, rng=rng
+                player_ids, n, np.zeros(trials, dtype=np.int64), rng=rng
             ),
             self.budget_rounds,
             trials,

@@ -655,9 +655,23 @@ def run_sweep(
             f"fault plan's crash/hang/corrupt faults would be silent no-ops; "
             f"use the 'supervised' executor for worker faults"
         )
+    total = len(points)
+    if fault_plan is not None:
+        # A fault aimed past the grid would never fire: refuse the plan.
+        for what in ("crash", "hang", "corrupt"):
+            beyond = [index for index in getattr(fault_plan, what) if index >= total]
+            if beyond:
+                raise ScenarioError(
+                    f"fault plan {what!r} names point {min(beyond)}, but the "
+                    f"sweep has {total} points"
+                )
+        if (fault_plan.crash_driver_after or 0) > total:
+            raise ScenarioError(
+                f"fault plan field 'crash_driver_after' is "
+                f"{fault_plan.crash_driver_after}, but the sweep has {total} points"
+            )
 
     started = time.perf_counter()
-    total = len(points)
     slots: list = [None] * total
     resumed = 0
     cache_hits = 0

@@ -555,6 +555,35 @@ class TestStackedPlayerEngine:
                 channel=channel, max_rounds=5,
             )
 
+    @pytest.mark.parametrize("value", [-1, 4, 2**40])
+    @pytest.mark.parametrize("kind", ["scan", "descent"])
+    def test_rejects_int_advice_off_the_budget(self, kind, value):
+        """Int advice must be a value some b-bit string reads."""
+        protocol, channel = self._checked_case(kind)
+        with pytest.raises(
+            AdviceError, match=re.escape(f"advice {value} outside 0..3")
+        ):
+            run_players_stacked(
+                protocol, [frozenset({3072, 3073})] * 2, 2**12,
+                np.array([3, value]), channel=channel, max_rounds=5,
+            )
+
+    @pytest.mark.parametrize("kind", ["scan", "descent"])
+    def test_int_advice_runs_as_its_strings(self, kind):
+        protocol, channel = self._checked_case(kind)
+        sets = [frozenset({3072, 3073}), frozenset({1, 2050}), frozenset({9})]
+        strings = run_players_stacked(
+            protocol, sets, 2**12, ["11", "00", "10"], channel=channel,
+            max_rounds=40,
+        )
+        advice = np.array([3, 0, 2], dtype=np.int64)
+        ints = run_players_stacked(
+            protocol, sets, 2**12, advice, channel=channel, max_rounds=40,
+        )
+        assert strings.solved.tolist() == ints.solved.tolist()
+        assert strings.rounds.tolist() == ints.rounds.tolist()
+        assert advice.tolist() == [3, 0, 2]  # the caller's array is kept
+
 
 class _CountingRng:
     """Duck-typed generator recording how many uniforms were requested."""

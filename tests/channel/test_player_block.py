@@ -122,7 +122,8 @@ def test_scan_block_counts_transmitters_and_advances():
     """Column c counts round c of the block; the pass ends at ``playable``."""
     ids = pack_participants([frozenset({1, 5}), frozenset({60, 61, 63})])
     scan = DeterministicScanProtocol(3)  # n = 64: an 8-round pass
-    sessions = scan.batch_sessions(ids, 64, ("000", "111"))
+    # Advice "000" and "111", as the int64 values the engines hand over.
+    sessions = scan.batch_sessions(ids, 64, np.array([0b000, 0b111]))
     live = np.array([0, 1])
     counts, playable = sessions.block_counts(live, 4)
     assert playable == 4
@@ -155,7 +156,7 @@ NO_BLOCK_HOOK = {
 def test_other_sessions_answer_none_without_side_effect(label):
     protocol = NO_BLOCK_HOOK[label]()
     ids = pack_participants([frozenset({1, 5}), frozenset({60, 61, 63})])
-    advice = ("0" * protocol.advice_bits,) * 2
+    advice = np.zeros(2, dtype=np.int64)  # all-zero advice strings
     probed = protocol.batch_sessions(
         ids, 64, advice, rng=np.random.default_rng(3)
     )

@@ -1,9 +1,11 @@
 """Unit tests for repro.core.advice (the perfect-advice model)."""
 
+import numpy as np
 import pytest
 
 from repro.core.advice import (
     AdviceError,
+    AdviceFunction,
     FullIdAdvice,
     MinIdPrefixAdvice,
     NullAdvice,
@@ -13,6 +15,7 @@ from repro.core.advice import (
     id_to_bits,
     range_blocks,
 )
+from repro.core.faulty_advice import AdversarialAdvice, BitFlipAdvice
 from repro.infotheory.condense import num_ranges, range_of_size
 
 
@@ -155,3 +158,78 @@ class TestCheckedAdvise:
     def test_negative_budget_rejected(self):
         with pytest.raises(AdviceError):
             MinIdPrefixAdvice(-1)
+
+
+ADVICE_FUNCTIONS = {
+    "null": lambda n: NullAdvice(),
+    "min-id-prefix-0": lambda n: MinIdPrefixAdvice(0),
+    "min-id-prefix-3": lambda n: MinIdPrefixAdvice(3),
+    "min-id-prefix-full": lambda n: MinIdPrefixAdvice(id_bit_width(n)),
+    "range-block": lambda n: RangeBlockAdvice(2),
+    "full-id": FullIdAdvice,
+}
+CORRUPTIONS = {
+    "none": None,
+    "bit-flip-0": (BitFlipAdvice, 0.0),
+    "bit-flip-0.3": (BitFlipAdvice, 0.3),
+    "bit-flip-1": (BitFlipAdvice, 1.0),
+    "adversarial-0": (AdversarialAdvice, 0.0),
+    "adversarial-0.3": (AdversarialAdvice, 0.3),
+}
+
+
+def _advice_function(function, corruption, n, rng):
+    base = ADVICE_FUNCTIONS[function](n)
+    if CORRUPTIONS[corruption] is None:
+        return base
+    wrapper, probability = CORRUPTIONS[corruption]
+    return wrapper(base, probability, rng)
+
+
+class TestAdviseMany:
+    """``advise_many`` is the per-set ``checked_advise`` loop, decoded."""
+
+    @pytest.mark.parametrize("n", [256, 100])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("function", sorted(ADVICE_FUNCTIONS))
+    def test_equals_the_decoded_per_set_advice(self, function, corruption, n):
+        draw = np.random.default_rng([11, n])
+        sets = [
+            frozenset(draw.choice(n, size=int(k), replace=False).tolist())
+            for k in draw.integers(1, 12, size=40)
+        ]
+        many_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _advice_function(function, corruption, n, many_rng).advise_many(
+            sets, n
+        )
+        loop = _advice_function(function, corruption, n, loop_rng)
+        want = [bits_to_int(loop.checked_advise(s, n)) for s in sets]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        # Both left their generator at the same stream position.
+        assert many_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_no_sets_give_no_values_and_no_draws(self, corruption):
+        rng = np.random.default_rng(5)
+        advice = _advice_function("min-id-prefix-3", corruption, 64, rng)
+        got = advice.advise_many([], 64)
+        assert got.dtype == np.int64 and got.size == 0
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_a_custom_function_inherits_the_checked_loop(self):
+        class Parity(AdviceFunction):
+            def advise(self, participants, n):
+                return "1" if len(participants) % 2 else "0"
+
+        assert Parity(1).advise_many([{1}, {1, 2}, {0, 3, 5}], 8).tolist() == [
+            1, 0, 1,
+        ]
+        with pytest.raises(AdviceError, match="player id 8 outside 0..7"):
+            Parity(1).advise_many([{1}, {8}], 8)
+        with pytest.raises(AdviceError, match="has 1 bits, budget is 2"):
+            Parity(2).advise_many([{1}], 8)
+
+    def test_a_budget_wider_than_the_ids_is_refused(self):
+        with pytest.raises(AdviceError, match="exceeds id width 4"):
+            MinIdPrefixAdvice(5).advise_many([{3}], 16)

@@ -33,6 +33,18 @@ float_samples = st.lists(floats, min_size=1, max_size=300)
 int_samples = st.lists(
     st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=300
 )
+INT64 = np.iinfo(np.int64)
+#: What ``rounds_summary`` passes: an int64 array.  The full range puts
+#: values above 2**53, where the float conversion rounds.
+int64_arrays = st.lists(
+    st.one_of(
+        st.integers(min_value=INT64.min, max_value=INT64.max),
+        st.integers(-3, 3),
+        st.integers(2**53 - 4, 2**53 + 4),
+    ),
+    min_size=1,
+    max_size=300,
+).map(lambda values: np.array(values, dtype=np.int64))
 
 
 def _same(got: float, want: float) -> bool:
@@ -79,9 +91,12 @@ def test_float_summary_matches_numpy(samples):
     _check(samples)
 
 
-@given(samples=int_samples)
-@settings(max_examples=200, deadline=None)
+@given(samples=st.one_of(int_samples, int64_arrays))
+@settings(max_examples=400, deadline=None)
 @example(samples=[7])
 @example(samples=[3, 1])
+@example(samples=np.array([7], dtype=np.int64))
+@example(samples=np.array([2**53 + 1, 2**53, 2**53 + 3, -(2**63)], dtype=np.int64))
+@example(samples=np.array([2**63 - 1, 2**63 - 1], dtype=np.int64))
 def test_integer_summary_matches_numpy(samples):
     _check(samples)

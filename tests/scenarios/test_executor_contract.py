@@ -141,6 +141,36 @@ class TestContract:
                 fault_plan=FaultPlan(crash_driver_after=1),
             )
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (FaultPlan(crash={7: 1}), "'crash' names point 7, but the sweep has 4"),
+            (FaultPlan(hang={1: 1, 4: 2}), "'hang' names point 4, but the sweep has 4"),
+            (FaultPlan(corrupt={9: 1, 5: 1}), "'corrupt' names point 5"),
+            (
+                FaultPlan(crash_driver_after=5),
+                "'crash_driver_after' is 5, but the sweep has 4 points",
+            ),
+        ],
+    )
+    def test_faults_outside_the_grid_are_refused(self, plan, message):
+        """A fault aimed past the last point would never fire."""
+        recorder = Recorder(supervises=True)
+        with pytest.raises(ScenarioError, match=message):
+            run_sweep(four_points(), executor=recorder, fault_plan=plan)
+        assert recorder.calls == []
+
+    def test_faults_on_the_last_point_and_after_it_fire(self):
+        recorder = Recorder(supervises=True)
+        run_sweep(four_points(), executor=recorder, fault_plan=FaultPlan(crash={3: 1}))
+        assert len(recorder.calls) == 1
+        with pytest.raises(SimulatedCrash, match="after 4"):
+            run_sweep(
+                four_points(),
+                executor=Recorder(),
+                fault_plan=FaultPlan(crash_driver_after=4),
+            )
+
     def test_only_the_supervised_builtin_supervises(self):
         assert sorted(EXECUTORS) == ["fused", "process", "serial", "supervised"]
         assert [
@@ -215,6 +245,11 @@ class TestCliFlagChecks:
             (["--executor", "supervised", "--point-timeout", "nan"], "'timeout'"),
             (["--executor", "supervised", "--point-timeout", "inf"], "'timeout'"),
             (["--executor", "supervised", "--point-timeout", "0"], "'timeout'"),
+            (
+                ["--executor", "supervised", "--inject-faults", '{"crash": {"7": 1}}'],
+                "'crash' names point 7",
+            ),
+            (["--inject-faults", '{"crash_driver_after": 5}'], "'crash_driver_after'"),
         ],
     )
     def test_malformed_flags_exit_2(self, tmp_path, capsys, flags, name):
