@@ -5,7 +5,9 @@ set ``P`` chosen by the adversary and hands every participant the same
 ``b``-bit string before round 1 (Section 3.1).  The protocols of Section 3
 are co-designed with their advice functions; this module provides:
 
-* :class:`AdviceFunction` - the interface, with budget validation;
+* :class:`AdviceFunction` - the interface, with budget validation and
+  :meth:`~AdviceFunction.advise_many`, the advice of a whole batch as
+  the int64 values its strings read (the batch engines' form);
 * :class:`NullAdvice` - ``b = 0`` (the classical no-advice setting);
 * :class:`MinIdPrefixAdvice` - the first ``b`` bits of the smallest active
   player's id, i.e. the first ``b`` steps of a balanced-binary-tree
@@ -147,7 +149,9 @@ class AdviceFunction(abc.ABC):
         default decodes :meth:`checked_advise` set by set, in order, so a
         subclass that implements only :meth:`advise` keeps its checks,
         messages and draws.  An override must return the same values and
-        leave any generator it draws from where this default leaves it.
+        leave any generator it draws from where this default leaves it;
+        it may leave the id range check to the engines, which make it
+        once on the packed ids.
         """
         strings = [self.checked_advise(s, n) for s in participant_sets]
         return np.array([int(s or "0", 2) for s in strings], dtype=np.int64)
@@ -189,6 +193,8 @@ class MinIdPrefixAdvice(AdviceFunction):
     def advise_many(self, participant_sets: ParticipantSets, n: int) -> np.ndarray:
         # The engines check the ids; a prefix is the id's top bits.
         shift = self._width(n) - self.bits
+        if not all(participant_sets):
+            raise AdviceError("participant set must be non-empty")
         return np.array([min(s) for s in participant_sets], dtype=np.int64) >> shift
 
     def _width(self, n: int) -> int:

@@ -86,13 +86,15 @@ def _advice_ints(
     The engine entry points have already checked each value against
     ``[0, 2**bits)``, so only the scalar sessions' width check is left,
     and it holds for every trial at once; its message shows the first
-    trial's advice as the string the scalar session would refuse.
+    trial's advice as the string the scalar session would refuse.  The
+    safe cast refuses advice strings, which a plain cast would read as
+    decimal numbers.
     """
     if bits > width:
         raise AdviceError(
             f"advice '{advice[0]:0{bits}b}' longer than id width {width} for n={n}"
         )
-    return np.array(advice, dtype=np.int64)
+    return np.asarray(advice).astype(np.int64, casting="safe")
 
 
 class _ScanBatchSessions(PlayerBatchSessions):

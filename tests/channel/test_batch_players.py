@@ -584,6 +584,14 @@ class TestStackedPlayerEngine:
         assert strings.rounds.tolist() == ints.rounds.tolist()
         assert advice.tolist() == [3, 0, 2]  # the caller's array is kept
 
+    @pytest.mark.parametrize("kind", ["scan", "descent"])
+    def test_sessions_refuse_advice_strings(self, kind):
+        """Sessions take int64 advice; a plain cast would read "10" as ten."""
+        protocol, _ = self._checked_case(kind)
+        ids = pack_participants([frozenset({3072, 3073})])
+        with pytest.raises(TypeError, match="safe"):
+            protocol.batch_sessions(ids, 2**12, ("10",))
+
 
 class _CountingRng:
     """Duck-typed generator recording how many uniforms were requested."""

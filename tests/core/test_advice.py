@@ -230,6 +230,11 @@ class TestAdviseMany:
         with pytest.raises(AdviceError, match="has 1 bits, budget is 2"):
             Parity(2).advise_many([{1}], 8)
 
+    @pytest.mark.parametrize("advice", [MinIdPrefixAdvice(2), RangeBlockAdvice(2)])
+    def test_an_empty_set_is_refused_by_name(self, advice):
+        with pytest.raises(AdviceError, match="participant set must be non-empty"):
+            advice.advise_many([{3}, set()], 16)
+
     def test_a_budget_wider_than_the_ids_is_refused(self):
         with pytest.raises(AdviceError, match="exceeds id width 4"):
             MinIdPrefixAdvice(5).advise_many([{3}], 16)
