@@ -96,6 +96,22 @@ def player_base(**overrides) -> ScenarioSpec:
     return ScenarioSpec.from_dict(data)
 
 
+#: Workloads whose size source changes as it draws: a trace advances its
+#: position and a bursty source its regime with every batch.  90 trials
+#: are not whole passes of the 4-count trace, so a source shared across
+#: points would start each point where the one before it stopped.
+TRACE_WORKLOAD = {"kind": "trace", "params": {"ks": [4, 9, 2, 7]}}
+BURSTY_WORKLOAD = {
+    "kind": "bursty",
+    "params": {
+        "calm_rate": 0.004,
+        "burst_rate": 0.2,
+        "burst_arrival": 0.05,
+        "burst_departure": 0.2,
+    },
+}
+
+
 SCHEDULE_GRIDS = [
     (
         "decay/nocd/fixed-k",
@@ -182,6 +198,24 @@ SCHEDULE_GRIDS = [
         "explicit-seed-sweep",
         uniform_base(),
         {"seed": [1, 2, 3, 4]},
+    ),
+    # One trace or bursty workload under every point: these size sources
+    # change as they draw, so each point must resolve its own.
+    (
+        "fixed-probability/one-trace-workload",
+        uniform_base(
+            protocol={"id": "fixed-probability", "params": {"k_hat": 8.0}},
+            workload=TRACE_WORKLOAD,
+        ),
+        {"protocol.params.k_hat": [4.0, 9.0, 2.0]},
+    ),
+    (
+        "fixed-probability/one-bursty-workload",
+        uniform_base(
+            protocol={"id": "fixed-probability", "params": {"k_hat": 8.0}},
+            workload=BURSTY_WORKLOAD,
+        ),
+        {"protocol.params.k_hat": [4.0, 9.0, 2.0]},
     ),
 ]
 
@@ -275,6 +309,16 @@ HISTORY_GRIDS = [
             },
         ),
         {"workload.params.burst_rate": [0.1, 0.2, 0.4]},
+    ),
+    (
+        "willard/one-trace-workload",
+        uniform_base(protocol="willard", channel="cd", workload=TRACE_WORKLOAD),
+        {"protocol.params.repetitions": [1, 3, 5]},
+    ),
+    (
+        "willard/one-bursty-workload",
+        uniform_base(protocol="willard", channel="cd", workload=BURSTY_WORKLOAD),
+        {"protocol.params.repetitions": [1, 3, 5]},
     ),
 ]
 
