@@ -40,6 +40,7 @@ engine: a trial retires at its first single-transmitter round (``rounds``
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -96,12 +97,17 @@ def pack_participants(
     """
     if not participant_sets:
         raise ValueError("participant batch must be non-empty")
-    widest = max(len(participants) for participants in participant_sets)
-    ids = np.full((len(participant_sets), widest), -1, dtype=np.int64)
-    for row, participants in enumerate(participant_sets):
-        if not participants:
-            raise ValueError("participant set must be non-empty")
-        ids[row, : len(participants)] = sorted(participants)
+    sizes = np.fromiter(map(len, participant_sets), np.int64, len(participant_sets))
+    if not sizes.all():
+        raise ValueError("participant set must be non-empty")
+    flat = np.fromiter(itertools.chain.from_iterable(participant_sets), np.int64)
+    # Scatter each set into its row over int64's largest value, which
+    # sorts after every id (or ties with it), sort the rows, and pad.
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    ids = np.full((sizes.size, sizes.max()), np.iinfo(np.int64).max, dtype=np.int64)
+    ids[rows, np.arange(flat.size) - (np.cumsum(sizes) - sizes)[rows]] = flat
+    ids.sort(axis=1)
+    ids[np.arange(ids.shape[1]) >= sizes[:, None]] = -1
     return ids
 
 

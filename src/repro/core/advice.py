@@ -224,13 +224,13 @@ class RangeBlockAdvice(AdviceFunction):
         total = num_ranges(n)
         k = len(participants)
         true_range = 1 if k < 2 else range_of_size(k)
-        blocks = range_blocks(total, self.bits)
-        for index, block in enumerate(blocks):
-            if true_range in block:
-                return id_to_bits(index, self.bits) if self.bits else ""
-        raise AdviceError(
-            f"range {true_range} not covered by blocks for n={n}, b={self.bits}"
-        )
+        if true_range > total:
+            raise AdviceError(
+                f"range {true_range} not covered by blocks for n={n}, b={self.bits}"
+            )
+        # The block of :func:`range_blocks` holding it, without building them.
+        index = (true_range - 1) // -(-total // 2**self.bits)
+        return id_to_bits(index, self.bits) if self.bits else ""
 
 
 class FullIdAdvice(AdviceFunction):

@@ -50,6 +50,7 @@ from ..channel.network import (
 from ..core.advice import AdviceFunction
 from ..core.named import Registry
 from ..core.protocol import PlayerProtocol
+from ..infotheory.distributions import SizeDistribution
 from .registry import PLAYER, BuildContext, build_protocol, get_protocol
 from .spec import JsonCodec, ScenarioError, ScenarioSpec
 from .workloads import resolve_prediction, resolve_workload, workload_label
@@ -286,15 +287,43 @@ def route_point(
         ) from exc
 
 
+def _sources(spec: ScenarioSpec, shared: dict) -> tuple:
+    """The spec's size source and prediction, resolved once per ``shared`` memo.
+
+    A workload is kept when its size source cannot change as it draws
+    (an ``int`` or a :class:`SizeDistribution`); a trace or bursty
+    source advances with every draw, so each point resolves its own.
+    A prediction is kept per (prediction, workload) pair.  Keys are the
+    nested spec objects' ids; each entry holds its spec, so no id is
+    reused while the memo lives.
+    """
+    key = (id(spec.workload), spec.n)
+    size_source = shared.get(key, (spec, None))[1]
+    if size_source is None:
+        size_source = resolve_workload(spec.workload, spec.n)
+        if isinstance(size_source, (int, SizeDistribution)):
+            shared[key] = (spec, size_source)
+    pair = (id(spec.prediction), *key)
+    if pair not in shared:
+        shared[pair] = (spec, resolve_prediction(spec.prediction, size_source, spec.n))
+    return size_source, shared[pair][1]
+
+
 def resolve_scenario(
-    spec: ScenarioSpec, *, rng: np.random.Generator | None = None
+    spec: ScenarioSpec,
+    *,
+    rng: np.random.Generator | None = None,
+    shared: dict | None = None,
 ) -> ResolvedScenario:
     """Resolve a spec into the objects :func:`run_scenario` would execute.
 
     Raises :class:`ScenarioError` for anything a run would reject -
     unknown ids, missing predictions, advice on uniform protocols - so
     callers (the fused executor, validation tooling) fail before any
-    point has consumed randomness.
+    point has consumed randomness.  ``shared`` is a memo a caller keeps
+    across the points of one run: points whose specs share a workload
+    or prediction object then share its resolved size source or
+    prediction where those cannot change as they draw.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
@@ -305,8 +334,7 @@ def resolve_scenario(
     channel = Channel(
         collision_detection=spec.channel.collision_detection, model=model
     )
-    size_source = resolve_workload(spec.workload, spec.n)
-    prediction = resolve_prediction(spec.prediction, size_source, spec.n)
+    size_source, prediction = _sources(spec, {} if shared is None else shared)
     entry = get_protocol(spec.protocol.id)
     context = BuildContext(n=spec.n, prediction=prediction)
     protocol = build_protocol(spec.protocol, context)

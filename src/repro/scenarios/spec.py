@@ -27,9 +27,10 @@ Design rules:
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field
 from typing import Any, ClassVar
 
@@ -141,15 +142,15 @@ def _json_mapping(data: object, what: str) -> dict:
     return native(_require_mapping(data, what), "")
 
 
-def _with_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
-    """``data`` (a spec's ``to_dict()``) with dotted-path fields replaced.
+def _with_overrides(data: dict, overrides: Iterable[tuple[str, Any]]) -> dict:
+    """``data`` (JSON of a spec's fields) with ``(dotted path, value)`` pairs set.
 
     Values go in as they are: the spec built from ``data`` copies every
     container it keeps.  Each mapping a path passes through is copied
     first, so a path never writes into a mapping an earlier path set,
     which belongs to the caller (a sweep's grid, say).
     """
-    for path, value in overrides.items():
+    for path, value in overrides:
         parts = path.split(".")
         node = data
         for part in parts[:-1]:
@@ -311,14 +312,64 @@ class SpecCodec(JsonCodec):
         """A new spec with dotted-path fields replaced.
 
         Keys are dotted paths into :meth:`to_dict` - e.g. ``"trials"``,
-        ``"workload.params.k"``, ``"arrivals.params.rate"`` - and the
-        whole dict is re-validated through :meth:`from_dict`, so an
-        override can never produce a spec that would not load from JSON.
-        Intermediate mappings are created as needed (overriding
-        ``"prediction.source"`` on a spec without a prediction starts one
-        from an empty mapping).
+        ``"workload.params.k"``, ``"arrivals.params.rate"``.  The result
+        is the spec :meth:`from_dict` builds from the overridden
+        :meth:`to_dict`, with the same checks in the same order and the
+        same messages, so an override can never produce a spec that
+        would not load from JSON.  Only the fields the paths reach are
+        re-parsed; every other field keeps its object.  Intermediate
+        mappings are created as needed (overriding
+        ``"prediction.source"`` on a spec without a prediction starts
+        one from an empty mapping).
         """
-        return type(self).from_dict(_with_overrides(self.to_dict(), overrides))
+        cell = [[value] for value in overrides.values()]
+        (values,) = self.field_values(list(overrides), cell)
+        return self.rebuilt(values)
+
+    def field_values(self, paths: list[str], grid: list[list]) -> Iterator[dict]:
+        """The parsed fields ``paths`` reach in each cell of ``grid``'s product.
+
+        ``grid[i]`` holds the values of ``paths[i]``; cells come in
+        row-major order, each as ``{field: value}`` in field order, ready
+        for :meth:`rebuilt`.  The checks are :meth:`from_dict`'s, in its
+        order: a path into no field first, then each nested field reached,
+        in field order.  A field is parsed once per distinct combination
+        of its paths' values, so cells share nested spec objects.
+        """
+        reached: dict[str, list[int]] = {}
+        for position, path in enumerate(paths):
+            reached.setdefault(path.split(".", 1)[0], []).append(position)
+        _check_known_keys(reached, self.field_rules.keys(), f"{self.json_label} spec")
+        touched = [(f, reached[f]) for f in self.field_rules if f in reached]
+        parsed: dict[tuple, object] = {}
+        for cell in itertools.product(*(range(len(values)) for values in grid)):
+            values = {}
+            for name, at in touched:
+                key = (name, *(cell[p] for p in at))
+                if key not in parsed:
+                    items = [(paths[p], grid[p][cell[p]]) for p in at]
+                    parsed[key] = self._parse_field(name, items)
+                values[name] = parsed[key]
+            yield values
+
+    def _parse_field(self, name: str, overrides: Sequence[tuple[str, Any]]) -> object:
+        """Field ``name`` with ``(path, value)`` overrides into it applied.
+
+        A nested field is parsed as :meth:`from_dict` parses it; any
+        other value is left to the constructor's field rule.
+        """
+        value = vars(self)[name]
+        if "." in overrides[0][0] and name in self.nested_rules and value is not None:
+            value = value.to_dict()  # the first path edits the current value
+        value = _with_overrides({name: value}, overrides)[name]
+        rule = self.nested_rules.get(name)
+        if rule is not None and (value is not None or not rule.nullable):
+            value = rule.kind.from_dict(value)
+        return value
+
+    def rebuilt(self, values: Mapping[str, object]):
+        """A copy with the parsed fields ``values`` replaced: one constructor call."""
+        return type(self)(**{**vars(self), **values})
 
 
 class NamedSpec:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import time
 from collections.abc import Callable, Mapping, Sequence
@@ -202,22 +203,31 @@ class Sweep(JsonCodec):
         ]
 
     def points(self) -> list:
-        """The expanded specs, in deterministic grid order."""
-        cells = self._grid_cells()
+        """The expanded specs, in deterministic grid order.
+
+        Point ``i`` is ``base.override`` of its grid cell plus its derived
+        seed and name, or that call's error for the first failing cell.
+        A field the grid reaches is parsed once per distinct combination
+        of its paths' values, so points share nested spec objects with
+        each other and with the base.
+        """
+        base, grid = self.base, list(self.grid.values())
         seeds = (
-            derive_point_seeds(self.base.seed, len(cells))
+            derive_point_seeds(base.seed, math.prod(map(len, grid)))
             if self.vary_seed and "seed" not in self.grid
             else None
         )
         specs = []
-        for index, overrides in enumerate(cells):
+        for index, values in enumerate(base.field_values(list(self.grid), grid)):
+            # The derived seed and name are whole-field overrides applied
+            # after the grid's paths, as override would apply them.
             if seeds is not None:
-                overrides["seed"] = seeds[index]
-            if "name" not in overrides:
-                overrides["name"] = (
-                    f"{self.base.name}[{index}]" if self.base.name else f"point-{index}"
+                values["seed"] = seeds[index]
+            if "name" not in self.grid:
+                values["name"] = (
+                    f"{base.name}[{index}]" if base.name else f"point-{index}"
                 )
-            specs.append(self.base.override(overrides))
+            specs.append(base.rebuilt(values))
         return specs
 
     def point_overrides(self) -> list[dict]:
@@ -525,9 +535,10 @@ def _run_fused(
     if spec_family(pending[indices[0]]).kind == "open":  # no stacked open engine
         return _run_serial(pending, checkpoint=checkpoint, **options)
     resolved_points: list[ResolvedScenario] = []
+    shared: dict = {}  # this run's resolved workloads and predictions
     for index, point in pending.items():
         try:
-            resolved_points.append(resolve_scenario(point))
+            resolved_points.append(resolve_scenario(point, shared=shared))
         except Exception as error:
             raise SweepPointError(index, point, error) from error
     for group in fusion_groups(resolved_points):

@@ -593,6 +593,35 @@ class TestStackedPlayerEngine:
             protocol.batch_sessions(ids, 2**12, ("10",))
 
 
+class TestPackParticipants:
+    """Sets become sorted rows padded with -1, with the loop's messages."""
+
+    def test_rows_are_sorted_sets_padded_with_minus_one(self):
+        rng = np.random.default_rng(3)
+        sets = [
+            frozenset(int(i) for i in rng.choice(5000, size=size, replace=False))
+            for size in rng.integers(1, 9, size=40)
+        ]
+        ids = pack_participants(sets)
+        assert ids.dtype == np.int64
+        assert ids.shape == (40, max(map(len, sets)))
+        for row, participants in zip(ids, sets):
+            width = len(participants)
+            assert row[:width].tolist() == sorted(participants)
+            assert (row[width:] == -1).all()
+
+    def test_an_id_equal_to_int64_max_is_kept(self):
+        top = np.iinfo(np.int64).max
+        ids = pack_participants([frozenset({top, 4}), frozenset({1})])
+        assert ids.tolist() == [[4, top], [1, -1]]
+
+    def test_empty_batch_and_empty_set_are_refused(self):
+        with pytest.raises(ValueError, match="participant batch must be non-empty"):
+            pack_participants([])
+        with pytest.raises(ValueError, match="participant set must be non-empty"):
+            pack_participants([frozenset({1}), frozenset()])
+
+
 class _CountingRng:
     """Duck-typed generator recording how many uniforms were requested."""
 

@@ -125,6 +125,24 @@ class TestRangeBlockAdvice:
         block = range_blocks(10, 2)[block_index]
         assert 1 in block
 
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 2**10, 2**20])
+    def test_block_index_matches_the_range_blocks_scan(self, n):
+        """Every range of ``L(n)`` at every b in 0..12 gets the index of the
+        ``range_blocks`` block holding it."""
+        total = num_ranges(n)
+        for bits in range(13):
+            blocks = range_blocks(total, bits)
+            for true_range in range(1, total + 1):
+                # advise reads only the set's size: the smallest k in the range.
+                k = 2 if true_range == 1 else 2 ** (true_range - 1) + 1
+                want = next(i for i, block in enumerate(blocks) if true_range in block)
+                got = RangeBlockAdvice(bits).advise(range(k), n)
+                assert got == (id_to_bits(want, bits) if bits else ""), (true_range, bits)
+
+    def test_range_beyond_the_board_is_refused(self):
+        with pytest.raises(AdviceError, match="range 5 not covered by blocks for n=16, b=2"):
+            RangeBlockAdvice(2).advise(range(17), 16)
+
 
 class TestFullIdAdvice:
     def test_names_min_participant(self):
