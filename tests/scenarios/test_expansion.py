@@ -182,6 +182,9 @@ PATH_VALUES = {
     "advice.corruption.probability": [0.0, 0.5, 2.0],
     "bogus": [1],
     "bogus.deeper": [1],
+    # Dotted paths into the fields a sweep derives per point.
+    "seed.deeper": [1],
+    "name.deeper": [1],
 }
 
 
