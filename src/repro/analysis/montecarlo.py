@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -40,11 +40,13 @@ from ..channel.batch_players import (
     run_players_stacked,
 )
 from ..channel.channel import Channel
-from ..channel.models import ChannelModel
 from ..channel.simulator import _check_channel, run_players, run_uniform
 from ..core.advice import AdviceFunction
 from ..core.protocol import PlayerProtocol, UniformProtocol
 from .metrics import ProportionEstimate, Summary
+
+if TYPE_CHECKING:
+    from ..channel.models import ChannelModel
 
 __all__ = [
     "RoundsEstimate",

@@ -6,79 +6,47 @@ round-by-round execution engine that drives protocols to the first
 single-transmitter round.
 """
 
-from .arrivals import MarkovBurstArrivals, TraceArrivals
-from .channel import Channel, with_collision_detection, without_collision_detection
-from .models import (
-    ADAPTIVE_STRATEGIES,
-    CHANNEL_MODELS,
-    AdaptiveAdversary,
-    AdaptiveStrategy,
-    ChannelModel,
-    CrashModel,
-    NoisyChannel,
-    ObliviousJammer,
-    ReactiveJammer,
-    channel_model_from_dict,
-    register_adaptive_strategy,
-)
-from .network import (
-    Adversary,
-    ClusteredAdversary,
-    PrefixAdversary,
-    RandomAdversary,
-    SpreadAdversary,
-    SuffixAdversary,
-    validate_participants,
-)
-from .batch import (
-    is_batchable,
-    run_history_stacked,
-    run_schedule_stacked,
-    run_uniform_batch,
-)
-from .batch_players import (
-    pack_participants,
-    run_players_batch,
-    run_players_stacked,
-)
-from .simulator import DEFAULT_MAX_ROUNDS, run_players, run_uniform
-from .trace import BatchExecutionResult, ExecutionResult, RoundRecord
+from .. import _lazy
 
-__all__ = [
-    "Channel",
-    "with_collision_detection",
-    "without_collision_detection",
-    "ChannelModel",
-    "ObliviousJammer",
-    "ReactiveJammer",
-    "NoisyChannel",
-    "CrashModel",
-    "AdaptiveAdversary",
-    "AdaptiveStrategy",
-    "ADAPTIVE_STRATEGIES",
-    "register_adaptive_strategy",
-    "CHANNEL_MODELS",
-    "channel_model_from_dict",
-    "Adversary",
-    "RandomAdversary",
-    "PrefixAdversary",
-    "SuffixAdversary",
-    "SpreadAdversary",
-    "ClusteredAdversary",
-    "validate_participants",
-    "MarkovBurstArrivals",
-    "TraceArrivals",
-    "run_uniform",
-    "run_uniform_batch",
-    "run_schedule_stacked",
-    "run_history_stacked",
-    "is_batchable",
-    "run_players",
-    "run_players_batch",
-    "run_players_stacked",
-    "pack_participants",
-    "DEFAULT_MAX_ROUNDS",
-    "BatchExecutionResult",
-    "ExecutionResult",
-    "RoundRecord",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "Channel": ".channel",
+    "with_collision_detection": ".channel",
+    "without_collision_detection": ".channel",
+    "ChannelModel": ".models",
+    "ObliviousJammer": ".models",
+    "ReactiveJammer": ".models",
+    "NoisyChannel": ".models",
+    "CrashModel": ".models",
+    "AdaptiveAdversary": ".models",
+    "AdaptiveStrategy": ".models",
+    "ADAPTIVE_STRATEGIES": ".models",
+    "register_adaptive_strategy": ".models",
+    "CHANNEL_MODELS": ".models",
+    "channel_model_from_dict": ".models",
+    "Adversary": ".network",
+    "RandomAdversary": ".network",
+    "PrefixAdversary": ".network",
+    "SuffixAdversary": ".network",
+    "SpreadAdversary": ".network",
+    "ClusteredAdversary": ".network",
+    "validate_participants": ".network",
+    "MarkovBurstArrivals": ".arrivals",
+    "TraceArrivals": ".arrivals",
+    "run_uniform": ".simulator",
+    "run_uniform_batch": ".batch",
+    "run_schedule_stacked": ".batch",
+    "run_history_stacked": ".batch",
+    "is_batchable": ".batch",
+    "run_players": ".simulator",
+    "run_players_batch": ".batch_players",
+    "run_players_stacked": ".batch_players",
+    "pack_participants": ".batch_players",
+    "DEFAULT_MAX_ROUNDS": ".simulator",
+    "BatchExecutionResult": ".trace",
+    "ExecutionResult": ".trace",
+    "RoundRecord": ".trace",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

@@ -64,8 +64,8 @@ moves on.
   ``next_probability()`` per *distinct history ever seen* (one session
   fork per trie node, amortized over all trials, rounds and stacked
   points), band edges computed per live trial from its node's memoized
-  probability, and one ``np.unique``-compacted child gather that moves
-  every survivor down its observed branch.  Points sharing a
+  probability, and one deduplicated child gather that moves every
+  survivor down its observed branch.  Points sharing a
   :meth:`~repro.core.protocol.UniformProtocol.history_signature` share
   one trie.  On a no-CD channel every observation is ``QUIET``, so the
   trie is a single path and the source degenerates to a schedule walk
@@ -83,10 +83,11 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.feedback import Observation
+from ..core.feedback import FB_COLLISION, FB_SILENCE, FB_SUCCESS, Observation
 from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
@@ -97,15 +98,11 @@ from ..core.protocol import (
     UniformSession,
 )
 from .channel import Channel
-from .models import (
-    FB_COLLISION,
-    FB_SILENCE,
-    FB_SUCCESS,
-    BatchFaultState,
-    ChannelModel,
-)
 from .simulator import DEFAULT_MAX_ROUNDS, _check_budget, _check_channel
 from .trace import BatchExecutionResult
+
+if TYPE_CHECKING:
+    from .models import BatchFaultState, ChannelModel
 
 __all__ = [
     "run_uniform_batch",
@@ -716,7 +713,7 @@ class _HistoryArena:
     ``child[v][code]`` is the history ``v`` extended by the observation
     ``code``.  Per node the arena memoizes the protocol's response - the
     next-round probability, or schedule exhaustion - computed from a
-    representative session forked once when the node is created.  All
+    representative session, forked once, when the node is created.  All
     per-node attributes live in flat NumPy arrays so the round loop can
     gather them for thousands of trials at once; capacity doubles as
     nodes are added.
@@ -727,16 +724,23 @@ class _HistoryArena:
         self.probability = np.full(capacity, np.nan)
         self.exhausted = np.zeros(capacity, dtype=bool)
         self.child = np.full((capacity, 3), -1, dtype=np.int64)
-        self._resolved = np.zeros(capacity, dtype=bool)
         self._sessions: list[UniformSession | None] = [None] * capacity
         self._roots: dict[object, int] = {}
         self.count = 0
-        #: Whether any resolved history has exhausted its schedule; the
-        #: round loop skips the per-trial give-up scan while this is
-        #: False (cycling protocols never set it).
+        #: Whether any history has exhausted its schedule; the round
+        #: loop skips the per-trial give-up scan while this is False
+        #: (cycling protocols never set it).
         self.any_exhausted = False
 
     def _new_node(self, session: UniformSession) -> int:
+        """A node for ``session``'s history, with its response memoized.
+
+        One ``next_probability()`` call per distinct history, ever: a
+        node reached by later trials, points or (trie-sharing) runs is
+        a pure array lookup.  :class:`ScheduleExhausted` is memoized
+        too - a one-shot give-up is a property of the history, not of
+        the trial that first reached it.
+        """
         if self.count == self.probability.size:
             grow = self.count
             self.probability = np.concatenate(
@@ -748,12 +752,14 @@ class _HistoryArena:
             self.child = np.concatenate(
                 [self.child, np.full((grow, 3), -1, dtype=np.int64)]
             )
-            self._resolved = np.concatenate(
-                [self._resolved, np.zeros(grow, dtype=bool)]
-            )
             self._sessions.extend([None] * grow)
         node = self.count
         self._sessions[node] = session
+        try:
+            self.probability[node] = session.next_probability()
+        except ScheduleExhausted:
+            self.exhausted[node] = True
+            self.any_exhausted = True
         self.count += 1
         return node
 
@@ -775,44 +781,21 @@ class _HistoryArena:
             self._roots[key] = node
         return node
 
-    def resolve(self, nodes: np.ndarray) -> None:
-        """Memoize the next-round probability of each node in ``nodes``.
-
-        One ``next_probability()`` call per distinct history, ever: a
-        node revisited by later trials, points or (trie-sharing) runs is
-        a pure array lookup, so ``nodes`` may repeat and only its
-        distinct unresolved nodes cost a call.
-        :class:`ScheduleExhausted` is memoized too - a one-shot give-up
-        is a property of the history, not of the trial that first
-        reached it.
-        """
-        fresh = nodes[~self._resolved[nodes]]
-        if fresh.size == 0:
-            return
-        for node in np.unique(fresh):
-            session = self._sessions[node]
-            assert session is not None
-            try:
-                self.probability[node] = session.next_probability()
-            except ScheduleExhausted:
-                self.exhausted[node] = True
-                self.any_exhausted = True
-            self._resolved[node] = True
-
     def descend(self, nodes: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Child node per ``(node, code)`` pair, expanding the trie lazily.
 
         Missing children cost one session fork + ``observe()`` per
-        *distinct* pair (``np.unique``-compacted), then every trial's
-        descent is a single fancy-indexed gather - the array analogue of
-        the old per-group split, without per-round ``fork()`` copies.
+        *distinct* pair, created in ascending ``(node, code)`` order;
+        then every trial's descent is a single fancy-indexed gather -
+        the array analogue of the old per-group split, without
+        per-round ``fork()`` copies.  (A plain ``np.unique`` would
+        import ``numpy.ma`` on NumPy 2, so the pairs dedup as ints.)
         """
         found = self.child[nodes, codes]
         missing = found < 0
         if missing.any():
-            keys = np.unique(nodes[missing] * 3 + codes[missing])
-            for key in keys:
-                node, code = int(key) // 3, int(key) % 3
+            for key in sorted(set((nodes[missing] * 3 + codes[missing]).tolist())):
+                node, code = divmod(key, 3)
                 parent = self._sessions[node]
                 assert parent is not None
                 session = parent.fork()
@@ -857,11 +840,11 @@ class _HistorySource:
     """Probability source of history-driven points: one trie node per trial.
 
     Each live trial carries a node id into the shared
-    :class:`_HistoryArena` (its ``node`` row).  A round resolves one
-    memoized probability per distinct live history, computes each live
-    trial's band edges from its node's probability, gives up the trials
-    whose history exhausted its schedule, and moves every survivor to
-    the child of its observation.
+    :class:`_HistoryArena` (its ``node`` row), whose probability and
+    exhaustion were memoized when the node was created.  A round gives
+    up the trials whose history exhausted its schedule, computes each
+    live trial's band edges from its node's probability, and moves
+    every survivor to the child of its observation.
     """
 
     def __init__(
@@ -894,10 +877,7 @@ class _HistorySource:
         live.node = self._roots[trial_point]
 
     def expired(self, round_index: int, live: _LiveRows) -> np.ndarray | None:
-        # The arena memoizes one probability per distinct node, so the
-        # live rows' nodes go in as they are, repeats and all.
         arena = self._arena
-        arena.resolve(live.node)
         if arena.any_exhausted:
             expired = arena.exhausted[live.node]
             if expired.any():
@@ -959,11 +939,11 @@ def run_history_stacked(
     that point alone.  Each live trial carries a node id into the shared
     history-trie arena; a round is
 
-    1. one memoized ``next_probability()`` per distinct live history
-       (shared across trials, across points with equal
-       ``history_signature()``s, and - the arena being shared per
-       thread under a node budget - across whole runs; results are
-       bit-identical warm or cold);
+    1. one memoized ``next_probability()`` per distinct history, made
+       when the history is first reached (shared across trials, across
+       points with equal ``history_signature()``s, and - the arena
+       being shared per thread under a node budget - across whole
+       runs; results are bit-identical warm or cold);
     2. retirement of trials whose history's schedule exhausted
        (``rounds`` = rounds actually played, the scalar convention);
     3. one uniform gather per live trial from per-point
@@ -972,8 +952,8 @@ def run_history_stacked(
        the same stream contract as schedule points) compared against
        ``(1-p)^k`` / ``kp(1-p)^(k-1)`` trichotomy band edges computed
        per live trial from its node's memoized probability;
-    4. a ``np.unique``-compacted trie descent moving every surviving
-       trial to its observed child history.
+    4. a deduplicated trie descent moving every surviving trial to its
+       observed child history.
 
     The trichotomy bands make the round distribution-exact (engines only
     ever observe silence / success / collision; module docstring), so

@@ -46,6 +46,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.advice import AdviceError, AdviceFunction, NullAdvice
+from ..core.feedback import FB_COLLISION, FB_SILENCE, FB_SUCCESS
 from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
@@ -54,7 +55,6 @@ from ..core.protocol import (
     ProtocolError,
 )
 from .channel import Channel
-from .models import FB_COLLISION, FB_SILENCE, FB_SUCCESS
 from .simulator import DEFAULT_MAX_ROUNDS, _check_budget, _check_channel
 from .trace import BatchExecutionResult
 

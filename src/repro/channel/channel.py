@@ -19,9 +19,12 @@ are provided for readable call sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..core.feedback import Feedback, Observation, feedback_for_count, observe
-from .models import ChannelModel
+
+if TYPE_CHECKING:
+    from .models import ChannelModel
 
 __all__ = [
     "Channel",

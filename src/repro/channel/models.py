@@ -94,7 +94,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..core.feedback import Feedback
+from ..core.feedback import FB_COLLISION, FB_SILENCE, FB_SUCCESS, Feedback
 from ..core.named import Params, Registry
 
 __all__ = [
@@ -115,13 +115,6 @@ __all__ = [
     "CHANNEL_MODELS",
     "channel_model_from_dict",
 ]
-
-#: Integer feedback codes used by the vectorized engines: the ground-truth
-#: trichotomy of a round.  Distinct from the OBS_* observation codes -
-#: feedback is what happened, observation is what protocols may see.
-FB_SILENCE = 0
-FB_SUCCESS = 1
-FB_COLLISION = 2
 
 _FEEDBACK_OF_CODE = {
     FB_SILENCE: Feedback.SILENCE,

@@ -7,74 +7,47 @@ simulator drives anything implementing the session interfaces here, and
 every algorithm in the paper is expressed against them.
 """
 
-from .advice import (
-    AdviceError,
-    AdviceFunction,
-    FullIdAdvice,
-    MinIdPrefixAdvice,
-    NullAdvice,
-    RangeBlockAdvice,
-    bits_to_int,
-    id_bit_width,
-    id_to_bits,
-    range_blocks,
-)
-from .faulty_advice import AdversarialAdvice, BitFlipAdvice
-from .feedback import Feedback, Observation, feedback_for_count, observe
-from .predictions import BudgetReport, Prediction
-from .protocol import (
-    PlayerProtocol,
-    PlayerSession,
-    ProtocolError,
-    ScheduleExhausted,
-    UniformProtocol,
-    UniformSession,
-)
-from .uniform import (
-    HistoryPolicy,
-    HistoryPolicyProtocol,
-    HistoryPolicySession,
-    ProbabilitySchedule,
-    ScheduleProtocol,
-    ScheduleSession,
-    validate_probability,
-)
+from .. import _lazy
 
-__all__ = [
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
     # feedback
-    "Feedback",
-    "Observation",
-    "feedback_for_count",
-    "observe",
+    "Feedback": ".feedback",
+    "Observation": ".feedback",
+    "feedback_for_count": ".feedback",
+    "observe": ".feedback",
     # protocol interfaces
-    "UniformProtocol",
-    "UniformSession",
-    "PlayerProtocol",
-    "PlayerSession",
-    "ProtocolError",
-    "ScheduleExhausted",
+    "UniformProtocol": ".protocol",
+    "UniformSession": ".protocol",
+    "PlayerProtocol": ".protocol",
+    "PlayerSession": ".protocol",
+    "ProtocolError": ".protocol",
+    "ScheduleExhausted": ".protocol",
     # uniform building blocks
-    "ProbabilitySchedule",
-    "ScheduleProtocol",
-    "ScheduleSession",
-    "HistoryPolicy",
-    "HistoryPolicyProtocol",
-    "HistoryPolicySession",
-    "validate_probability",
+    "ProbabilitySchedule": ".uniform",
+    "ScheduleProtocol": ".uniform",
+    "ScheduleSession": ".uniform",
+    "HistoryPolicy": ".uniform",
+    "HistoryPolicyProtocol": ".uniform",
+    "HistoryPolicySession": ".uniform",
+    "validate_probability": ".uniform",
     # predictions
-    "Prediction",
-    "BudgetReport",
+    "Prediction": ".predictions",
+    "BudgetReport": ".predictions",
     # advice
-    "AdviceFunction",
-    "AdviceError",
-    "NullAdvice",
-    "MinIdPrefixAdvice",
-    "RangeBlockAdvice",
-    "FullIdAdvice",
-    "BitFlipAdvice",
-    "AdversarialAdvice",
-    "id_bit_width",
-    "id_to_bits",
-    "bits_to_int",
-    "range_blocks",
-]
+    "AdviceFunction": ".advice",
+    "AdviceError": ".advice",
+    "NullAdvice": ".advice",
+    "MinIdPrefixAdvice": ".advice",
+    "RangeBlockAdvice": ".advice",
+    "FullIdAdvice": ".advice",
+    "BitFlipAdvice": ".faulty_advice",
+    "AdversarialAdvice": ".faulty_advice",
+    "id_bit_width": ".advice",
+    "id_to_bits": ".advice",
+    "bits_to_int": ".advice",
+    "range_blocks": ".advice",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

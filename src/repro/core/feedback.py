@@ -20,7 +20,22 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Feedback", "Observation", "observe", "feedback_for_count"]
+__all__ = [
+    "Feedback",
+    "Observation",
+    "observe",
+    "feedback_for_count",
+    "FB_SILENCE",
+    "FB_SUCCESS",
+    "FB_COLLISION",
+]
+
+#: Integer feedback codes used by the vectorized engines: the ground-truth
+#: trichotomy of a round.  Distinct from the OBS_* observation codes -
+#: feedback is what happened, observation is what protocols may see.
+FB_SILENCE = 0
+FB_SUCCESS = 1
+FB_COLLISION = 2
 
 
 class Feedback(enum.Enum):

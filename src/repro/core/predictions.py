@@ -17,11 +17,13 @@ the algorithms actually consume:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..infotheory.coding import PrefixCode
 from ..infotheory.condense import CondensedDistribution
 from ..infotheory.distributions import SizeDistribution
-from ..infotheory.huffman import optimal_code_for
+
+if TYPE_CHECKING:
+    from ..infotheory.coding import PrefixCode
 
 __all__ = ["Prediction", "BudgetReport"]
 
@@ -113,6 +115,8 @@ class Prediction:
         Symbol ``i`` of the code corresponds to range ``i + 1``.
         """
         if self._code is None:
+            from ..infotheory.huffman import optimal_code_for
+
             self._code = optimal_code_for(self.condensed)
         return self._code
 

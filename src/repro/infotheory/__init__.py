@@ -6,102 +6,63 @@ plus the coding machinery (Huffman / Shannon / canonical prefix codes) that
 both the CD upper-bound algorithm and the lower-bound reductions consume.
 """
 
-from .coding import (
-    CodewordError,
-    PrefixCode,
-    code_from_lengths,
-    kraft_lengths_realizable,
-    kraft_sum,
-    shannon_code_lengths,
-)
-from .condense import (
-    MIN_NETWORK_SIZE,
-    CondensedDistribution,
-    num_ranges,
-    range_interval,
-    range_of_size,
-    range_probability,
-    representative_size,
-)
-from .distributions import Sampler, SizeDistribution
-from .entropy import (
-    cross_entropy,
-    entropy,
-    guesswork,
-    kl_divergence,
-    max_entropy,
-    min_entropy,
-    normalize,
-    renyi_entropy,
-    total_variation,
-    validate_pmf,
-)
-from .huffman import huffman_code, huffman_code_lengths, optimal_code_for
-from .perturb import (
-    divergence_between,
-    entropy_of,
-    floor_support,
-    from_condensed_profile,
-    mix_with_uniform,
-    prediction_quality_sweep,
-    shift_ranges,
-    swap_extremes,
-    temperature,
-)
-from .source_coding import (
-    CodingReport,
-    cross_coding_report,
-    expected_code_length,
-    shannon_code,
-    source_coding_report,
-)
+from .. import _lazy
 
-__all__ = [
+# ``entropy`` names a submodule and its function: importing the function
+# here binds the name before an import of the submodule could bind the
+# module to it.
+from .entropy import entropy
+
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
     # entropy
-    "entropy",
-    "cross_entropy",
-    "kl_divergence",
-    "max_entropy",
-    "min_entropy",
-    "renyi_entropy",
-    "guesswork",
-    "total_variation",
-    "normalize",
-    "validate_pmf",
+    "entropy": ".entropy",
+    "cross_entropy": ".entropy",
+    "kl_divergence": ".entropy",
+    "max_entropy": ".entropy",
+    "min_entropy": ".entropy",
+    "renyi_entropy": ".entropy",
+    "guesswork": ".entropy",
+    "total_variation": ".entropy",
+    "normalize": ".entropy",
+    "validate_pmf": ".entropy",
     # condensation
-    "MIN_NETWORK_SIZE",
-    "CondensedDistribution",
-    "num_ranges",
-    "range_of_size",
-    "range_interval",
-    "range_probability",
-    "representative_size",
+    "MIN_NETWORK_SIZE": ".condense",
+    "CondensedDistribution": ".condense",
+    "num_ranges": ".condense",
+    "range_of_size": ".condense",
+    "range_interval": ".condense",
+    "range_probability": ".condense",
+    "representative_size": ".condense",
     # distributions
-    "SizeDistribution",
-    "Sampler",
+    "SizeDistribution": ".distributions",
+    "Sampler": ".distributions",
     # coding
-    "PrefixCode",
-    "CodewordError",
-    "code_from_lengths",
-    "kraft_sum",
-    "kraft_lengths_realizable",
-    "shannon_code_lengths",
-    "huffman_code",
-    "huffman_code_lengths",
-    "optimal_code_for",
-    "shannon_code",
-    "CodingReport",
-    "source_coding_report",
-    "cross_coding_report",
-    "expected_code_length",
+    "PrefixCode": ".coding",
+    "CodewordError": ".coding",
+    "code_from_lengths": ".coding",
+    "kraft_sum": ".coding",
+    "kraft_lengths_realizable": ".coding",
+    "shannon_code_lengths": ".coding",
+    "huffman_code": ".huffman",
+    "huffman_code_lengths": ".huffman",
+    "optimal_code_for": ".huffman",
+    "shannon_code": ".source_coding",
+    "CodingReport": ".source_coding",
+    "source_coding_report": ".source_coding",
+    "cross_coding_report": ".source_coding",
+    "expected_code_length": ".source_coding",
     # perturbations
-    "mix_with_uniform",
-    "temperature",
-    "shift_ranges",
-    "swap_extremes",
-    "floor_support",
-    "from_condensed_profile",
-    "divergence_between",
-    "entropy_of",
-    "prediction_quality_sweep",
-]
+    "mix_with_uniform": ".perturb",
+    "temperature": ".perturb",
+    "shift_ranges": ".perturb",
+    "swap_extremes": ".perturb",
+    "floor_support": ".perturb",
+    "from_condensed_profile": ".perturb",
+    "divergence_between": ".perturb",
+    "entropy_of": ".perturb",
+    "prediction_quality_sweep": ".perturb",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

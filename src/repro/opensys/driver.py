@@ -830,7 +830,6 @@ class _OpenHistorySource:
     ) -> None:
         self._arena = arena = _arena_for_run()
         self._root = arena.root_for(protocol, ("open", next(_run_tokens)))
-        arena.resolve(np.asarray([self._root]))
         if arena.exhausted[self._root]:
             raise ProtocolError(
                 f"protocol {protocol.name!r} exhausts its schedule before the "
@@ -843,7 +842,6 @@ class _OpenHistorySource:
     def probabilities(self) -> np.ndarray:
         arena = self._arena
         node = self._node
-        arena.resolve(node)
         if arena.any_exhausted:
             exhausted = arena.exhausted[node]
             if exhausted.any():

@@ -18,61 +18,40 @@ Perfect-advice algorithms (Section 3)
     :func:`truncated_willard_protocol` (CD, ``Theta(log log n - b)``).
 """
 
-from .adapters import (
-    SessionReplayPolicy,
-    UniformAsPlayerProtocol,
-    as_history_policy,
-)
-from .restart import FallbackPlayerProtocol, RestartProtocol
-from .advice_deterministic import (
-    DeterministicScanProtocol,
-    DeterministicTreeDescentProtocol,
-)
-from .advice_randomized import (
-    TruncatedDecayProtocol,
-    advised_block,
-    block_index_for,
-    true_range_for_count,
-    truncated_willard_for_count,
-    truncated_willard_protocol,
-)
-from .backoff import BinaryExponentialBackoff
-from .code_search import CodeSearchProtocol
-from .decay import DecayProtocol, decay_schedule
-from .fixed_probability import FixedProbabilityProtocol
-from .jiang_zheng import JiangZhengProtocol, sawtooth_schedule
-from .searching import PhasedSearchProtocol, PhasedSearchSession
-from .sorted_probing import SortedProbingProtocol, sorted_probing_schedule
-from .willard import WillardProtocol
+from .. import _lazy
 
-__all__ = [
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
     # baselines
-    "DecayProtocol",
-    "decay_schedule",
-    "WillardProtocol",
-    "FixedProbabilityProtocol",
-    "BinaryExponentialBackoff",
-    "JiangZhengProtocol",
-    "sawtooth_schedule",
+    "DecayProtocol": ".decay",
+    "decay_schedule": ".decay",
+    "WillardProtocol": ".willard",
+    "FixedProbabilityProtocol": ".fixed_probability",
+    "BinaryExponentialBackoff": ".backoff",
+    "JiangZhengProtocol": ".jiang_zheng",
+    "sawtooth_schedule": ".jiang_zheng",
     # prediction algorithms (Section 2)
-    "SortedProbingProtocol",
-    "sorted_probing_schedule",
-    "CodeSearchProtocol",
-    "PhasedSearchProtocol",
-    "PhasedSearchSession",
+    "SortedProbingProtocol": ".sorted_probing",
+    "sorted_probing_schedule": ".sorted_probing",
+    "CodeSearchProtocol": ".code_search",
+    "PhasedSearchProtocol": ".searching",
+    "PhasedSearchSession": ".searching",
     # advice algorithms (Section 3)
-    "DeterministicScanProtocol",
-    "DeterministicTreeDescentProtocol",
-    "TruncatedDecayProtocol",
-    "truncated_willard_protocol",
-    "truncated_willard_for_count",
-    "block_index_for",
-    "advised_block",
-    "true_range_for_count",
+    "DeterministicScanProtocol": ".advice_deterministic",
+    "DeterministicTreeDescentProtocol": ".advice_deterministic",
+    "TruncatedDecayProtocol": ".advice_randomized",
+    "truncated_willard_protocol": ".advice_randomized",
+    "truncated_willard_for_count": ".advice_randomized",
+    "block_index_for": ".advice_randomized",
+    "advised_block": ".advice_randomized",
+    "true_range_for_count": ".advice_randomized",
     # adapters and combinators
-    "as_history_policy",
-    "SessionReplayPolicy",
-    "UniformAsPlayerProtocol",
-    "RestartProtocol",
-    "FallbackPlayerProtocol",
-]
+    "as_history_policy": ".adapters",
+    "SessionReplayPolicy": ".adapters",
+    "UniformAsPlayerProtocol": ".adapters",
+    "RestartProtocol": ".restart",
+    "FallbackPlayerProtocol": ".restart",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

@@ -14,6 +14,8 @@ naming each one's type: a value of the wrong type (``"false"`` for a
 flag, ``2.7`` for a count) and every key no builder took raise
 :class:`~repro.core.named.ScenarioError` instead of being coerced or
 silently dropped, so spec typos fail loudly at resolution time.
+Builders reach their classes through the lazy :mod:`repro.protocols`
+package, so a run imports only the protocol modules its specs name.
 """
 
 from __future__ import annotations
@@ -21,28 +23,10 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
+from .. import protocols
 from ..core.named import Params, Registry
 from ..core.predictions import Prediction
 from ..core.protocol import PlayerProtocol, UniformProtocol
-from ..protocols.advice_deterministic import (
-    DeterministicScanProtocol,
-    DeterministicTreeDescentProtocol,
-)
-from ..protocols.advice_randomized import (
-    TruncatedDecayProtocol,
-    block_index_for,
-    truncated_willard_protocol,
-)
-from ..protocols.adapters import UniformAsPlayerProtocol
-from ..protocols.backoff import BinaryExponentialBackoff
-from ..protocols.code_search import CodeSearchProtocol
-from ..protocols.decay import DecayProtocol
-from ..protocols.fixed_probability import FixedProbabilityProtocol
-from ..protocols.jiang_zheng import JiangZhengProtocol
-from ..protocols.restart import FallbackPlayerProtocol, RestartProtocol
-from ..protocols.searching import PhasedSearchProtocol
-from ..protocols.sorted_probing import SortedProbingProtocol
-from ..protocols.willard import WillardProtocol
 from .spec import ProtocolSpec, ScenarioError
 
 __all__ = [
@@ -189,15 +173,15 @@ def _block_index(context: BuildContext, params: Params, bits: int) -> int:
         )
     if block_index is not None:
         return block_index
-    return block_index_for(context.n, bits, k)
+    return protocols.block_index_for(context.n, bits, k)
 
 
 # ----------------------------------------------------------------------
 # Uniform protocols
 # ----------------------------------------------------------------------
 @register_protocol("decay", UNIFORM, "cycling decay baseline, O(log n) no-CD [2]")
-def _build_decay(context: BuildContext, params: Params) -> DecayProtocol:
-    return DecayProtocol(
+def _build_decay(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.DecayProtocol(
         params.take("n", int, context.n),
         cycle=params.take("cycle", bool, True),
         handle_k1=params.take("handle_k1", bool, False),
@@ -207,16 +191,16 @@ def _build_decay(context: BuildContext, params: Params) -> DecayProtocol:
 @register_protocol(
     "jiang-zheng", UNIFORM, "robust no-CD sawtooth baseline (Jiang-Zheng 2021)"
 )
-def _build_jiang_zheng(context: BuildContext, params: Params) -> JiangZhengProtocol:
-    return JiangZhengProtocol(
+def _build_jiang_zheng(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.JiangZhengProtocol(
         params.take("n", int, context.n),
         cycle=params.take("cycle", bool, True),
     )
 
 
 @register_protocol("willard", UNIFORM, "Willard CD binary search, O(log log n) [22]")
-def _build_willard(context: BuildContext, params: Params) -> WillardProtocol:
-    return WillardProtocol(
+def _build_willard(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.WillardProtocol(
         params.take("n", int, context.n),
         ranges=params.take("ranges", list, None),
         repetitions=params.take("repetitions", int, 3),
@@ -228,15 +212,15 @@ def _build_willard(context: BuildContext, params: Params) -> WillardProtocol:
 @register_protocol(
     "fixed-probability", UNIFORM, "transmit with 1/k_hat, the perfect-estimate O(1) anchor"
 )
-def _build_fixed(context: BuildContext, params: Params) -> FixedProbabilityProtocol:
-    return FixedProbabilityProtocol(params.take("k_hat", float))
+def _build_fixed(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.FixedProbabilityProtocol(params.take("k_hat", float))
 
 
 @register_protocol(
     "sorted-probing", UNIFORM, "no-CD prediction algorithm of Thm 2.12 (Section 2.5)"
 )
-def _build_sorted_probing(context: BuildContext, params: Params) -> SortedProbingProtocol:
-    return SortedProbingProtocol(
+def _build_sorted_probing(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.SortedProbingProtocol(
         context.require_prediction("sorted-probing"),
         one_shot=params.take("one_shot", bool, True),
         handle_k1=params.take("handle_k1", bool, False),
@@ -247,8 +231,8 @@ def _build_sorted_probing(context: BuildContext, params: Params) -> SortedProbin
 @register_protocol(
     "code-search", UNIFORM, "CD prediction algorithm of Thm 2.16 (Section 2.6)"
 )
-def _build_code_search(context: BuildContext, params: Params) -> CodeSearchProtocol:
-    return CodeSearchProtocol(
+def _build_code_search(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.CodeSearchProtocol(
         context.require_prediction("code-search"),
         repetitions=params.take("repetitions", int, 3),
         one_shot=params.take("one_shot", bool, True),
@@ -260,9 +244,9 @@ def _build_code_search(context: BuildContext, params: Params) -> CodeSearchProto
 @register_protocol(
     "phased-search", UNIFORM, "generic CD phase search over explicit range phases"
 )
-def _build_phased_search(context: BuildContext, params: Params) -> PhasedSearchProtocol:
+def _build_phased_search(context: BuildContext, params: Params) -> UniformProtocol:
     phases = params.take("phases", list)
-    return PhasedSearchProtocol(
+    return protocols.PhasedSearchProtocol(
         [
             Params.check(phase, list, f"{params.what} phase")
             for phase in phases
@@ -276,9 +260,9 @@ def _build_phased_search(context: BuildContext, params: Params) -> PhasedSearchP
 @register_protocol(
     "truncated-decay", UNIFORM, "decay on the advised range block (Thm 3.6)"
 )
-def _build_truncated_decay(context: BuildContext, params: Params) -> TruncatedDecayProtocol:
+def _build_truncated_decay(context: BuildContext, params: Params) -> UniformProtocol:
     bits = params.take("advice_bits", int)
-    return TruncatedDecayProtocol(
+    return protocols.TruncatedDecayProtocol(
         context.n,
         bits,
         _block_index(context, params, bits),
@@ -290,9 +274,9 @@ def _build_truncated_decay(context: BuildContext, params: Params) -> TruncatedDe
 @register_protocol(
     "truncated-willard", UNIFORM, "Willard search on the advised block (Thm 3.7)"
 )
-def _build_truncated_willard(context: BuildContext, params: Params) -> WillardProtocol:
+def _build_truncated_willard(context: BuildContext, params: Params) -> UniformProtocol:
     bits = params.take("advice_bits", int)
-    return truncated_willard_protocol(
+    return protocols.truncated_willard_protocol(
         context.n,
         bits,
         _block_index(context, params, bits),
@@ -305,8 +289,8 @@ def _build_truncated_willard(context: BuildContext, params: Params) -> WillardPr
 @register_protocol(
     "restart", UNIFORM, "re-run a one-shot uniform protocol until stopped"
 )
-def _build_restart(context: BuildContext, params: Params) -> RestartProtocol:
-    return RestartProtocol(
+def _build_restart(context: BuildContext, params: Params) -> UniformProtocol:
+    return protocols.RestartProtocol(
         context.build_uniform(params.take("inner", object), wrapper="restart")
     )
 
@@ -317,8 +301,8 @@ def _build_restart(context: BuildContext, params: Params) -> RestartProtocol:
 @register_protocol(
     "backoff", PLAYER, "binary exponential backoff, the practical CD comparator"
 )
-def _build_backoff(context: BuildContext, params: Params) -> BinaryExponentialBackoff:
-    return BinaryExponentialBackoff(
+def _build_backoff(context: BuildContext, params: Params) -> PlayerProtocol:
+    return protocols.BinaryExponentialBackoff(
         initial_window=params.take("initial_window", float, 2.0),
         max_window=params.take("max_window", float, float(2**20)),
     )
@@ -327,24 +311,22 @@ def _build_backoff(context: BuildContext, params: Params) -> BinaryExponentialBa
 @register_protocol(
     "deterministic-scan", PLAYER, "no-CD candidate scan on advised subtree (Sec 3.2)"
 )
-def _build_scan(context: BuildContext, params: Params) -> DeterministicScanProtocol:
-    return DeterministicScanProtocol(params.take("advice_bits", int))
+def _build_scan(context: BuildContext, params: Params) -> PlayerProtocol:
+    return protocols.DeterministicScanProtocol(params.take("advice_bits", int))
 
 
 @register_protocol(
     "tree-descent", PLAYER, "CD tree descent with collision votes (Sec 3.2)"
 )
-def _build_descent(context: BuildContext, params: Params) -> DeterministicTreeDescentProtocol:
-    return DeterministicTreeDescentProtocol(params.take("advice_bits", int))
+def _build_descent(context: BuildContext, params: Params) -> PlayerProtocol:
+    return protocols.DeterministicTreeDescentProtocol(params.take("advice_bits", int))
 
 
 @register_protocol(
     "uniform-as-player", PLAYER, "per-player view of a uniform protocol"
 )
-def _build_uniform_as_player(
-    context: BuildContext, params: Params
-) -> UniformAsPlayerProtocol:
-    return UniformAsPlayerProtocol(
+def _build_uniform_as_player(context: BuildContext, params: Params) -> PlayerProtocol:
+    return protocols.UniformAsPlayerProtocol(
         context.build_uniform(
             params.take("inner", object), wrapper="uniform-as-player"
         )
@@ -354,7 +336,7 @@ def _build_uniform_as_player(
 @register_protocol(
     "fallback", PLAYER, "primary player protocol with a budgeted fallback switch"
 )
-def _build_fallback(context: BuildContext, params: Params) -> FallbackPlayerProtocol:
+def _build_fallback(context: BuildContext, params: Params) -> PlayerProtocol:
     primary = context.build_player(params.take("primary", object), wrapper="fallback")
     fallback = context.build_player(params.take("fallback", object), wrapper="fallback")
     budget = params.take("budget_rounds", object, "worst-case")
@@ -368,4 +350,4 @@ def _build_fallback(context: BuildContext, params: Params) -> FallbackPlayerProt
         budget = int(worst_case(context.n))
     else:
         budget = Params.check(budget, int, f"{params.what} parameter 'budget_rounds'")
-    return FallbackPlayerProtocol(primary, fallback, budget)
+    return protocols.FallbackPlayerProtocol(primary, fallback, budget)

@@ -40,13 +40,6 @@ from ..analysis.montecarlo import (
     route,
 )
 from ..channel.channel import Channel
-from ..channel.network import (
-    ClusteredAdversary,
-    PrefixAdversary,
-    RandomAdversary,
-    SpreadAdversary,
-    SuffixAdversary,
-)
 from ..core.advice import AdviceFunction
 from ..core.named import Registry
 from ..core.protocol import PlayerProtocol
@@ -64,15 +57,16 @@ __all__ = [
     "ADVERSARIES",
 ]
 
-#: Adversary name -> constructor, for player scenarios.
+#: Adversary name -> its class in :mod:`repro.channel.network`, for
+#: player scenarios; the first player point imports the module.
 ADVERSARIES = Registry(
     "adversary",
     {
-        "random": RandomAdversary,
-        "prefix": PrefixAdversary,
-        "suffix": SuffixAdversary,
-        "spread": SpreadAdversary,
-        "clustered": ClusteredAdversary,
+        "random": "RandomAdversary",
+        "prefix": "PrefixAdversary",
+        "suffix": "SuffixAdversary",
+        "spread": "SpreadAdversary",
+        "clustered": "ClusteredAdversary",
     },
 )
 
@@ -340,6 +334,8 @@ def resolve_scenario(
     protocol = build_protocol(spec.protocol, context)
 
     if entry.kind == PLAYER:
+        from ..channel import network
+
         assert isinstance(protocol, PlayerProtocol)
         if not isinstance(size_source, int):
             raise ScenarioError(
@@ -356,7 +352,7 @@ def resolve_scenario(
             route=route_point(protocol, spec.batch, channel.active_model),
             size_source=size_source,
             advice=spec.advice.build(spec.n, rng) if spec.advice else None,
-            adversary=ADVERSARIES[spec.adversary](),
+            adversary=getattr(network, ADVERSARIES[spec.adversary])(),
         )
     if spec.advice is not None:
         raise ScenarioError(

@@ -30,20 +30,13 @@ import copy
 import itertools
 import json
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
 
-from ..core.advice import (
-    AdviceFunction,
-    FullIdAdvice,
-    MinIdPrefixAdvice,
-    NullAdvice,
-    RangeBlockAdvice,
-)
-from ..core.faulty_advice import AdversarialAdvice, BitFlipAdvice
+from .. import core
 from ..core.named import Params, Registry, ScenarioError
 
 __all__ = [
@@ -142,23 +135,32 @@ def _json_mapping(data: object, what: str) -> dict:
     return native(_require_mapping(data, what), "")
 
 
-def _with_overrides(data: dict, overrides: Iterable[tuple[str, Any]]) -> dict:
-    """``data`` (JSON of a spec's fields) with ``(dotted path, value)`` pairs set.
+def _with_path(data: dict, path: str, value: Any) -> dict:
+    """A copy of ``data``, one field's JSON, with ``value`` at dotted ``path``.
 
-    Values go in as they are: the spec built from ``data`` copies every
-    container it keeps.  Each mapping a path passes through is copied
-    first, so a path never writes into a mapping an earlier path set,
-    which belongs to the caller (a sweep's grid, say).
+    ``path`` starts with the field's name.  Values go in as they are:
+    the spec built from the result copies every container it keeps.
+    Each mapping the path passes through is copied first, so a path
+    never writes into a mapping an earlier path set, which belongs to
+    the caller (a sweep's grid, say).  A missing or null key starts an
+    empty mapping; a path through any other value would drop it, so it
+    is a :class:`ScenarioError`.
     """
-    for path, value in overrides:
-        parts = path.split(".")
-        node = data
-        for part in parts[:-1]:
-            child = node.get(part)
-            child = dict(child) if isinstance(child, dict) else {}
-            node[part] = child
-            node = child
-        node[parts[-1]] = value
+    parts = path.split(".")
+    data = node = dict(data)
+    for depth, part in enumerate(parts[1:-1], start=2):
+        child = node.get(part)
+        if child is None:
+            child = {}
+        elif not isinstance(child, dict):
+            raise ScenarioError(
+                f"path {path!r} runs through {'.'.join(parts[:depth])!r}, which "
+                f"holds {type(child).__name__} {child!r}, not a mapping"
+            )
+        child = dict(child)
+        node[part] = child
+        node = child
+    node[parts[-1]] = value
     return data
 
 
@@ -320,7 +322,9 @@ class SpecCodec(JsonCodec):
         re-parsed; every other field keeps its object.  Intermediate
         mappings are created as needed (overriding
         ``"prediction.source"`` on a spec without a prediction starts
-        one from an empty mapping).
+        one from an empty mapping); a path after a shorthand edits the
+        spec the shorthand names, and a path through any other value
+        fails rather than drop it.
         """
         cell = [[value] for value in overrides.values()]
         (values,) = self.field_values(list(overrides), cell)
@@ -355,14 +359,27 @@ class SpecCodec(JsonCodec):
     def _parse_field(self, name: str, overrides: Sequence[tuple[str, Any]]) -> object:
         """Field ``name`` with ``(path, value)`` overrides into it applied.
 
-        A nested field is parsed as :meth:`from_dict` parses it; any
-        other value is left to the constructor's field rule.
+        A dotted path edits the JSON of the field's value as it stands:
+        a nested spec's ``to_dict()``, the spec a shorthand string
+        names, or ``{}`` where there is none.  Any other value of a
+        nested field fails with its class's ``from_dict`` message; a
+        scalar field's rule refuses the mapping.  A nested field is then
+        parsed as :meth:`from_dict` parses it; any other value is left
+        to the constructor's field rule.
         """
-        value = vars(self)[name]
-        if "." in overrides[0][0] and name in self.nested_rules and value is not None:
-            value = value.to_dict()  # the first path edits the current value
-        value = _with_overrides({name: value}, overrides)[name]
         rule = self.nested_rules.get(name)
+        value = vars(self)[name]
+        for path, item in overrides:
+            if "." not in path:
+                value = item
+                continue
+            if value is None or (rule is None and not isinstance(value, dict)):
+                value = {}  # a scalar field's rule will refuse the mapping
+            elif not isinstance(value, dict):
+                if not isinstance(value, rule.kind):
+                    value = rule.kind.from_dict(value)  # a shorthand, or its error
+                value = value.to_dict()
+            value = _with_path(value, path, item)
         if rule is not None and (value is not None or not rule.nullable):
             value = rule.kind.from_dict(value)
         return value
@@ -564,21 +581,24 @@ class PredictionSpec(NamedSpec):
     label = "prediction"
 
 
-#: Advice functions by name: ``(bits, n) -> AdviceFunction``.
+#: Advice functions by name: ``(bits, n) -> AdviceFunction``.  The
+#: classes come from the lazy :mod:`repro.core` package, so only a spec
+#: that builds advice imports their modules.
 _ADVICE_FUNCTIONS = Registry(
     "advice function",
     {
-        "null": lambda bits, n: NullAdvice(),
-        "min-id-prefix": lambda bits, n: MinIdPrefixAdvice(bits),
-        "range-block": lambda bits, n: RangeBlockAdvice(bits),
-        "full-id": lambda bits, n: FullIdAdvice(n),
+        "null": lambda bits, n: core.NullAdvice(),
+        "min-id-prefix": lambda bits, n: core.MinIdPrefixAdvice(bits),
+        "range-block": lambda bits, n: core.RangeBlockAdvice(bits),
+        "full-id": lambda bits, n: core.FullIdAdvice(n),
     },
 )
 
-#: Advice corruption models by name: ``(base, probability, rng)`` wrappers.
+#: Advice corruption models by name: the :mod:`repro.core` class of each
+#: ``(base, probability, rng)`` wrapper.
 _ADVICE_CORRUPTIONS = Registry(
     "advice corruption model",
-    {"bit-flip": BitFlipAdvice, "adversarial": AdversarialAdvice},
+    {"bit-flip": "BitFlipAdvice", "adversarial": "AdversarialAdvice"},
 )
 
 
@@ -609,9 +629,9 @@ class AdviceSpec:
         if self.corruption is not None:
             corruption = _json_mapping(self.corruption, "advice corruption")
             object.__setattr__(self, "corruption", corruption)
-            self._corrupted(NullAdvice(), None)
+            self._corrupted(core.NullAdvice(), None)
 
-    def build(self, n: int, rng: np.random.Generator) -> AdviceFunction:
+    def build(self, n: int, rng: np.random.Generator) -> core.AdviceFunction:
         """The advice function for ``n`` ids, any corruption bound to ``rng``.
 
         Building consumes nothing from ``rng``; the corruption wrapper
@@ -621,10 +641,10 @@ class AdviceSpec:
         return base if self.corruption is None else self._corrupted(base, rng)
 
     def _corrupted(
-        self, base: AdviceFunction, rng: np.random.Generator | None
-    ) -> AdviceFunction:
+        self, base: core.AdviceFunction, rng: np.random.Generator | None
+    ) -> core.AdviceFunction:
         reader = Params(self.corruption, "advice corruption")
-        wrapper = _ADVICE_CORRUPTIONS[reader.take("model", str)]
+        wrapper = getattr(core, _ADVICE_CORRUPTIONS[reader.take("model", str)])
         probability = reader.take("probability", float)
         reader.done()
         try:

@@ -248,8 +248,14 @@ class ResultStore:
         self.stats.hits += 1
         return result
 
-    def put(self, spec, result, *, key: str | None = None) -> str:
-        """Store ``result`` under ``spec``'s content address; returns the key."""
+    def put(
+        self, spec, result, *, key: str | None = None, result_dict: dict | None = None
+    ) -> str:
+        """Store ``result`` under ``spec``'s content address; returns the key.
+
+        ``result_dict`` is ``result.to_dict()`` where the caller already
+        made it (a checkpoint that journals the result too).
+        """
         if key is None:
             key = spec_key(spec)
         self._remember(key, result)
@@ -260,8 +266,10 @@ class ResultStore:
             payload = {
                 "schema": SCHEMA_VERSION,
                 "key": key,
-                "result": result.to_dict(),
+                "result": result.to_dict() if result_dict is None else result_dict,
             }
+            # One C-encoder call: json.dump would take the pure-Python one.
+            text = json.dumps(payload)
             # Atomic publish: a reader either sees the whole entry or no
             # entry, never a torn write.
             handle, tmp_name = tempfile.mkstemp(
@@ -269,7 +277,7 @@ class ResultStore:
             )
             try:
                 with os.fdopen(handle, "w") as stream:
-                    json.dump(payload, stream)
+                    stream.write(text)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

@@ -730,11 +730,16 @@ def run_sweep(
             entries: list[tuple[int, dict]] = []
             for index, result in zip(indices, results):
                 slots[index] = result
+                if journal is None and store is None:
+                    continue
+                result_dict = result.to_dict()  # one copy for journal and store
                 if journal is not None:
-                    entries.append((index, result.to_dict()))
+                    entries.append((index, result_dict))
                 if store is not None:
                     assert keys is not None
-                    store.put(points[index], result, key=keys[index])
+                    store.put(
+                        points[index], result, key=keys[index], result_dict=result_dict
+                    )
             if journal is not None and entries:
                 journal.append(entries)
             completed_this_run += len(indices)

@@ -30,11 +30,9 @@ import functools
 import json
 from collections.abc import Callable, Mapping
 
-from ..channel.arrivals import MarkovBurstArrivals, TraceArrivals
 from ..core.named import Params, Registry
 from ..core.predictions import Prediction
 from ..infotheory.distributions import SizeDistribution
-from ..infotheory.perturb import floor_support, mix_with_uniform, shift_ranges
 from .spec import PredictionSpec, ScenarioError, WorkloadSpec
 
 __all__ = [
@@ -63,13 +61,15 @@ def _perturbed(
     transforms the divergence experiments dial predictions with, applied
     in that order.
     """
+    from ..infotheory import perturb
+
     distribution = resolve_distribution(n, base)
     if mix is not None:
-        distribution = mix_with_uniform(distribution, float(mix))
+        distribution = perturb.mix_with_uniform(distribution, float(mix))
     if shift is not None:
-        distribution = shift_ranges(distribution, int(shift))
+        distribution = perturb.shift_ranges(distribution, int(shift))
     if floor is not None:
-        distribution = floor_support(distribution, float(floor))
+        distribution = perturb.floor_support(distribution, float(floor))
     return distribution
 
 
@@ -174,6 +174,8 @@ def _fixed_workload(params: Params, n: int) -> int:
 
 
 def _bursty_workload(params: Params, n: int) -> MarkovBurstArrivals:
+    from ..channel.arrivals import MarkovBurstArrivals
+
     rates = {
         key: params.take(key, float)
         for key in ("calm_rate", "burst_rate", "burst_arrival", "burst_departure")
@@ -189,6 +191,8 @@ def _bursty_workload(params: Params, n: int) -> MarkovBurstArrivals:
 
 
 def _trace_workload(params: Params, n: int) -> TraceArrivals:
+    from ..channel.arrivals import TraceArrivals
+
     ks = params.take("ks", list, None)
     name = params.take("name", str, "trace")
     if not ks:

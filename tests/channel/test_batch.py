@@ -35,6 +35,8 @@ from repro.channel import (
 )
 from repro.core.feedback import Observation
 from repro.core.protocol import (
+    OBS_COLLISION,
+    OBS_SILENCE,
     BatchSchedule,
     ProtocolError,
     ScheduleExhausted,
@@ -376,6 +378,28 @@ class TestStackedHistoryEngine:
         warm = run()
         assert (cold.solved == warm.solved).all()
         assert (cold.rounds == warm.rounds).all()
+
+    def test_fresh_nodes_memoize_their_response_on_creation(self):
+        """A node's probability, or its exhaustion, is set when the node
+        is created, before any round reads it."""
+        import repro.channel.batch as batch_module
+
+        arena = batch_module._HistoryArena()
+        root = arena.root_for(HistoryPolicyProtocol(_HalvingPolicy()), "halving")
+        collided, silent = arena.descend(
+            np.array([root, root]), np.array([OBS_COLLISION, OBS_SILENCE])
+        )
+        assert arena.probability[[root, collided, silent]].tolist() == [0.5, 0.25, 0.5]
+        assert not arena.exhausted[[root, collided, silent]].any()
+        assert not arena.any_exhausted
+
+        probe = arena.root_for(_OneShotProbeProtocol((0.25,)), "probe")
+        assert arena.probability[probe] == 0.25 and not arena.exhausted[probe]
+        codes = np.array([OBS_COLLISION, OBS_SILENCE, OBS_COLLISION])
+        children = arena.descend(np.full(3, probe), codes)
+        assert children[0] == children[2] != children[1]
+        assert arena.exhausted[children].all() and arena.any_exhausted
+        assert arena.count == 6  # one node per distinct history
 
     def test_point_stops_consuming_randomness_when_done(self, cd_channel):
         """History points pre-draw uniforms in 16-round blocks and stop

@@ -27,6 +27,8 @@ from repro.scenarios import (
     EXAMPLE_CD_SWEEP,
     EXAMPLE_OPEN_RETRY_SWEEP,
     EXAMPLE_OPEN_SWEEP,
+    ChannelSpec,
+    PredictionSpec,
     ScenarioError,
     ScenarioSpec,
     Sweep,
@@ -187,16 +189,38 @@ PATH_VALUES = {
     "name.deeper": [1],
 }
 
+_JAMMER = {"name": "jam-oblivious", "params": {"budget": 2, "start": 1, "period": 1}}
+
+#: Grids that set a field whole, by a shorthand, to null or to a value no
+#: shorthand names, and then edit it by a dotted path.  The path edits
+#: the spec the shorthand names, starts a null field from ``{}`` and
+#: fails where the field's ``from_dict`` fails.
+SHORTHAND_THEN_PATH = [
+    {"prediction": ["distribution", "truth", None, 7],
+     "prediction.params.family": ["uniform", "zipf"]},
+    {"channel": ["cd", "nocd", "bogus"], "channel.model": [None, _JAMMER]},
+    {"protocol": ["willard", "decay", 5], "protocol.params.repetitions": [2, 7]},
+    {"workload": ["fixed"], "workload.params.k": [3]},
+    {"advice": ["null", None], "advice.bits": [1]},
+]
+
 
 @st.composite
 def grids(draw):
     base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    combined = draw(st.one_of(st.just({}), st.sampled_from(SHORTHAND_THEN_PATH)))
     paths = draw(
-        st.lists(st.sampled_from(sorted(PATH_VALUES)), min_size=1, max_size=4, unique=True)
+        st.lists(
+            st.sampled_from(sorted(set(PATH_VALUES) - set(combined))),
+            min_size=0 if combined else 1,
+            max_size=4 - len(combined),
+            unique=True,
+        )
     )
+    values = {**combined, **{path: PATH_VALUES[path] for path in paths}}
     grid = {
-        path: draw(st.lists(st.sampled_from(PATH_VALUES[path]), min_size=1, max_size=3))
-        for path in paths
+        path: draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3))
+        for path, choices in values.items()
     }
     return Sweep(base, copy.deepcopy(grid), vary_seed=draw(st.booleans()))
 
@@ -212,6 +236,37 @@ def test_points_return_overrides_specs_or_its_first_error(sweep):
         assert str(raised.value) == str(error)
         return
     assert_same_points(sweep.points(), want)
+
+
+def test_a_dotted_path_edits_the_spec_a_shorthand_names():
+    base = BASES["plain"]
+    cell = {"prediction": "distribution", "prediction.params.family": "uniform"}
+    want = PredictionSpec("distribution", {"family": "uniform"})
+    assert base.override(cell).prediction == want
+    cell = {"channel": "cd", "channel.model": _JAMMER}
+    assert base.override(cell).channel == ChannelSpec(True, _JAMMER)
+    grid = {"channel": ["cd"], "channel.model": [_JAMMER]}
+    assert Sweep(base, grid).points()[0].channel == ChannelSpec(True, _JAMMER)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"channel": "bogus", "channel.model": None}, "unknown channel shorthand 'bogus'"),
+        ({"workload": "fixed", "workload.params.k": 3},
+         "workload spec must be a mapping, got str"),
+        ({"prediction": 7, "prediction.source": "truth"},
+         "prediction spec must be a mapping, got int"),
+        ({"protocol": {"id": "restart", "params": {"inner": "decay"}},
+          "protocol.params.inner.params.n": 8},
+         "path 'protocol.params.inner.params.n' runs through 'protocol.params.inner', "
+         "which holds str 'decay', not a mapping"),
+    ],
+)
+def test_a_dotted_path_never_drops_the_value_it_passes_through(cell, message):
+    with pytest.raises(ScenarioError) as raised:
+        BASES["plain"].override(cell)
+    assert str(raised.value) == message
 
 
 def test_override_keeps_the_overridden_specs_untouched():

@@ -8,8 +8,10 @@ from repro.scenarios import (
     OpenScenarioSpec,
     ResultStore,
     ScenarioSpec,
+    Sweep,
     SweepJournal,
     run_scenario,
+    run_sweep,
     spec_key,
     sweep_key,
 )
@@ -124,6 +126,14 @@ class TestResultStore:
         assert loaded == result
         assert loaded.engine == result.engine
         assert fresh.stats.memory_hits == 0  # came from disk
+
+    def test_entry_is_one_json_dumps_of_its_payload(self, tmp_path):
+        spec = base_spec()
+        result = run_scenario(spec)
+        key = ResultStore(tmp_path).put(spec, result)
+        entry = tmp_path / key[:2] / f"{key}.json"
+        payload = {"schema": 1, "key": key, "result": result.to_dict()}
+        assert entry.read_text() == json.dumps(payload)
 
     def test_open_results_round_trip(self, tmp_path):
         from repro.scenarios import run_open_scenario
@@ -303,3 +313,24 @@ class TestSweepJournal:
             stream.write(json.dumps(record) + "\n")
         with pytest.raises(ScenarioError, match=r"journal .*j\.jsonl line 2"):
             self._journal(path, keys)
+
+
+def test_a_checkpoint_writes_each_result_once_to_journal_and_store(tmp_path):
+    """Journal lines and store entries hold the same ``to_dict()`` bytes."""
+    sweep = Sweep(base_spec(), {"trials": [8, 12]})
+    journal, cache = tmp_path / "run.jsonl", tmp_path / "cache"
+    results = run_sweep(sweep, resume=journal, cache=cache).results
+    keys = [spec_key(point) for point in sweep.points()]
+    header = {"kind": "header", "schema": 1, "sweep": sweep_key(keys), "points": 2}
+    checkpoints = [
+        {
+            "kind": "checkpoint",
+            "entries": [{"index": index, "key": keys[index], "result": result.to_dict()}],
+        }
+        for index, result in enumerate(results)
+    ]
+    lines = [json.dumps(record) + "\n" for record in [header, *checkpoints]]
+    assert journal.read_text() == "".join(lines)
+    for key, result in zip(keys, results):
+        payload = {"schema": 1, "key": key, "result": result.to_dict()}
+        assert (cache / key[:2] / f"{key}.json").read_text() == json.dumps(payload)

@@ -26,10 +26,42 @@ NOT_LOADED = (
     "repro.scenarios.supervised",
     "repro.analysis.exact",
     "repro.analysis.exact_search",
+    "repro.channel.models",
+    "repro.channel.network",
+    "repro.channel.arrivals",
+    "repro.core.faulty_advice",
+    "repro.infotheory.source_coding",
+    "repro.protocols.restart",
+    "repro.protocols.adapters",
+    "repro.protocols.advice_deterministic",
+    "repro.protocols.advice_randomized",
+    "repro.protocols.backoff",
+    "repro.protocols.jiang_zheng",
+    "repro.protocols.fixed_probability",
     "multiprocessing",
 )
 
-LAZY_PACKAGES = ("repro", "repro.analysis", "repro.scenarios")
+#: Modules only the CD sweep needs: prediction codes, perturbed
+#: predictions and the CD protocols.  The example run (sorted probing on
+#: a no-CD channel) loads none of them.
+RUN_NOT_LOADED = (
+    "repro.infotheory.coding",
+    "repro.infotheory.huffman",
+    "repro.infotheory.perturb",
+    "repro.protocols.willard",
+    "repro.protocols.searching",
+    "repro.protocols.code_search",
+)
+
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.scenarios",
+    "repro.core",
+    "repro.channel",
+    "repro.infotheory",
+    "repro.protocols",
+)
 
 
 def run_fresh(code: str, *args: str):
@@ -51,29 +83,50 @@ def run_fresh(code: str, *args: str):
 
 CLI_PROBE = """
 import contextlib, io, json, sys
+import numpy
+
+# NumPy 1.x imports numpy.ma with numpy itself; 2.x only on demand.
+eager_ma = "numpy.ma" in sys.modules
 from repro.cli import main
 
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps([eager_ma, sorted(sys.modules)]))
 """
 
 
-def test_cold_run_and_fused_sweep_load_only_what_they_run(tmp_path):
+def cold_load(tmp_path, *commands: str) -> tuple[set[str], bool]:
+    """Modules a fresh interpreter loads running the example ``commands``
+    (``"run"``, ``"sweep"``), and whether ``import numpy`` loaded numpy.ma."""
     from repro.cli import EXAMPLE_SCENARIO
     from repro.scenarios import EXAMPLE_CD_SWEEP
 
     run_path, sweep_path = tmp_path / "run.json", tmp_path / "sweep.json"
     run_path.write_text(json.dumps(EXAMPLE_SCENARIO))
     sweep_path.write_text(json.dumps(EXAMPLE_CD_SWEEP))
-    commands = [
-        ["scenario", "run", str(run_path), "--json"],
-        ["scenario", "sweep", str(sweep_path), "--executor", "fused", "--json"],
-    ]
-    loaded = set(run_fresh(CLI_PROBE, json.dumps(commands)))
+    argv = {
+        "run": ["scenario", "run", str(run_path), "--json"],
+        "sweep": ["scenario", "sweep", str(sweep_path), "--executor", "fused", "--json"],
+    }
+    eager_ma, loaded = run_fresh(CLI_PROBE, json.dumps([argv[c] for c in commands]))
+    return set(loaded), eager_ma
+
+
+def test_cold_run_and_fused_sweep_load_only_what_they_run(tmp_path):
+    loaded, eager_ma = cold_load(tmp_path, "run", "sweep")
     assert {"repro.cli", "repro.scenarios.sweep"} <= loaded  # the probe ran
     assert sorted(set(NOT_LOADED) & loaded) == []
+    if not eager_ma:
+        assert "numpy.ma" not in loaded
+
+
+def test_cold_run_loads_no_prediction_code_or_cd_protocol(tmp_path):
+    loaded, eager_ma = cold_load(tmp_path, "run")
+    assert {"repro.cli", "repro.protocols.sorted_probing"} <= loaded  # it ran
+    assert sorted(set(NOT_LOADED + RUN_NOT_LOADED) & loaded) == []
+    if not eager_ma:
+        assert "numpy.ma" not in loaded
 
 
 EXPORTS_PROBE = """
