@@ -5,10 +5,20 @@ a supporting experiment) at benchmark scale, prints the measurement table
 it produced (so the teed benchmark log doubles as the raw data behind
 EXPERIMENTS.md) and asserts the experiment's shape checks.
 
+The ratio gates time a fast path against its scalar or serial reference
+with :func:`timed` and keep their readings with :func:`record`, so
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-json=PATH
+
+writes every gate's seconds and ratio (each benchmark's ``extra_info``)
+together with pytest-benchmark's machine info: the performance snapshot.
+
 ``pytest benchmarks/ --benchmark-only`` is the documented entry point.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -24,6 +34,27 @@ BENCH_CONFIG = ExperimentConfig(n=2**16, trials=800, seed=2021, quick=True)
 @pytest.fixture(scope="session")
 def bench_config() -> ExperimentConfig:
     return BENCH_CONFIG
+
+
+def timed(fn):
+    """``fn()`` and its wall seconds."""
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def record(benchmark, label: str, **readings) -> None:
+    """Print a gate's readings and keep them in its ``extra_info``.
+
+    Called before the gate asserts its bound, so a failing reading is
+    recorded too.  ``extra_info`` is updated in place: pytest-benchmark's
+    stats hold the fixture's dict, not a copy.
+    """
+    benchmark.extra_info.update(readings)
+    print(
+        f"\n{label}: "
+        + " ".join(f"{key}={value:.4g}" for key, value in readings.items())
+    )
 
 
 def run_and_check(

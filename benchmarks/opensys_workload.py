@@ -1,11 +1,10 @@
 """The shared open-system benchmark workload.
 
 One fixed load point consumed by both the opt-in benchmark gate
-(:mod:`benchmarks.test_bench_opensys`) and the snapshot tool
-(``tools/bench_report.py``), so the gate and the ``open_system`` section
-of ``BENCH_BATCH.json`` always measure the same run: decay serving a
-Poisson request stream at a stable offered load, on the vectorized
-open-schedule engine versus the scalar per-trial reference loop.
+(:mod:`benchmarks.test_bench_opensys`) and perfbench's ``open_system``
+workload: decay serving a Poisson request stream at a stable offered
+load, on the vectorized open-schedule engine versus the scalar
+per-trial reference loop.
 
 The point is sized like the closed-engine workloads - enough trials and
 rounds that per-round numpy dispatch amortizes and the scalar loop's

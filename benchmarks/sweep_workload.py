@@ -1,19 +1,18 @@
 """The shared sweep-executor benchmark workloads.
 
-One definition consumed by both the opt-in benchmark gates
+One definition consumed by the opt-in benchmark gates
 (:mod:`benchmarks.test_bench_sweep`,
-:mod:`benchmarks.test_bench_sweep_fused`) and the snapshot tool
-(``tools/bench_report.py``), so the executor gates and the
-``sweep_executor`` / ``sweep_fused`` sections of ``BENCH_BATCH.json``
-always measure the same grids:
+:mod:`benchmarks.test_bench_sweep_fused`,
+:mod:`benchmarks.test_bench_cache`, :mod:`benchmarks.test_bench_history`)
+and perfbench's ``closed_sweep`` and ``durable_sweep`` workloads:
 
 * :func:`executor_sweep` - eight entropy-dial points at Table-1 scale,
   each heavy enough (200k trials by default) to dwarf the process
   pool's spawn cost (the multi-core axis);
 * :func:`cache_sweep` - the same dial at 50k trials per point, the
-  warm-cache gate workload (:mod:`benchmarks.test_bench_cache` and the
-  ``sweep_cache`` report section): heavy enough that a cache hit beating
-  re-simulation by >= 20x is a trivial bar, not a lucky one;
+  warm-cache gate workload (:mod:`benchmarks.test_bench_cache`): heavy
+  enough that a cache hit beating re-simulation by >= 20x is a trivial
+  bar, not a lucky one;
 * :func:`fused_sweep` - a dense 32-point transmission-probability dial
   of long-horizon ``fixed-probability`` points: many small engine-bound
   points, the regime where the fused executor's stacked round loop wins

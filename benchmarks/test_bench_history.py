@@ -21,7 +21,7 @@ Like the other fused gate this needs no extra cores, so it never skips.
 
 from __future__ import annotations
 
-import time
+import statistics
 
 import numpy as np
 import pytest
@@ -35,18 +35,16 @@ from repro.experiments.table1_nocd import entropy_sweep_distributions
 from repro.protocols.willard import WillardProtocol
 from repro.scenarios import run_sweep
 
+from .conftest import record, timed
 from .sweep_workload import CD_GRID_POINTS, cd_grid_sweep
 
 N = 2**16
 TRIALS = 6000
 MAX_ROUNDS = 1024
 SEED = 2021
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+#: Runs per executor in the fused-CD gate: a side takes ~10-50 ms, so
+#: one slow run would decide a single-run ratio.
+FUSED_REPEATS = 9
 
 
 @pytest.mark.benchmark
@@ -67,16 +65,17 @@ def test_bench_history_solo_vs_scalar(benchmark):
             batch=batch,
         )
 
-    scalar, scalar_seconds = _timed(lambda: estimate(False))
-    batched, batch_seconds = _timed(lambda: estimate(True))
+    scalar, scalar_seconds = timed(lambda: estimate(False))
+    batched, batch_seconds = timed(lambda: estimate(True))
     benchmark.pedantic(
         lambda: estimate(True), rounds=3, iterations=1, warmup_rounds=1
     )
 
     speedup = scalar_seconds / batch_seconds
-    print(
-        f"\nCD Willard, trials={TRIALS}: scalar={scalar_seconds:.3f}s "
-        f"batch={batch_seconds:.3f}s speedup={speedup:.1f}x"
+    record(
+        benchmark, f"CD Willard, trials={TRIALS}",
+        scalar_seconds=scalar_seconds, batch_seconds=batch_seconds,
+        speedup=speedup,
     )
     assert batched.success.rate == scalar.success.rate == 1.0
     assert abs(batched.rounds.mean - scalar.rounds.mean) <= (
@@ -97,17 +96,22 @@ def test_bench_history_fused_vs_point_serial(benchmark):
     # not first-call distribution construction.
     run_sweep(sweep, executor="fused")
 
-    start = time.perf_counter()
-    serial = run_sweep(sweep, executor="serial")
-    serial_seconds = time.perf_counter() - start
-
-    fused = benchmark.pedantic(
+    # Alternate the executors and compare their median own times
+    # (`elapsed_seconds` leaves out the grid expansion both share), so a
+    # slow run or a drifting machine moves both sides alike.
+    runs = [
+        (run_sweep(sweep, executor="serial"), run_sweep(sweep, executor="fused"))
+        for _ in range(FUSED_REPEATS)
+    ]
+    serial, fused = runs[-1]
+    serial_seconds = statistics.median(pair[0].elapsed_seconds for pair in runs)
+    fused_seconds = statistics.median(pair[1].elapsed_seconds for pair in runs)
+    benchmark.pedantic(
         lambda: run_sweep(sweep, executor="fused"),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    fused_seconds = fused.elapsed_seconds
 
     # Correctness first: identical statistics, point for point.
     for point_serial, point_fused in zip(serial.results, fused.results):
@@ -118,11 +122,13 @@ def test_bench_history_fused_vs_point_serial(benchmark):
     assert labels.count(ENGINE_FUSED_HISTORY) >= 24
 
     speedup = serial_seconds / fused_seconds
-    print(
-        f"\nfused CD grid: serial={serial_seconds:.3f}s "
-        f"fused={fused_seconds:.3f}s speedup={speedup:.2f}x "
-        f"({CD_GRID_POINTS} points, {labels.count(ENGINE_FUSED_HISTORY)} "
-        f"fused-history)"
+    record(
+        benchmark,
+        f"fused CD grid ({CD_GRID_POINTS} points, "
+        f"{labels.count(ENGINE_FUSED_HISTORY)} fused-history, "
+        f"median of {FUSED_REPEATS} runs)",
+        serial_seconds=serial_seconds, fused_seconds=fused_seconds,
+        speedup=speedup,
     )
     assert speedup >= 3.0, (
         f"fused executor only {speedup:.2f}x over point-serial batch on "

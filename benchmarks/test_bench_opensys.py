@@ -11,13 +11,12 @@ never skips.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.opensys import ENGINE_OPEN_SCALAR, ENGINE_OPEN_SCHEDULE
 from repro.scenarios import run_open_scenario
 
+from .conftest import record, timed
 from .opensys_workload import TRIALS, open_point, open_retry_point
 
 SPEEDUP_FLOOR = 5.0
@@ -26,20 +25,14 @@ SPEEDUP_FLOOR = 5.0
 RETRY_OVERHEAD_CEILING = 2.0
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
 @pytest.mark.benchmark
 def test_bench_open_schedule_vs_scalar(benchmark):
     spec = open_point()
 
-    scalar, scalar_seconds = _timed(
+    scalar, scalar_seconds = timed(
         lambda: run_open_scenario(spec.override({"batch": False}))
     )
-    vectorized, vector_seconds = _timed(lambda: run_open_scenario(spec))
+    vectorized, vector_seconds = timed(lambda: run_open_scenario(spec))
     benchmark.pedantic(
         lambda: run_open_scenario(spec), rounds=3, iterations=1, warmup_rounds=1
     )
@@ -53,9 +46,10 @@ def test_bench_open_schedule_vs_scalar(benchmark):
     )
 
     speedup = scalar_seconds / vector_seconds
-    print(
-        f"\nopen decay/poisson, trials={TRIALS}: scalar={scalar_seconds:.3f}s "
-        f"vectorized={vector_seconds:.3f}s speedup={speedup:.1f}x"
+    record(
+        benchmark, f"open decay/poisson, trials={TRIALS}",
+        scalar_seconds=scalar_seconds, vectorized_seconds=vector_seconds,
+        speedup=speedup,
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"open-schedule engine only {speedup:.1f}x faster than scalar "
@@ -85,11 +79,11 @@ def test_bench_open_retry_lifecycle(benchmark):
         }
     )
 
-    scalar, scalar_seconds = _timed(
+    scalar, scalar_seconds = timed(
         lambda: run_open_scenario(retry_spec.override({"batch": False}))
     )
-    vectorized, vector_seconds = _timed(lambda: run_open_scenario(retry_spec))
-    _, plain_seconds = _timed(lambda: run_open_scenario(plain_spec))
+    vectorized, vector_seconds = timed(lambda: run_open_scenario(retry_spec))
+    _, plain_seconds = timed(lambda: run_open_scenario(plain_spec))
     benchmark.pedantic(
         lambda: run_open_scenario(retry_spec),
         rounds=3,
@@ -108,11 +102,10 @@ def test_bench_open_retry_lifecycle(benchmark):
 
     speedup = scalar_seconds / vector_seconds
     overhead = vector_seconds / plain_seconds
-    print(
-        f"\nopen retry lifecycle, trials={TRIALS}: "
-        f"scalar={scalar_seconds:.3f}s vectorized={vector_seconds:.3f}s "
-        f"plain={plain_seconds:.3f}s speedup={speedup:.1f}x "
-        f"overhead={overhead:.2f}x"
+    record(
+        benchmark, f"open retry lifecycle, trials={TRIALS}",
+        scalar_seconds=scalar_seconds, vectorized_seconds=vector_seconds,
+        plain_seconds=plain_seconds, speedup=speedup, overhead=overhead,
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"retry-enabled engine only {speedup:.1f}x faster than scalar; "

@@ -5,21 +5,20 @@ The acceptance benchmark for the sweep layer: on a multi-core machine an
 process-pool executor than serially, with *identical* results (every
 point is reproducible from its own spec, so executors only change wall
 clock).  On a single-core machine the speedup is physically impossible
-and the gate is skipped - the equality check still runs, and
-``tools/bench_report.py`` records the honest numbers plus ``cpu_count``
-in ``BENCH_BATCH.json``.  Both consumers share the workload definition
-in :mod:`benchmarks.sweep_workload`.
+and the gate is skipped - the equality check still runs, and the
+readings are recorded with ``cpu_count``, which bounds the ratio.  The
+workload is :func:`benchmarks.sweep_workload.executor_sweep`.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro.scenarios import run_sweep
 
+from .conftest import record, timed
 from .sweep_workload import RANGE_SETS, executor_sweep
 
 
@@ -27,9 +26,7 @@ from .sweep_workload import RANGE_SETS, executor_sweep
 def test_bench_sweep_process_pool_vs_serial(benchmark):
     sweep = executor_sweep()
 
-    start = time.perf_counter()
-    serial = run_sweep(sweep, executor="serial")
-    serial_seconds = time.perf_counter() - start
+    serial, serial_seconds = timed(lambda: run_sweep(sweep, executor="serial"))
 
     workers = min(len(RANGE_SETS), os.cpu_count() or 1)
     pooled = benchmark.pedantic(
@@ -44,11 +41,10 @@ def test_bench_sweep_process_pool_vs_serial(benchmark):
     assert serial.results == pooled.results
 
     speedup = serial_seconds / process_seconds
-    print(
-        f"\nsweep executors: serial={serial_seconds:.3f}s "
-        f"process={process_seconds:.3f}s speedup={speedup:.2f}x "
-        f"({len(RANGE_SETS)} points, {workers} workers, "
-        f"{os.cpu_count()} cpu)"
+    record(
+        benchmark, f"sweep executors ({len(RANGE_SETS)} points)",
+        serial_seconds=serial_seconds, process_seconds=process_seconds,
+        speedup=speedup, workers=workers, cpu_count=os.cpu_count() or 1,
     )
     if (os.cpu_count() or 1) < 2:
         pytest.skip(

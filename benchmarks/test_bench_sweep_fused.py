@@ -9,18 +9,17 @@ not).  Unlike the process-pool gate next door, this one needs no extra
 cores - fusing amortizes the per-round engine work across grid points,
 the axis a single core can actually exploit - so it never skips.  The
 player-grid measurement rides along informationally (asserted identical,
-logged, not gated) and both workloads are shared with
-``tools/bench_report.py`` via :mod:`benchmarks.sweep_workload`.
+recorded, not gated).  Both grids come from
+:mod:`benchmarks.sweep_workload`.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.scenarios import run_sweep
 
+from .conftest import record, timed
 from .sweep_workload import FUSED_POINTS, fused_player_sweep, fused_sweep
 
 
@@ -36,10 +35,7 @@ def test_bench_sweep_fused_vs_point_serial(benchmark):
     sweep = fused_sweep()
     assert len(sweep.points()) == FUSED_POINTS >= 16
 
-    start = time.perf_counter()
-    serial = run_sweep(sweep, executor="serial")
-    serial_seconds = time.perf_counter() - start
-
+    serial, serial_seconds = timed(lambda: run_sweep(sweep, executor="serial"))
     fused = benchmark.pedantic(
         lambda: run_sweep(sweep, executor="fused"),
         rounds=1,
@@ -53,22 +49,22 @@ def test_bench_sweep_fused_vs_point_serial(benchmark):
 
     # The player grid rides along: identity asserted, speedup logged.
     player = fused_player_sweep()
-    start = time.perf_counter()
-    player_serial = run_sweep(player, executor="serial")
-    player_serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    player_fused = run_sweep(player, executor="fused")
-    player_fused_seconds = time.perf_counter() - start
+    player_serial, player_serial_seconds = timed(
+        lambda: run_sweep(player, executor="serial")
+    )
+    player_fused, player_fused_seconds = timed(
+        lambda: run_sweep(player, executor="fused")
+    )
     _assert_identical(player_serial, player_fused)
 
     speedup = serial_seconds / fused_seconds
-    print(
-        f"\nfused sweep: serial={serial_seconds:.3f}s "
-        f"fused={fused_seconds:.3f}s speedup={speedup:.2f}x "
-        f"({FUSED_POINTS} schedule points); player grid "
-        f"serial={player_serial_seconds:.3f}s "
-        f"fused={player_fused_seconds:.3f}s "
-        f"speedup={player_serial_seconds / player_fused_seconds:.2f}x"
+    record(
+        benchmark, f"fused sweep ({FUSED_POINTS} schedule points)",
+        serial_seconds=serial_seconds, fused_seconds=fused_seconds,
+        speedup=speedup,
+        player_serial_seconds=player_serial_seconds,
+        player_fused_seconds=player_fused_seconds,
+        player_speedup=player_serial_seconds / player_fused_seconds,
     )
     assert speedup >= 3.0, (
         f"fused executor only {speedup:.2f}x over point-serial batch on "

@@ -157,6 +157,16 @@ def _linear_quantile(data: np.ndarray, q: float) -> np.float64:
     return low + diff * gamma
 
 
+def nan_to_none(value: float) -> float | None:
+    """A statistic as result JSON holds it: NaN (no samples) is ``null``."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def none_to_nan(value) -> float:
+    """The inverse of :func:`nan_to_none`: ``null`` reads back as NaN."""
+    return float("nan") if value is None else float(value)
+
+
 @dataclass(frozen=True)
 class ProportionEstimate:
     """A success-probability estimate with its Wilson 95% interval."""

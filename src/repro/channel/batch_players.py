@@ -176,8 +176,9 @@ def run_players_stacked(
     :class:`~repro.core.advice.AdviceError` with the messages of
     :meth:`~repro.core.advice.AdviceFunction.checked_advise` for an id
     outside ``0..n-1`` or an advice string that is not
-    ``protocol.advice_bits`` binary digits, and for an int outside
-    ``[0, 2**advice_bits)``.
+    ``protocol.advice_bits`` binary digits, for an int outside
+    ``[0, 2**advice_bits)``, and for advice of any other type (a float
+    or bool array, a list of ints), naming that type.
     """
     _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
@@ -220,6 +221,7 @@ def _advice_array(advice: Sequence[str] | np.ndarray, bits: int) -> np.ndarray:
 
     Strings get ``checked_advise``'s checks and messages; ints must lie
     in ``[0, 2**bits)``, the values a ``bits``-bit string reads.
+    Anything else is refused by the type of its first non-string value.
     """
     if isinstance(advice, np.ndarray) and advice.dtype.kind in "iu":
         outside = advice[(advice < 0) | (advice >= 2**bits)]
@@ -229,6 +231,9 @@ def _advice_array(advice: Sequence[str] | np.ndarray, bits: int) -> np.ndarray:
             )
         return advice.astype(np.int64)
     for bits_string in advice:
+        if not isinstance(bits_string, str):
+            kind = type(bits_string).__name__
+            raise AdviceError(f"advice must be an int array or strings, got {kind}")
         if len(bits_string) != bits:
             raise AdviceError(
                 f"advice {bits_string!r} has {len(bits_string)} bits, "

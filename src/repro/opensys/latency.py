@@ -33,15 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.metrics import nan_to_none, none_to_nan
+
 __all__ = ["LatencyStore", "LatencySummary"]
-
-
-def _nan_to_none(value: float) -> float | None:
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
-def _none_to_nan(value) -> float:
-    return float("nan") if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,12 @@ class LatencySummary:
         """JSON-native dict (NaN statistics encode as ``null``)."""
         return {
             "completed": self.completed,
-            "mean": _nan_to_none(self.mean),
-            "p50": _nan_to_none(self.p50),
-            "p90": _nan_to_none(self.p90),
-            "p99": _nan_to_none(self.p99),
-            "maximum": _nan_to_none(self.maximum),
-            "throughput": _nan_to_none(self.throughput),
+            "mean": nan_to_none(self.mean),
+            "p50": nan_to_none(self.p50),
+            "p90": nan_to_none(self.p90),
+            "p99": nan_to_none(self.p99),
+            "maximum": nan_to_none(self.maximum),
+            "throughput": nan_to_none(self.throughput),
             "arrivals": self.arrivals,
             "dropped": self.dropped,
             "timed_out": self.timed_out,
@@ -122,12 +116,12 @@ class LatencySummary:
     def from_dict(cls, data: Mapping) -> "LatencySummary":
         return cls(
             completed=int(data["completed"]),
-            mean=_none_to_nan(data["mean"]),
-            p50=_none_to_nan(data["p50"]),
-            p90=_none_to_nan(data["p90"]),
-            p99=_none_to_nan(data["p99"]),
-            maximum=_none_to_nan(data["maximum"]),
-            throughput=_none_to_nan(data["throughput"]),
+            mean=none_to_nan(data["mean"]),
+            p50=none_to_nan(data["p50"]),
+            p90=none_to_nan(data["p90"]),
+            p99=none_to_nan(data["p99"]),
+            maximum=none_to_nan(data["maximum"]),
+            throughput=none_to_nan(data["throughput"]),
             arrivals=int(data["arrivals"]),
             dropped=int(data["dropped"]),
             timed_out=int(data["timed_out"]),

@@ -25,14 +25,13 @@ in the deserialized result against the point it dispatched.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.metrics import ProportionEstimate, Summary
+from ..analysis.metrics import ProportionEstimate, Summary, nan_to_none, none_to_nan
 from ..analysis.montecarlo import (
     Route,
     estimate_player_rounds,
@@ -71,35 +70,27 @@ ADVERSARIES = Registry(
 )
 
 
-def _nan_to_none(value: float) -> float | None:
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
-def _none_to_nan(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
 def _summary_to_dict(summary: Summary) -> dict:
     return {
         "count": summary.count,
-        "mean": _nan_to_none(summary.mean),
-        "std": _nan_to_none(summary.std),
-        "minimum": _nan_to_none(summary.minimum),
-        "maximum": _nan_to_none(summary.maximum),
-        "median": _nan_to_none(summary.median),
-        "p90": _nan_to_none(summary.p90),
+        "mean": nan_to_none(summary.mean),
+        "std": nan_to_none(summary.std),
+        "minimum": nan_to_none(summary.minimum),
+        "maximum": nan_to_none(summary.maximum),
+        "median": nan_to_none(summary.median),
+        "p90": nan_to_none(summary.p90),
     }
 
 
 def _summary_from_dict(data: Mapping) -> Summary:
     return Summary(
         count=int(data["count"]),
-        mean=_none_to_nan(data["mean"]),
-        std=_none_to_nan(data["std"]),
-        minimum=_none_to_nan(data["minimum"]),
-        maximum=_none_to_nan(data["maximum"]),
-        median=_none_to_nan(data["median"]),
-        p90=_none_to_nan(data["p90"]),
+        mean=none_to_nan(data["mean"]),
+        std=none_to_nan(data["std"]),
+        minimum=none_to_nan(data["minimum"]),
+        maximum=none_to_nan(data["maximum"]),
+        median=none_to_nan(data["median"]),
+        p90=none_to_nan(data["p90"]),
     )
 
 

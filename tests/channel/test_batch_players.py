@@ -568,6 +568,24 @@ class TestStackedPlayerEngine:
                 np.array([3, value]), channel=channel, max_rounds=5,
             )
 
+    @pytest.mark.parametrize(
+        "advice,type_name",
+        [
+            (np.array([0.0, 1.0]), "float64"),
+            (np.array([True, False]), "bool"),
+            ([1, 2], "int"),
+        ],
+        ids=["float-array", "bool-array", "int-list"],
+    )
+    def test_rejects_advice_neither_ints_nor_strings(self, advice, type_name):
+        """Only an integer array or strings are advice: anything else is
+        an AdviceError naming its type, not a stray TypeError."""
+        with pytest.raises(AdviceError, match=f"strings, got {type_name}$"):
+            run_players_stacked(
+                DeterministicScanProtocol(2), [frozenset({1, 2})] * 2, 16,
+                advice, channel=Channel(False), max_rounds=5,
+            )
+
     @pytest.mark.parametrize("kind", ["scan", "descent"])
     def test_int_advice_runs_as_its_strings(self, kind):
         protocol, channel = self._checked_case(kind)
