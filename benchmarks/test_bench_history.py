@@ -21,8 +21,6 @@ Like the other fused gate this needs no extra cores, so it never skips.
 
 from __future__ import annotations
 
-import statistics
-
 import numpy as np
 import pytest
 
@@ -35,16 +33,13 @@ from repro.experiments.table1_nocd import entropy_sweep_distributions
 from repro.protocols.willard import WillardProtocol
 from repro.scenarios import run_sweep
 
-from .conftest import record, timed
+from .conftest import REPEATS, alternated, own_time, record, timed
 from .sweep_workload import CD_GRID_POINTS, cd_grid_sweep
 
 N = 2**16
 TRIALS = 6000
 MAX_ROUNDS = 1024
 SEED = 2021
-#: Runs per executor in the fused-CD gate: a side takes ~10-50 ms, so
-#: one slow run would decide a single-run ratio.
-FUSED_REPEATS = 9
 
 
 @pytest.mark.benchmark
@@ -96,16 +91,11 @@ def test_bench_history_fused_vs_point_serial(benchmark):
     # not first-call distribution construction.
     run_sweep(sweep, executor="fused")
 
-    # Alternate the executors and compare their median own times
-    # (`elapsed_seconds` leaves out the grid expansion both share), so a
-    # slow run or a drifting machine moves both sides alike.
-    runs = [
-        (run_sweep(sweep, executor="serial"), run_sweep(sweep, executor="fused"))
-        for _ in range(FUSED_REPEATS)
-    ]
-    serial, fused = runs[-1]
-    serial_seconds = statistics.median(pair[0].elapsed_seconds for pair in runs)
-    fused_seconds = statistics.median(pair[1].elapsed_seconds for pair in runs)
+    # A side takes ~10-50 ms: compare the executors' median own times.
+    (serial, serial_seconds), (fused, fused_seconds) = alternated(
+        lambda: own_time(run_sweep(sweep, executor="serial")),
+        lambda: own_time(run_sweep(sweep, executor="fused")),
+    )
     benchmark.pedantic(
         lambda: run_sweep(sweep, executor="fused"),
         rounds=1,
@@ -126,7 +116,7 @@ def test_bench_history_fused_vs_point_serial(benchmark):
         benchmark,
         f"fused CD grid ({CD_GRID_POINTS} points, "
         f"{labels.count(ENGINE_FUSED_HISTORY)} fused-history, "
-        f"median of {FUSED_REPEATS} runs)",
+        f"median of {REPEATS} runs)",
         serial_seconds=serial_seconds, fused_seconds=fused_seconds,
         speedup=speedup,
     )

@@ -19,7 +19,7 @@ import pytest
 
 from repro.scenarios import run_sweep
 
-from .conftest import record, timed
+from .conftest import REPEATS, alternated, own_time, record, timed
 from .sweep_workload import FUSED_POINTS, fused_player_sweep, fused_sweep
 
 
@@ -35,14 +35,18 @@ def test_bench_sweep_fused_vs_point_serial(benchmark):
     sweep = fused_sweep()
     assert len(sweep.points()) == FUSED_POINTS >= 16
 
-    serial, serial_seconds = timed(lambda: run_sweep(sweep, executor="serial"))
-    fused = benchmark.pedantic(
+    # A side takes ~15-50 ms: compare the serial wall time with the fused
+    # executor's own time, each the median of alternated runs.
+    (serial, serial_seconds), (fused, fused_seconds) = alternated(
+        lambda: timed(lambda: run_sweep(sweep, executor="serial")),
+        lambda: own_time(run_sweep(sweep, executor="fused")),
+    )
+    benchmark.pedantic(
         lambda: run_sweep(sweep, executor="fused"),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    fused_seconds = fused.elapsed_seconds
 
     # Correctness first: identical statistics, point for point.
     _assert_identical(serial, fused)
@@ -59,7 +63,8 @@ def test_bench_sweep_fused_vs_point_serial(benchmark):
 
     speedup = serial_seconds / fused_seconds
     record(
-        benchmark, f"fused sweep ({FUSED_POINTS} schedule points)",
+        benchmark,
+        f"fused sweep ({FUSED_POINTS} schedule points, median of {REPEATS} runs)",
         serial_seconds=serial_seconds, fused_seconds=fused_seconds,
         speedup=speedup,
         player_serial_seconds=player_serial_seconds,

@@ -7,25 +7,26 @@ Subcommands:
   (``all`` runs the full registry);
 * ``repro report [...]`` - run the full registry and emit the
   EXPERIMENTS.md-style paper-vs-measured summary;
-* ``repro scenario run <SPEC.json>`` - execute one declarative scenario;
+* ``repro scenario run <SPEC.json>`` - execute one declarative scenario:
+  a closed contention instance, or an open-system run when the spec has
+  ``arrivals`` (streaming arrivals served round by round, reporting
+  per-request sojourn percentiles and throughput);
 * ``repro scenario sweep <SWEEP.json>`` - expand and execute a scenario
-  grid (closed, or open-system when the base has ``arrivals``) through
-  the serial, process-pool, fused or supervised executor;
+  grid of either family (an open grid over ``arrivals.params.rate`` is
+  the load -> latency curve) through the serial, process-pool, fused or
+  supervised executor;
   ``--resume JOURNAL`` checkpoints every completed point and replays the
   journal on re-run, ``--cache-dir DIR`` consults a content-addressed
   result store before executing anything, and ``--inject-faults JSON``
   drives the deterministic crash/hang/corrupt harness (an injected
   driver crash exits with status 3; exhausted supervised retries report
   a failure manifest and exit 1);
-* ``repro scenario example [--sweep|--player|--cd-grid|--adversary]`` -
-  print a ready-to-run spec (``--cd-grid`` is the dense
-  collision-detection sweep whose points stack through the fused history
-  engine; ``--adversary`` is the jamming robustness grid, grouped by
-  channel model);
-* ``repro scenario open run|sweep|example`` - open-system runs: a
-  streaming arrival process served round by round, reporting per-request
-  sojourn percentiles and throughput; ``open sweep`` renders the
-  load -> latency curve.
+* ``repro scenario example [--sweep|--player|--cd-grid|--adversary|
+  --open|--open-sweep|--open-retry]`` - print a ready-to-run spec
+  (``--cd-grid`` is the dense collision-detection sweep whose points
+  stack through the fused history engine; ``--adversary`` is the jamming
+  robustness grid, grouped by channel model; the ``--open`` flags print
+  an open-system scenario, its load sweep and its retry-policy grid).
 
 Every run is reproducible from its seed; ``--quick`` thins the
 experiment sweeps for smoke-testing, and ``--json`` switches the
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 
 # The experiment registry, the sweep layer, the open-system stack and
 # the supervised executor are imported inside the commands that use
-# them, so a cold ``scenario run`` loads none of them.
+# them, so a cold closed ``scenario run`` loads none of them.
 from .scenarios import (
     EXAMPLE_ADVERSARY_SWEEP,
     EXAMPLE_CD_SWEEP,
@@ -52,9 +53,8 @@ from .scenarios import (
     EXAMPLE_OPEN_SCENARIO,
     EXAMPLE_OPEN_SWEEP,
     ScenarioError,
-    ScenarioSpec,
-    run_scenario,
 )
+from .scenarios.spec import spec_family
 
 if TYPE_CHECKING:
     from .experiments.base import ExperimentConfig
@@ -103,9 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scenario_run = scenario_sub.add_parser(
-        "run", help="execute one ScenarioSpec JSON file ('-' reads stdin)"
+        "run",
+        help=(
+            "execute one scenario JSON file ('-' reads stdin): a "
+            "ScenarioSpec, or an OpenScenarioSpec when it has 'arrivals'"
+        ),
     )
-    scenario_run.add_argument("spec", help="path to a ScenarioSpec JSON file, or '-'")
+    scenario_run.add_argument("spec", help="path to a scenario JSON file, or '-'")
     scenario_run.add_argument(
         "--json", action="store_true", help="emit the result as JSON"
     )
@@ -192,105 +196,39 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_example = scenario_sub.add_parser(
         "example", help="print a ready-to-run example spec"
     )
+    # Each flag names the payload it prints; without one, the uniform demo.
+    scenario_example.set_defaults(payload=EXAMPLE_SCENARIO)
     example_kind = scenario_example.add_mutually_exclusive_group()
-    example_kind.add_argument(
-        "--sweep",
-        action="store_true",
-        help="print a sweep ({base, grid}) instead of a single scenario",
-    )
-    example_kind.add_argument(
-        "--player",
-        action="store_true",
-        help=(
-            "print a player-protocol scenario (advice + adversary on the "
-            "batch player engine) instead of the uniform demo"
-        ),
-    )
-    example_kind.add_argument(
-        "--cd-grid",
-        action="store_true",
-        help=(
-            "print the dense CD sweep (Willard/decay/code-search under "
-            "clean and faulty predictions); its history points stack "
-            "through the fused executor (engine label fused-history)"
-        ),
-    )
-    example_kind.add_argument(
-        "--adversary",
-        action="store_true",
-        help=(
-            "print the adversary robustness sweep (rounds vs jamming "
-            "budget for willard/decay/sorted-probing under clean and "
-            "shifted predictions); points group by channel model in the "
-            "fused executor"
-        ),
-    )
-
-    open_parser = scenario_sub.add_parser(
-        "open",
-        help=(
-            "open-system runs: streaming arrivals served round by round, "
-            "reporting sojourn-latency percentiles and throughput"
-        ),
-    )
-    open_sub = open_parser.add_subparsers(dest="open_command", required=True)
-
-    open_run = open_sub.add_parser(
-        "run", help="execute one OpenScenarioSpec JSON file ('-' reads stdin)"
-    )
-    open_run.add_argument(
-        "spec", help="path to an OpenScenarioSpec JSON file, or '-'"
-    )
-    open_run.add_argument(
-        "--json", action="store_true", help="emit the result as JSON"
-    )
-
-    open_sweep = open_sub.add_parser(
-        "sweep",
-        help=(
-            "expand and execute an open sweep JSON file ('-' reads stdin); "
-            "sweeping arrivals.params.rate yields the load -> latency curve"
-        ),
-    )
-    open_sweep.add_argument(
-        "spec", help="path to an open sweep JSON file ({base, grid}), or '-'"
-    )
-    open_sweep.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=None,
-        help="checkpoint journal path (as for 'scenario sweep --resume')",
-    )
-    open_sweep.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "content-addressed result store directory; open and closed "
-            "specs hash to disjoint keys, so one directory serves both"
-        ),
-    )
-    open_sweep.add_argument(
-        "--json", action="store_true", help="emit all point results as JSON"
-    )
-
-    open_example = open_sub.add_parser(
-        "example", help="print a ready-to-run open-system spec"
-    )
-    open_kind = open_example.add_mutually_exclusive_group()
-    open_kind.add_argument(
-        "--sweep",
-        action="store_true",
-        help="print the 4-point load sweep instead of a single scenario",
-    )
-    open_kind.add_argument(
-        "--retry",
-        action="store_true",
-        help=(
-            "print the graceful-degradation sweep (retry kind x offered "
-            "load, with shedding admission and a request timeout)"
-        ),
-    )
+    for flag, payload, help_text in (
+        ("--sweep", EXAMPLE_SWEEP,
+         "print a sweep ({base, grid}) instead of a single scenario"),
+        ("--player", EXAMPLE_PLAYER_SCENARIO,
+         "print a player-protocol scenario (advice + adversary on the "
+         "batch player engine) instead of the uniform demo"),
+        ("--cd-grid", EXAMPLE_CD_SWEEP,
+         "print the dense CD sweep (Willard/decay/code-search under "
+         "clean and faulty predictions); its history points stack "
+         "through the fused executor (engine label fused-history)"),
+        ("--adversary", EXAMPLE_ADVERSARY_SWEEP,
+         "print the adversary robustness sweep (rounds vs jamming "
+         "budget for willard/decay/sorted-probing under clean and "
+         "shifted predictions); points group by channel model in the "
+         "fused executor"),
+        ("--open", EXAMPLE_OPEN_SCENARIO,
+         "print an open-system scenario: streaming arrivals served "
+         "round by round, reporting sojourn-latency percentiles and "
+         "throughput"),
+        ("--open-sweep", EXAMPLE_OPEN_SWEEP,
+         "print the 4-point open-system load sweep; sweeping "
+         "arrivals.params.rate yields the load -> latency curve"),
+        ("--open-retry", EXAMPLE_OPEN_RETRY_SWEEP,
+         "print the graceful-degradation sweep (retry kind x offered "
+         "load, with shedding admission and a request timeout)"),
+    ):
+        example_kind.add_argument(
+            flag, action="store_const", dest="payload", const=payload,
+            help=help_text,
+        )
     return parser
 
 
@@ -450,61 +388,9 @@ def _read_spec_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _command_scenario_open(args: argparse.Namespace) -> int:
-    if args.open_command == "example":
-        if args.retry:
-            payload = EXAMPLE_OPEN_RETRY_SWEEP
-        elif args.sweep:
-            payload = EXAMPLE_OPEN_SWEEP
-        else:
-            payload = EXAMPLE_OPEN_SCENARIO
-        print(json.dumps(payload, indent=2))
-        return 0
-    from .scenarios import OpenScenarioSpec, Sweep, run_open_scenario, run_sweep
-
-    try:
-        text = _read_spec_text(args.spec)
-    except OSError as error:
-        print(f"cannot read spec {args.spec!r}: {error}", file=sys.stderr)
-        return 2
-    try:
-        if args.open_command == "run":
-            result = run_open_scenario(OpenScenarioSpec.from_json(text))
-            print(result.to_json() if args.json else result.render())
-            return 0
-        if args.open_command == "sweep":
-            sweep = Sweep.from_json(text)
-            if not isinstance(sweep.base, OpenScenarioSpec):
-                raise ScenarioError(
-                    "open sweep base needs 'arrivals'; run closed grids "
-                    "with 'repro scenario sweep'"
-                )
-            sweep_result = run_sweep(
-                sweep, resume=args.resume, cache=args.cache_dir
-            )
-            print(sweep_result.to_json() if args.json else sweep_result.render())
-            return 0
-    except ScenarioError as error:
-        print(f"scenario error: {error}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled open command {args.open_command!r}")
-
-
 def _command_scenario(args: argparse.Namespace) -> int:
-    if args.scenario_command == "open":
-        return _command_scenario_open(args)
     if args.scenario_command == "example":
-        if args.sweep:
-            payload = EXAMPLE_SWEEP
-        elif args.player:
-            payload = EXAMPLE_PLAYER_SCENARIO
-        elif args.cd_grid:
-            payload = EXAMPLE_CD_SWEEP
-        elif args.adversary:
-            payload = EXAMPLE_ADVERSARY_SWEEP
-        else:
-            payload = EXAMPLE_SCENARIO
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(args.payload, indent=2))
         return 0
     try:
         text = _read_spec_text(args.spec)
@@ -513,7 +399,12 @@ def _command_scenario(args: argparse.Namespace) -> int:
         return 2
     try:
         if args.scenario_command == "run":
-            result = run_scenario(ScenarioSpec.from_json(text))
+            try:
+                data = json.loads(text)
+            except (ValueError, RecursionError) as error:
+                raise ScenarioError(f"invalid scenario JSON: {error}") from None
+            family = spec_family(data)
+            result = family.run(family.spec.from_dict(data))
             print(result.to_json() if args.json else result.render())
             return 0
         if args.scenario_command == "sweep":

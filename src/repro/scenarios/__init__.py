@@ -4,7 +4,8 @@ The single configuration-driven entry point into the simulation stack:
 
 * :mod:`~repro.scenarios.spec` - serializable scenario descriptions
   (:class:`ScenarioSpec` and its protocol / channel / workload /
-  prediction / advice sub-specs);
+  prediction / advice sub-specs), plus ``spec_family``, the one place
+  that maps a spec (or its parsed JSON) to its spec, runner and result types;
 * :mod:`~repro.scenarios.registry` - string id -> constructor for every
   protocol in :mod:`repro.protocols`;
 * :mod:`~repro.scenarios.workloads` - workload resolution, including the
@@ -21,8 +22,7 @@ The single configuration-driven entry point into the simulation stack:
 * :mod:`~repro.scenarios.store` - the durability layer: a
   content-addressed result store (:class:`ResultStore`) and the
   checkpointing :class:`SweepJournal` behind
-  ``run_sweep(..., resume=..., cache=...)``, plus ``spec_family``, the
-  one place that maps a spec to its spec, runner and result types;
+  ``run_sweep(..., resume=..., cache=...)``;
 * :mod:`~repro.scenarios.supervised` - the ``"supervised"`` executor:
   per-point timeouts, bounded retry with backoff, and a structured
   failure manifest instead of a raised traceback;

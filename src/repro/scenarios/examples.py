@@ -92,7 +92,7 @@ EXAMPLE_CD_SWEEP: dict = {
 #: load 0.2 requests/round sits comfortably below decay's service
 #: capacity, so the backlog stays stable and the sojourn percentiles are
 #: finite; warmup 64 discards the empty-system transient.  Printed by
-#: ``repro scenario open example``.
+#: ``repro scenario example --open``.
 EXAMPLE_OPEN_SCENARIO: dict = {
     "name": "open-decay-poisson",
     "protocol": {"id": "decay", "params": {}},
@@ -110,7 +110,7 @@ EXAMPLE_OPEN_SCENARIO: dict = {
 #: offered-load grid.  p50/p99 sojourn rise monotonically with load as
 #: the live population (hence per-epoch contention) grows - the
 #: open-system tail-latency story in one table.  Printed by ``repro
-#: scenario open example --sweep``; the CI smoke and
+#: scenario example --open-sweep``; the CI smoke and
 #: ``benchmarks/opensys_workload.py`` reuse this grid shape.
 EXAMPLE_OPEN_SWEEP: dict = {
     "base": copy.deepcopy(EXAMPLE_OPEN_SCENARIO),
@@ -123,7 +123,7 @@ EXAMPLE_OPEN_SWEEP: dict = {
 #: rates the ``immediate`` column shows the retry storm (attempts and
 #: retried explode, goodput sags) while ``backoff`` keeps the orbit
 #: drained and the ``give-up`` row is the PR 7 baseline.  Printed by
-#: ``repro scenario open example --retry``; the CI smoke runs exactly
+#: ``repro scenario example --open-retry``; the CI smoke runs exactly
 #: this sweep and greps the retried/abandoned counters.
 EXAMPLE_OPEN_RETRY_SWEEP: dict = {
     "base": {

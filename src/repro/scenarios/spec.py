@@ -6,7 +6,9 @@ channel, which workload, what prediction / advice quality, and the
 trials / round-budget / seed knobs.  Resolving and executing a spec is
 the runner's job (:mod:`repro.scenarios.runner`); this module is pure
 data, so specs can be stored, diffed, swept over and shipped across
-process boundaries.
+process boundaries.  :func:`spec_family` maps a closed or open-system
+spec (or its parsed JSON) to its spec, runner and result types,
+importing the runner only when asked.
 
 Design rules:
 
@@ -51,6 +53,8 @@ __all__ = [
     "PredictionSpec",
     "AdviceSpec",
     "ScenarioSpec",
+    "SpecFamily",
+    "spec_family",
 ]
 
 
@@ -739,3 +743,38 @@ class ScenarioSpec(SpecCodec):
     def label(self) -> str:
         """Short human-readable identity for tables and progress lines."""
         return self.name or f"{self.protocol.id}/{self.workload.kind}"
+
+
+@dataclass(frozen=True)
+class SpecFamily:
+    """A spec family: its :func:`~repro.scenarios.store.spec_key` tag,
+    spec, runner and result."""
+
+    kind: str
+    spec: type
+    run: Callable
+    result: type
+
+
+def spec_family(spec) -> SpecFamily:
+    """The family of a spec object or of a spec's ``to_dict()`` mapping.
+
+    An ``arrivals`` slot (or key) marks an open-system spec, anything
+    else is closed.  The runners are imported on first use, and
+    :mod:`repro.scenarios.open`, which imports the opensys stack, only
+    for open specs.
+    """
+    if isinstance(spec, Mapping) and "arrivals" in spec or hasattr(spec, "arrivals"):
+        from . import open as open_module
+
+        return SpecFamily(
+            "open",
+            open_module.OpenScenarioSpec,
+            open_module.run_open_scenario,
+            open_module.OpenScenarioResult,
+        )
+    from . import runner
+
+    return SpecFamily(
+        "scenario", ScenarioSpec, runner.run_scenario, runner.ScenarioResult
+    )

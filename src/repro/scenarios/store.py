@@ -41,12 +41,10 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .spec import ScenarioError, ScenarioSpec
+from .spec import ScenarioError, spec_family
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SpecFamily",
-    "spec_family",
     "spec_key",
     "sweep_key",
     "StoreStats",
@@ -64,39 +62,6 @@ def _canonical_json(payload: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace, NaN rejected."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
-@dataclass(frozen=True)
-class SpecFamily:
-    """A spec family: its :func:`spec_key` tag, spec, runner and result."""
-
-    kind: str
-    spec: type
-    run: Callable
-    result: type
-
-
-def spec_family(spec) -> SpecFamily:
-    """The family of a spec object or of a spec's ``to_dict()`` mapping.
-
-    An ``arrivals`` slot (or key) marks an open-system spec, anything
-    else is closed.  :mod:`repro.scenarios.open`, which imports the
-    opensys stack, is imported only for open specs.
-    """
-    if isinstance(spec, Mapping) and "arrivals" in spec or hasattr(spec, "arrivals"):
-        from . import open as open_module
-
-        return SpecFamily(
-            "open",
-            open_module.OpenScenarioSpec,
-            open_module.run_open_scenario,
-            open_module.OpenScenarioResult,
-        )
-    from . import runner
-
-    return SpecFamily(
-        "scenario", ScenarioSpec, runner.run_scenario, runner.ScenarioResult
     )
 
 

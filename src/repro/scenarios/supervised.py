@@ -25,7 +25,7 @@ point in its own supervised process:
 Because every point still runs its family's runner - closed
 :func:`~repro.scenarios.runner.run_scenario` or open
 :func:`~repro.scenarios.open.run_open_scenario`, picked by
-:func:`~repro.scenarios.store.spec_family` - from its own serialized
+:func:`~repro.scenarios.spec.spec_family` - from its own serialized
 spec, supervised results are bit-identical to the serial executor's -
 supervision changes what happens on failure, never what a success
 computes.
@@ -48,8 +48,7 @@ from multiprocessing.connection import wait as _wait_connections
 
 from ..core.named import Params
 from .faults import FaultPlan
-from .spec import ScenarioError, _integer
-from .store import spec_family
+from .spec import ScenarioError, _integer, spec_family
 from .sweep import _pool_context, _run_point_payload
 
 __all__ = [

@@ -4,7 +4,7 @@ A :class:`Sweep` is a base spec - closed or open-system - plus a grid
 of dotted-path overrides; :meth:`Sweep.points` expands the cartesian
 product into concrete specs, and :func:`run_sweep` executes them through
 a pluggable executor, each point through its family's runner and result
-type (:func:`~repro.scenarios.store.spec_family`):
+type (:func:`~repro.scenarios.spec.spec_family`):
 
 * ``"serial"`` - run points in-process, in order (the reference);
 * ``"process"`` - fan points out over a
@@ -77,8 +77,16 @@ from .runner import (
     package_result,
     resolve_scenario,
 )
-from .spec import _FLAG, JsonCodec, ScenarioError, ScenarioSpec, _integer, _json_mapping
-from .store import ResultStore, SweepJournal, spec_family, spec_key, sweep_key
+from .spec import (
+    _FLAG,
+    JsonCodec,
+    ScenarioError,
+    ScenarioSpec,
+    _integer,
+    _json_mapping,
+    spec_family,
+)
+from .store import ResultStore, SweepJournal, spec_key, sweep_key
 
 if TYPE_CHECKING:
     from .open import OpenScenarioSpec

@@ -261,7 +261,7 @@ class TestScenarioCommands:
         "argv, field",
         [
             (["scenario", "run", "SPEC"], "'one_shot'"),
-            (["scenario", "open", "run", "OPEN"], "'rate'"),
+            (["scenario", "run", "OPEN"], "'rate'"),
             (
                 ["scenario", "sweep", "SWEEP", "--executor", "supervised",
                  "--inject-faults", '{"crash": 5}'],
@@ -421,7 +421,7 @@ class TestAdversaryCli:
 
 
 class TestOpenCli:
-    """The ``scenario open`` command family."""
+    """Open-system specs through ``scenario run``, ``sweep`` and ``example``."""
 
     def _quick(self, payload):
         quick = json.loads(json.dumps(payload))
@@ -431,7 +431,7 @@ class TestOpenCli:
     def test_open_example_is_runnable_json(self, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SCENARIO, OpenScenarioSpec
 
-        assert main(["scenario", "open", "example"]) == 0
+        assert main(["scenario", "example", "--open"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == EXAMPLE_OPEN_SCENARIO
         OpenScenarioSpec.from_dict(payload)  # loads cleanly
@@ -439,7 +439,7 @@ class TestOpenCli:
     def test_open_example_sweep_expands(self, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SWEEP, Sweep
 
-        assert main(["scenario", "open", "example", "--sweep"]) == 0
+        assert main(["scenario", "example", "--open-sweep"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == EXAMPLE_OPEN_SWEEP
         assert len(Sweep.from_dict(payload).points()) == 4
@@ -447,7 +447,7 @@ class TestOpenCli:
     def test_open_example_retry_grid_expands(self, capsys):
         from repro.scenarios import EXAMPLE_OPEN_RETRY_SWEEP, Sweep
 
-        assert main(["scenario", "open", "example", "--retry"]) == 0
+        assert main(["scenario", "example", "--open-retry"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == EXAMPLE_OPEN_RETRY_SWEEP
         points = Sweep.from_dict(payload).points()
@@ -469,7 +469,7 @@ class TestOpenCli:
         }
         sweep_path = tmp_path / "retry.json"
         sweep_path.write_text(json.dumps(sweep))
-        assert main(["scenario", "open", "sweep", str(sweep_path), "--json"]) == 0
+        assert main(["scenario", "sweep", str(sweep_path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["results"]) == 2
         for row in report["results"]:
@@ -482,16 +482,34 @@ class TestOpenCli:
 
         spec_path = tmp_path / "open.json"
         spec_path.write_text(json.dumps(self._quick(EXAMPLE_OPEN_SCENARIO)))
-        assert main(["scenario", "open", "run", str(spec_path)]) == 0
+        assert main(["scenario", "run", str(spec_path)]) == 0
         output = capsys.readouterr().out
         assert "open-schedule" in output and "p99" in output
+
+    def test_open_run_json_equals_the_library_run(self, tmp_path, capsys):
+        from repro.scenarios import (
+            EXAMPLE_OPEN_SCENARIO,
+            OpenScenarioSpec,
+            run_open_scenario,
+        )
+
+        spec_path = tmp_path / "open.json"
+        spec_path.write_text(json.dumps(EXAMPLE_OPEN_SCENARIO))
+        assert main(["scenario", "run", str(spec_path), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        direct = run_open_scenario(
+            OpenScenarioSpec.from_dict(EXAMPLE_OPEN_SCENARIO)
+        ).to_dict()
+        assert dict(printed, elapsed_seconds=None) == dict(
+            direct, elapsed_seconds=None
+        )
 
     def test_open_run_json_round_trips(self, tmp_path, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SCENARIO, OpenScenarioResult
 
         spec_path = tmp_path / "open.json"
         spec_path.write_text(json.dumps(self._quick(EXAMPLE_OPEN_SCENARIO)))
-        assert main(["scenario", "open", "run", str(spec_path), "--json"]) == 0
+        assert main(["scenario", "run", str(spec_path), "--json"]) == 0
         result = OpenScenarioResult.from_json(capsys.readouterr().out)
         assert result.engine == "open-schedule"
         assert result.store.completed > 0
@@ -504,7 +522,7 @@ class TestOpenCli:
         sweep["grid"] = {"arrivals.params.rate": [0.05, 0.2]}
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(json.dumps(sweep))
-        assert main(["scenario", "open", "sweep", str(sweep_path)]) == 0
+        assert main(["scenario", "sweep", str(sweep_path)]) == 0
         table = capsys.readouterr().out
         assert "sweep: 2 point(s), executor=serial" in table
         assert "open-schedule" in table and "p99" in table
@@ -519,7 +537,7 @@ class TestOpenCli:
         sweep["grid"] = {"arrivals.params.rate": [0.05, 0.2]}
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(json.dumps(sweep))
-        assert main(["scenario", "open", "sweep", str(sweep_path), "--json"]) == 0
+        assert main(["scenario", "sweep", str(sweep_path), "--json"]) == 0
         serial = json.loads(capsys.readouterr().out)
         argv = ["scenario", "sweep", str(sweep_path), "--executor", "process"]
         assert main(argv + ["--workers", "2", "--json"]) == 0
@@ -531,23 +549,17 @@ class TestOpenCli:
 
         assert points(pooled) == points(serial)
 
-    def test_open_sweep_refuses_a_closed_sweep_file(self, tmp_path, capsys):
-        sweep_path = tmp_path / "closed.json"
-        sweep_path.write_text(json.dumps(EXAMPLE_SWEEP))
-        assert main(["scenario", "open", "sweep", str(sweep_path)]) == 2
-        assert "scenario error" in capsys.readouterr().err
-
     def test_open_bad_spec_exits_two(self, tmp_path, capsys):
         from repro.scenarios import EXAMPLE_OPEN_SCENARIO
 
         bad = dict(EXAMPLE_OPEN_SCENARIO, arrivals={"family": "fractal"})
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps(bad))
-        assert main(["scenario", "open", "run", str(spec_path)]) == 2
+        assert main(["scenario", "run", str(spec_path)]) == 2
         assert "scenario error" in capsys.readouterr().err
 
     def test_open_missing_spec_file(self, capsys):
-        assert main(["scenario", "open", "run", "/does/not/exist.json"]) == 2
+        assert main(["scenario", "run", "/does/not/exist.json"]) == 2
         assert "cannot read spec" in capsys.readouterr().err
 
     def test_open_stdin_spec(self, monkeypatch, capsys):
@@ -557,5 +569,5 @@ class TestOpenCli:
 
         payload = self._quick(EXAMPLE_OPEN_SCENARIO)
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
-        assert main(["scenario", "open", "run", "-"]) == 0
+        assert main(["scenario", "run", "-"]) == 0
         assert "latency:" in capsys.readouterr().out

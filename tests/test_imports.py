@@ -42,8 +42,9 @@ NOT_LOADED = (
 )
 
 #: Modules only the CD sweep needs: prediction codes, perturbed
-#: predictions and the CD protocols.  The example run (sorted probing on
-#: a no-CD channel) loads none of them.
+#: predictions, the CD protocols, and the sweep layer with its result
+#: store.  The example run (one sorted-probing point on a no-CD channel)
+#: loads none of them.
 RUN_NOT_LOADED = (
     "repro.infotheory.coding",
     "repro.infotheory.huffman",
@@ -51,6 +52,8 @@ RUN_NOT_LOADED = (
     "repro.protocols.willard",
     "repro.protocols.searching",
     "repro.protocols.code_search",
+    "repro.scenarios.store",
+    "repro.scenarios.sweep",
 )
 
 LAZY_PACKAGES = (
