@@ -1,6 +1,7 @@
 """Statistical summaries used by the Monte Carlo harness and experiments.
 
-Plain dataclasses plus a handful of estimators: sample summaries with
+Plain dataclasses that serialize from their own fields
+(:class:`Record`), plus a handful of estimators: sample summaries with
 normal-approximation confidence intervals, Wilson intervals for success
 probabilities, and the log-log regression used to extract scaling
 exponents from sweep data (the quantitative form of the paper's shape
@@ -9,13 +10,15 @@ claims).
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 __all__ = [
+    "Record",
     "Summary",
     "ProportionEstimate",
     "wilson_interval",
@@ -24,8 +27,61 @@ __all__ = [
 ]
 
 
+def nan_to_none(value: float) -> float | None:
+    """A statistic as result JSON holds it: NaN (no samples) is ``null``."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def none_to_nan(value) -> float:
+    """The inverse of :func:`nan_to_none`: ``null`` reads back as NaN."""
+    return float("nan") if value is None else float(value)
+
+
+#: Declared field type -> the function reading it back from JSON; a
+#: module that postpones annotations declares the type's name.
+_READERS = {int: int, "int": int, float: none_to_nan, "float": none_to_nan}
+
+
+class Record:
+    """Base of a frozen dataclass of numbers whose JSON is its fields.
+
+    :meth:`to_dict` copies the instance dict, which holds the fields and
+    nothing else, in declaration order, writing NaN as ``null``.
+    :meth:`from_dict` reads each field back by its declared type, ``int``
+    or a float whose ``null`` reads as NaN; a missing field takes its
+    default, and a missing field without one raises :class:`KeyError`.
+    """
+
+    def to_dict(self) -> dict:
+        """JSON-native dict (NaN statistics encode as ``null``)."""
+        return {name: nan_to_none(value) for name, value in vars(self).items()}
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        return cls(
+            **{
+                name: read(data[name])
+                for name, read, required in _readers(cls)
+                if required or name in data
+            }
+        )
+
+
+@functools.cache
+def _readers(cls: type) -> tuple:
+    """``(name, reader, required)`` per field of a :class:`Record` class."""
+    return tuple(
+        (
+            spec_field.name,
+            _READERS[spec_field.type],
+            spec_field.default is MISSING and spec_field.default_factory is MISSING,
+        )
+        for spec_field in fields(cls)
+    )
+
+
 @dataclass(frozen=True)
-class Summary:
+class Summary(Record):
     """Summary statistics of a sample of round counts (or any scalars).
 
     ``count == 0`` is a legal state (see :meth:`empty`): a Monte Carlo
@@ -157,18 +213,8 @@ def _linear_quantile(data: np.ndarray, q: float) -> np.float64:
     return low + diff * gamma
 
 
-def nan_to_none(value: float) -> float | None:
-    """A statistic as result JSON holds it: NaN (no samples) is ``null``."""
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
-def none_to_nan(value) -> float:
-    """The inverse of :func:`nan_to_none`: ``null`` reads back as NaN."""
-    return float("nan") if value is None else float(value)
-
-
 @dataclass(frozen=True)
-class ProportionEstimate:
+class ProportionEstimate(Record):
     """A success-probability estimate with its Wilson 95% interval."""
 
     successes: int

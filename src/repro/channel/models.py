@@ -191,8 +191,9 @@ class ChannelModel(abc.ABC):
 
     Concrete models are frozen dataclasses (hashable, comparable - they
     ride inside the frozen :class:`~repro.channel.channel.Channel`), and
-    serialize to ``{"name": ..., "params": {...}}`` mappings that
-    :func:`channel_model_from_dict` inverts exactly.
+    serialize to ``{"name": ..., "params": {...}}`` mappings, ``params``
+    being the fields in order, that :func:`channel_model_from_dict`
+    inverts exactly.
     """
 
     name: ClassVar[str]
@@ -237,9 +238,13 @@ class ChannelModel(abc.ABC):
     def batch_state(self, trials: int) -> BatchFaultState:
         """A fresh vectorized state over ``trials`` live rows."""
 
-    @abc.abstractmethod
     def params(self) -> dict:
-        """JSON-native parameter mapping (full round-trip form)."""
+        """The model's fields in declaration order: its round-trip form.
+
+        A frozen dataclass's instance dict holds its fields and nothing
+        else, in field order, so this is a copy of it.
+        """
+        return dict(vars(self))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "params": self.params()}
@@ -338,9 +343,6 @@ class ObliviousJammer(ChannelModel):
     def batch_state(self, trials: int) -> BatchFaultState:
         return _ObliviousJamBatchState(self)
 
-    def params(self) -> dict:
-        return {"budget": self.budget, "start": self.start, "period": self.period}
-
 
 class _ReactiveJamState(FaultState):
     def __init__(self, model: "ReactiveJammer") -> None:
@@ -419,9 +421,6 @@ class ReactiveJammer(ChannelModel):
 
     def batch_state(self, trials: int) -> BatchFaultState:
         return _ReactiveJamBatchState(self, trials)
-
-    def params(self) -> dict:
-        return {"budget": self.budget, "quiet_streak": self.quiet_streak}
 
 
 # ----------------------------------------------------------------------
@@ -719,14 +718,6 @@ class AdaptiveAdversary(ChannelModel):
     def batch_state(self, trials: int) -> BatchFaultState:
         return _AdaptiveBatchState(self, trials)
 
-    def params(self) -> dict:
-        return {
-            "budget": self.budget,
-            "strategy": self.strategy,
-            "patience": self.patience,
-            "mode": self.mode,
-        }
-
 
 # ----------------------------------------------------------------------
 # Noisy feedback
@@ -821,13 +812,6 @@ class NoisyChannel(ChannelModel):
 
     def batch_state(self, trials: int) -> BatchFaultState:
         return _NoisyBatchState(self)
-
-    def params(self) -> dict:
-        return {
-            "silence_to_collision": self.silence_to_collision,
-            "collision_to_silence": self.collision_to_silence,
-            "success_erasure": self.success_erasure,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -999,9 +983,6 @@ class CrashModel(ChannelModel):
             # Pure message loss: exactly a success erasure, stateless.
             return _CrashBatchState(self)
         return _CrashRejoinBatchState(self, trials)
-
-    def params(self) -> dict:
-        return {"probability": self.probability, "rejoin_after": self.rejoin_after}
 
 
 # ----------------------------------------------------------------------

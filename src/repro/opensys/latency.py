@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.metrics import nan_to_none, none_to_nan
+from ..analysis.metrics import Record
 
 __all__ = ["LatencyStore", "LatencySummary"]
 
 
 @dataclass(frozen=True)
-class LatencySummary:
+class LatencySummary(Record):
     """Derived statistics of one open-system run (or merged shards).
 
     Attributes
@@ -72,6 +72,10 @@ class LatencySummary:
         in_flight + in_orbit``.
     round_slots:
         Measured trial-rounds (trials x post-warmup rounds).
+
+    Its JSON is its fields in order (a
+    :class:`~repro.analysis.metrics.Record`), so a summary saved without
+    the four lifecycle counters loads them as 0.
     """
 
     completed: int
@@ -90,48 +94,6 @@ class LatencySummary:
     retried: int = 0
     abandoned: int = 0
     in_orbit: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-native dict (NaN statistics encode as ``null``)."""
-        return {
-            "completed": self.completed,
-            "mean": nan_to_none(self.mean),
-            "p50": nan_to_none(self.p50),
-            "p90": nan_to_none(self.p90),
-            "p99": nan_to_none(self.p99),
-            "maximum": nan_to_none(self.maximum),
-            "throughput": nan_to_none(self.throughput),
-            "arrivals": self.arrivals,
-            "dropped": self.dropped,
-            "timed_out": self.timed_out,
-            "in_flight": self.in_flight,
-            "round_slots": self.round_slots,
-            "attempts": self.attempts,
-            "retried": self.retried,
-            "abandoned": self.abandoned,
-            "in_orbit": self.in_orbit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LatencySummary":
-        return cls(
-            completed=int(data["completed"]),
-            mean=none_to_nan(data["mean"]),
-            p50=none_to_nan(data["p50"]),
-            p90=none_to_nan(data["p90"]),
-            p99=none_to_nan(data["p99"]),
-            maximum=none_to_nan(data["maximum"]),
-            throughput=none_to_nan(data["throughput"]),
-            arrivals=int(data["arrivals"]),
-            dropped=int(data["dropped"]),
-            timed_out=int(data["timed_out"]),
-            in_flight=int(data["in_flight"]),
-            round_slots=int(data["round_slots"]),
-            attempts=int(data.get("attempts", 0)),
-            retried=int(data.get("retried", 0)),
-            abandoned=int(data.get("abandoned", 0)),
-            in_orbit=int(data.get("in_orbit", 0)),
-        )
 
     def render(self) -> str:
         """One-line human-readable latency report."""
@@ -169,8 +131,9 @@ class LatencyStore:
     grouping yields bit-identical state.
     """
 
-    #: Counter attributes merged, serialized and compared alongside the
-    #: histogram; single source of truth for :meth:`merge` / dict I/O.
+    #: Counter attributes merged, serialized, compared and summarized
+    #: alongside the histogram; single source of truth for :meth:`merge`,
+    #: dict I/O and :meth:`summary`.
     COUNTERS = (
         "arrivals",
         "dropped",
@@ -262,15 +225,7 @@ class LatencyStore:
             p99=p99,
             maximum=maximum,
             throughput=throughput,
-            arrivals=self.arrivals,
-            dropped=self.dropped,
-            timed_out=self.timed_out,
-            in_flight=self.in_flight,
-            round_slots=self.round_slots,
-            attempts=self.attempts,
-            retried=self.retried,
-            abandoned=self.abandoned,
-            in_orbit=self.in_orbit,
+            **{counter: getattr(self, counter) for counter in self.COUNTERS},
         )
 
     # ------------------------------------------------------------------

@@ -248,13 +248,7 @@ def resolve_open_scenario(spec: OpenScenarioSpec) -> ResolvedOpenScenario:
     ``"truth"`` predictions, and fault models the open driver cannot
     express - all before any randomness is consumed.
     """
-    try:
-        model = spec.channel.build_model()
-    except ValueError as exc:
-        raise ScenarioError(f"channel model spec: {exc}") from exc
-    channel = Channel(
-        collision_detection=spec.channel.collision_detection, model=model
-    )
+    channel = spec.channel.build()
 
     entry = get_protocol(spec.protocol.id)
     if entry.kind == PLAYER:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.metrics import ProportionEstimate, Summary, nan_to_none, none_to_nan
+from ..analysis.metrics import ProportionEstimate, Summary
 from ..analysis.montecarlo import (
     Route,
     estimate_player_rounds,
@@ -68,30 +68,6 @@ ADVERSARIES = Registry(
         "clustered": "ClusteredAdversary",
     },
 )
-
-
-def _summary_to_dict(summary: Summary) -> dict:
-    return {
-        "count": summary.count,
-        "mean": nan_to_none(summary.mean),
-        "std": nan_to_none(summary.std),
-        "minimum": nan_to_none(summary.minimum),
-        "maximum": nan_to_none(summary.maximum),
-        "median": nan_to_none(summary.median),
-        "p90": nan_to_none(summary.p90),
-    }
-
-
-def _summary_from_dict(data: Mapping) -> Summary:
-    return Summary(
-        count=int(data["count"]),
-        mean=none_to_nan(data["mean"]),
-        std=none_to_nan(data["std"]),
-        minimum=none_to_nan(data["minimum"]),
-        maximum=none_to_nan(data["maximum"]),
-        median=none_to_nan(data["median"]),
-        p90=none_to_nan(data["p90"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -155,11 +131,8 @@ class ScenarioResult(JsonCodec):
         return {
             "spec": self.spec.to_dict(),
             "engine": self.engine,
-            "rounds": _summary_to_dict(self.rounds),
-            "success": {
-                "successes": self.success.successes,
-                "trials": self.success.trials,
-            },
+            "rounds": self.rounds.to_dict(),
+            "success": self.success.to_dict(),
             "metadata": dict(self.metadata),
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -169,11 +142,8 @@ class ScenarioResult(JsonCodec):
         return cls(
             spec=ScenarioSpec.from_dict(data["spec"]),
             engine=str(data["engine"]),
-            rounds=_summary_from_dict(data["rounds"]),
-            success=ProportionEstimate(
-                successes=int(data["success"]["successes"]),
-                trials=int(data["success"]["trials"]),
-            ),
+            rounds=Summary.from_dict(data["rounds"]),
+            success=ProportionEstimate.from_dict(data["success"]),
             metadata=dict(data.get("metadata", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )
@@ -312,13 +282,7 @@ def resolve_scenario(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    try:
-        model = spec.channel.build_model()
-    except ValueError as exc:
-        raise ScenarioError(f"channel model spec: {exc}") from exc
-    channel = Channel(
-        collision_detection=spec.channel.collision_detection, model=model
-    )
+    channel = spec.channel.build()
     size_source, prediction = _sources(spec, {} if shared is None else shared)
     entry = get_protocol(spec.protocol.id)
     context = BuildContext(n=spec.n, prediction=prediction)

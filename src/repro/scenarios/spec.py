@@ -496,26 +496,34 @@ class ChannelSpec:
             model = _json_mapping(self.model, "channel model spec")
             object.__setattr__(self, "model", model)
             # Eager validation: build (and discard) the model so spec
-            # errors surface at construction, with the scenario-layer
-            # error type.
-            from ..channel.models import channel_model_from_dict
-
-            try:
-                channel_model_from_dict(self.model)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"channel model spec: {exc}") from exc
+            # errors surface at construction.
+            self.build_model()
 
     @property
     def kind(self) -> str:
         return "CD" if self.collision_detection else "no-CD"
 
     def build_model(self):
-        """The resolved :class:`~repro.channel.models.ChannelModel` or None."""
+        """The resolved :class:`~repro.channel.models.ChannelModel` or None.
+
+        A model the registry refuses raises :class:`ScenarioError`.
+        """
         if self.model is None:
             return None
         from ..channel.models import channel_model_from_dict
 
-        return channel_model_from_dict(self.model)
+        try:
+            return channel_model_from_dict(self.model)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"channel model spec: {exc}") from exc
+
+    def build(self):
+        """The :class:`~repro.channel.channel.Channel` this spec names."""
+        from ..channel.channel import Channel
+
+        return Channel(
+            collision_detection=self.collision_detection, model=self.build_model()
+        )
 
     def to_dict(self) -> dict:
         data: dict = {"collision_detection": self.collision_detection}
@@ -756,15 +764,31 @@ class SpecFamily:
     result: type
 
 
+#: Keys only an open-system spec takes.
+_OPEN_ONLY = frozenset(
+    {"rounds", "warmup", "capacity", "timeout", "retry", "admission"}
+)
+
+
 def spec_family(spec) -> SpecFamily:
     """The family of a spec object or of a spec's ``to_dict()`` mapping.
 
-    An ``arrivals`` slot (or key) marks an open-system spec, anything
-    else is closed.  The runners are imported on first use, and
+    An ``arrivals`` slot (or key) marks an open-system spec.  So does a
+    mapping without a ``workload`` key that holds a key only an open
+    spec takes (``rounds``, ``warmup``, ``capacity``, ``timeout``,
+    ``retry``, ``admission``): an open spec that lost its ``arrivals``
+    then fails naming it.  Anything else is closed.  The family is read
+    from the keys alone; the runners are imported on first use, and
     :mod:`repro.scenarios.open`, which imports the opensys stack, only
     for open specs.
     """
-    if isinstance(spec, Mapping) and "arrivals" in spec or hasattr(spec, "arrivals"):
+    if isinstance(spec, Mapping):
+        is_open = "arrivals" in spec or (
+            "workload" not in spec and not _OPEN_ONLY.isdisjoint(spec)
+        )
+    else:
+        is_open = hasattr(spec, "arrivals")
+    if is_open:
         from . import open as open_module
 
         return SpecFamily(

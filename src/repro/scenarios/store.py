@@ -104,14 +104,6 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "memory_hits": self.memory_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-        }
-
 
 class ResultStore:
     """Content-addressed scenario results: JSON on disk, LRU in memory.

@@ -344,6 +344,13 @@ class TestSweep:
         assert [r.engine for r in other.results] == ["open-schedule"] * 3
         assert other.failures == []
 
+    def test_base_without_arrivals_is_read_as_open(self):
+        base = spec().to_dict()
+        del base["arrivals"]
+        message = "^open scenario spec needs 'arrivals'$"
+        with pytest.raises(ScenarioError, match=message):
+            Sweep.from_dict({"base": base, "grid": {"trials": [2, 4]}})
+
     def test_mixed_families_are_refused(self):
         from repro.scenarios import ScenarioSpec
 

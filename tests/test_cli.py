@@ -558,6 +558,24 @@ class TestOpenCli:
         assert main(["scenario", "run", str(spec_path)]) == 2
         assert "scenario error" in capsys.readouterr().err
 
+    def test_open_spec_without_arrivals_names_it(self, tmp_path, capsys):
+        from repro.scenarios import EXAMPLE_OPEN_SCENARIO
+
+        spec = {k: v for k, v in EXAMPLE_OPEN_SCENARIO.items() if k != "arrivals"}
+        spec_path = tmp_path / "no_arrivals.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["scenario", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "open scenario spec needs 'arrivals'" in err
+
+    def test_closed_spec_with_an_open_field_name_stays_closed(self, tmp_path, capsys):
+        spec = {k: v for k, v in EXAMPLE_SCENARIO.items() if k != "max_rounds"}
+        spec_path = tmp_path / "rounds.json"
+        spec_path.write_text(json.dumps(dict(spec, rounds=512)))
+        assert main(["scenario", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario spec field(s) 'rounds'; allowed:" in err
+
     def test_open_missing_spec_file(self, capsys):
         assert main(["scenario", "run", "/does/not/exist.json"]) == 2
         assert "cannot read spec" in capsys.readouterr().err
