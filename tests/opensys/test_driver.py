@@ -36,6 +36,7 @@ from repro.opensys import (
 from repro.core.protocol import ProtocolError
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
+from repro.protocols.jiang_zheng import JiangZhengProtocol
 from repro.protocols.willard import WillardProtocol
 
 N = 128
@@ -287,6 +288,92 @@ class TestPolicyBitIdentity:
         )
         assert vectorized.store == scalar.store
         assert vectorized.store.retried > 0
+
+
+#: Non-cycling schedules: a trial whose epoch outlives the schedule
+#: restarts it from the top, as the oracle's fresh session does.
+ONE_SHOT_SCHEDULES = [
+    ("decay", lambda: DecayProtocol(N, cycle=False)),
+    ("decay-k1", lambda: DecayProtocol(N, cycle=False, handle_k1=True)),
+    ("jiang-zheng", lambda: JiangZhengProtocol(N, cycle=False)),
+]
+
+
+class TestOneShotSchedules:
+    """One-shot schedules on ``open-schedule`` equal the oracle's store."""
+
+    @pytest.mark.parametrize(
+        "name,protocol", ONE_SHOT_SCHEDULES, ids=[c[0] for c in ONE_SHOT_SCHEDULES]
+    )
+    def test_default_lifecycle(self, name, protocol):
+        vectorized, scalar = run_pair(
+            protocol(), without_collision_detection(), arrivals=PoissonArrivals(0.3)
+        )
+        assert vectorized.engine == ENGINE_OPEN_SCHEDULE
+        assert vectorized.store == scalar.store, name
+
+    @pytest.mark.parametrize(
+        "name,protocol", ONE_SHOT_SCHEDULES, ids=[c[0] for c in ONE_SHOT_SCHEDULES]
+    )
+    def test_backoff_shed_and_timeout(self, name, protocol):
+        vectorized, scalar = run_pair(
+            protocol(),
+            without_collision_detection(),
+            arrivals=PoissonArrivals(0.3),
+            capacity=12,
+            timeout=24,
+            retry=ExponentialBackoffPolicy(base=2, cap=32, jitter=4, budget=5),
+            admission=OccupancySheddingPolicy(threshold=0.4, power=2.0),
+        )
+        assert vectorized.engine == ENGINE_OPEN_SCHEDULE
+        assert vectorized.store == scalar.store, name
+        assert vectorized.store.retried > 0
+
+
+#: Retry policies for a trial-round that both refuses arrivals and times
+#: out admitted requests.
+REFUSE_AND_EXPIRE = [
+    (
+        "backoff-jitter",
+        lambda: ExponentialBackoffPolicy(base=1, cap=8, jitter=8, budget=3),
+    ),
+    ("immediate", lambda: ImmediateRetryPolicy(budget=2)),
+]
+
+
+class TestRefusalAndTimeoutInOneRound:
+    """Refusals and timeouts of one trial-round fail in candidate order.
+
+    At rate 3.0 with capacity 2 and timeout 1, every loaded round refuses
+    arrivals and expires what it admitted, in the same trial.
+    """
+
+    @pytest.mark.parametrize(
+        "name,retry", REFUSE_AND_EXPIRE, ids=[c[0] for c in REFUSE_AND_EXPIRE]
+    )
+    @pytest.mark.parametrize(
+        "protocol,channel,engine",
+        [
+            (DecayProtocol(N), without_collision_detection(), ENGINE_OPEN_SCHEDULE),
+            (WillardProtocol(N), with_collision_detection(), ENGINE_OPEN_HISTORY),
+        ],
+        ids=["decay", "willard"],
+    )
+    def test_vectorized_matches_scalar(self, name, retry, protocol, channel, engine):
+        vectorized, scalar = run_pair(
+            protocol,
+            channel,
+            arrivals=PoissonArrivals(3.0),
+            trials=16,
+            rounds=200,
+            capacity=2,
+            timeout=1,
+            retry=retry(),
+        )
+        assert vectorized.engine == engine
+        assert vectorized.store == scalar.store, name
+        assert vectorized.store.retried > 0
+        assert vectorized.store.abandoned > 0
 
 
 class TestZeroPolicyPinning:
