@@ -87,7 +87,7 @@ class PoissonArrivals(ArrivalProcess):
         self.name = name or f"poisson(rate={self.rate:g})"
 
     def sample_rounds(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
-        return rng.poisson(self.rate, size=rounds).astype(np.int64)
+        return rng.poisson(self.rate, size=rounds).astype(np.int64, copy=False)
 
     @property
     def offered_load(self) -> float:

@@ -36,6 +36,13 @@ With the default policies (``give-up`` retry, ``capacity`` admission)
 steps 1 and 5 are no-ops and the driver reproduces the PR 7 behaviour
 bit for bit.
 
+The vectorized engines settle step 5 in one failure pass per round:
+the refusals of step 2 wait for the timeouts of step 4, and all of them
+meet the retry policy together, each trial's refusals first - the order
+in which the oracle fails them one by one.  The orbit is one flat
+array of the waiting requests in the order they failed, so release is
+one compare against the round and append is one concatenate.
+
 Epoch semantics
 ---------------
 The paper's protocols resolve one contention instance; an open system
@@ -90,13 +97,16 @@ Engines
 The two vectorized engines share one loop (:func:`_run_open_batch`)
 that advances all trials at once: it owns the block pre-draw, the
 request lifecycle, the band compare and the fault perturbation, and a
-*probability source* supplies each trial's protocol side - this round's
-probability, the restart at the empty history, and how a trial that
-contended without success moves on.
+*band source* supplies each trial's protocol side - this round's band
+edges at the trial's occupancy, the restart at the empty history, and
+how a trial that contended without success moves on.
 
 ``open-schedule``
-    Schedule-publishing protocols: the per-epoch probability is an array
-    lookup on a per-trial epoch counter (:class:`_OpenScheduleSource`).
+    Schedule-publishing protocols: a trial's band edges are a lookup at
+    its epoch position and occupancy in a (schedule position x occupancy
+    ``0..capacity``) table built once per run - 10 x 257 cells for decay
+    at ``n = 1024`` and capacity 256, 210 x 257 for Jiang-Zheng at
+    ``n = 2**20`` (:class:`_OpenScheduleSource`).
 ``open-history``
     Deterministic feedback-driven (CD) protocols: each trial carries a
     node id into the shared history-trie arena of
@@ -170,6 +180,10 @@ __all__ = [
 #: shapes depend only on (rounds, trial), never on the population, so
 #: every engine consumes identical per-trial streams.
 _OPEN_BLOCK_ROUNDS = 32
+
+#: Largest (schedule position x occupancy) band table an open schedule
+#: run builds: 2**20 cells, 16 MiB for both edges.
+_BAND_TABLE_CELLS = 1 << 20
 
 #: Failure kinds handed to the retry policy (they differ only in which
 #: counter a first-attempt death lands in).
@@ -272,17 +286,18 @@ def _refill_blocks(
     trials = len(processes)
     arrival_counts = np.empty((trials, width), dtype=np.int64)
     channel_draws = np.empty((trials, width, columns))
-    for t in range(trials):
-        arrival_rng, channel_rng = streams[t]
-        counts = np.asarray(processes[t].sample_rounds(arrival_rng, width))
+    for t, (process, (arrival_rng, channel_rng)) in enumerate(
+        zip(processes, streams)
+    ):
+        counts = np.asarray(process.sample_rounds(arrival_rng, width))
         if counts.shape != (width,):
             raise ValueError(
-                f"arrival process {processes[t].name!r} returned shape "
+                f"arrival process {process.name!r} returned shape "
                 f"{counts.shape}, expected ({width},)"
             )
         if counts.dtype.kind not in "iu":
             raise ValueError(
-                f"arrival process {processes[t].name!r} returned "
+                f"arrival process {process.name!r} returned "
                 f"{counts.dtype} counts, expected integers"
             )
         arrival_counts[t] = counts
@@ -295,31 +310,27 @@ def _refill_blocks(
     return arrival_counts, channel_draws
 
 
-def _trichotomy(
-    u: np.ndarray, p: np.ndarray, k: np.ndarray
-) -> np.ndarray:
+def _trichotomy(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Delivered-feedback codes of one round, vectorized across trials.
 
-    The closed engines' band compare (:func:`~repro.channel.batch._band_edges`),
-    whose ``k = 0`` edges make idle channels hear silence without a
-    special case.
+    The closed engines' band compare against the edges of
+    :func:`~repro.channel.batch._band_edges`, whose ``k = 0`` edges make
+    idle channels hear silence without a special case.  The code is the
+    number of edges the draw passed: ``lo <= hi``, and silence, success
+    and collision are 0, 1 and 2.
     """
-    lo, hi = _band_edges(p, k.astype(float))
-    return np.where(
-        u < lo, FB_SILENCE, np.where(u < hi, FB_SUCCESS, FB_COLLISION)
-    ).astype(np.int64)
+    return np.add(u >= lo, u >= hi, dtype=np.int64)
 
 
-def _row_ranks(rows: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Within-trial ranks of a row-major flat group, plus per-trial counts.
+def _row_ranks(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Within-trial ranks of a row-major flat group.
 
     ``rows`` must be sorted ascending (the order ``np.nonzero`` emits),
-    so entries of one trial are contiguous; the rank is each entry's
-    0-based position within its trial's segment.
+    so entries of one trial are contiguous, and ``counts`` holds each
+    trial's number of entries; the rank is each entry's 0-based position
+    within its trial's segment.
     """
-    counts = np.bincount(rows, minlength=trials)
-    segments = np.cumsum(counts) - counts
-    return np.arange(rows.size) - segments[rows], counts
+    return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
 
 
 class _BatchLifecycle:
@@ -327,14 +338,19 @@ class _BatchLifecycle:
 
     Holds the service buffer (parallel ``(trials, capacity)`` arrays:
     first-arrival round, plus current-admission round and retry count
-    when a retry policy can populate them), the orbit (chunks of pending
-    rejoiners bucketed by rejoin round, so release is O(due entries)
-    with no per-round scan of the waiting mass), and the admission
-    state.  All mutations preserve the deterministic orderings the
-    scalar oracle mirrors with plain lists: orbit release is stable
-    (by trial, then insertion order), timeout expiry is a stable
-    compaction, buffer departure is the winner swap-remove, and the
-    j-th retry scheduled in a round takes the j-th Weyl rotation of the
+    when a retry policy can populate them), the orbit and the admission
+    state.  The orbit is one ``(4, M)`` int64 array of the requests
+    waiting to rejoin (rejoin round, trial, born, tries), in the order
+    they failed: release is one ``== round`` mask plus a stable sort by
+    trial, and append is one concatenate.  Each round's failures settle
+    in one pass: :meth:`begin_round` holds its admission refusals and
+    :meth:`end_round` resolves them together with the round's timeouts,
+    the refusals first within each trial - the order the scalar oracle
+    fails them in.  All mutations preserve the deterministic orderings
+    the oracle mirrors with plain lists: orbit release is stable (by
+    trial, then insertion order), timeout expiry is a stable compaction,
+    buffer departure is the winner swap-remove, and the j-th retry a
+    trial schedules in a round takes the j-th Weyl rotation of the
     round's retry draw.
     """
 
@@ -357,11 +373,12 @@ class _BatchLifecycle:
         self.occupancy = np.zeros(trials, dtype=np.int64)
         # With a zero-retry policy nothing ever re-enters, so the
         # admission round equals the birth round and the retry count is
-        # identically zero - a lone ``born`` plane suffices and the
+        # identically zero - a lone ``born`` plane suffices, every
+        # failure is a first-attempt death that is only counted, and the
         # default-policy fast path does exactly PR 7's work.  With a
         # live retry policy the three per-request fields are packed into
-        # one (trials, capacity, 3) array so every buffer move (append,
-        # swap-remove, expiry compaction) is a single gather/scatter.
+        # one (trials, capacity, 3) array so the swap-remove and the
+        # expiry compaction are each a single gather/scatter.
         self._plain = retry.budget == 0
         self._track = timeout is not None and not self._plain
         if self._track:
@@ -384,14 +401,17 @@ class _BatchLifecycle:
             if timeout is not None
             else None
         )
-        # Orbit buckets: rejoin round -> list of (rows, born, tries)
-        # chunks, appended in failure order.  Delays are >= 1 and rounds
-        # are processed consecutively, so a bucket is drained exactly at
-        # its key and never goes stale.
-        self._orbit: dict[int, list[tuple[np.ndarray, ...]]] = {}
-        self.orb_n = np.zeros(trials, dtype=np.int64)
-        self._fail_rank = np.zeros(trials, dtype=np.int64)
+        # Delays are >= 1 and rounds are processed consecutively, so an
+        # orbit entry is released exactly at its rejoin round.
+        self._orbit = np.empty((4, 0), dtype=np.int64)
         self._trial_ids = np.arange(trials, dtype=np.int64)
+        # This round's refused fresh arrivals are repeated out of these
+        # (trial, born, tries) columns, one per trial.
+        self._fresh = np.zeros((3, trials), dtype=np.int64)
+        self._fresh[0] = self._trial_ids
+        # (trial, born, tries) blocks failed this round, settled together.
+        self._failed: list[np.ndarray] = []
+        self._refused = 0
         self._slot_ids = np.arange(capacity, dtype=np.int64)
         self._round = 0
         self._retry_draws: np.ndarray | None = None
@@ -406,17 +426,20 @@ class _BatchLifecycle:
         adm_draws: np.ndarray | None,
         retry_draws: np.ndarray | None,
     ) -> None:
-        """Orbit release, admission, and admission-failure resolution."""
+        """Orbit release and admission; refusals wait for :meth:`end_round`."""
         self._round = round_index
         self._retry_draws = retry_draws
-        if not self._plain:
-            self._fail_rank[:] = 0
         store = self.store
-        store.arrivals += int(fresh.sum())
+        arrived = int(fresh.sum())
+        store.arrivals += arrived
+        store.attempts += arrived
 
-        due_rows, due_born, due_tries, n_due = self._release(round_index)
-        candidates = n_due + fresh
-        store.attempts += int(candidates.sum())
+        due = self._release(round_index)
+        candidates = fresh
+        if due is not None:
+            n_due = np.bincount(due[0], minlength=self.trials)
+            candidates = n_due + fresh
+            store.attempts += due.shape[1]
         quota = self._adm_state.quota(
             self.occupancy, candidates, self.capacity, adm_draws
         )
@@ -424,60 +447,47 @@ class _BatchLifecycle:
             np.minimum(candidates, quota), self.capacity - self.occupancy
         )
         self._adm_state.commit(admitted)
+        if self._ring is not None:
+            self._ring[:, round_index % self.timeout] += admitted
 
-        admit_rejoin = np.minimum(n_due, admitted)
-        if due_rows.size:
-            ranks, _ = _row_ranks(due_rows, self.trials)
-            taken = ranks < admit_rejoin[due_rows]
-            self._append_buffer(
-                due_rows[taken], due_born[taken], due_tries[taken]
-            )
-        admit_fresh = admitted - admit_rejoin
-        if admit_fresh.any():
-            rows = np.repeat(self._trial_ids, admit_fresh)
-            self._append_buffer(
-                rows,
-                np.full(rows.size, round_index, dtype=np.int64),
-                np.zeros(rows.size, dtype=np.int64),
-            )
-
-        # Refusals, in candidate order: surplus rejoiners first, then
-        # surplus fresh arrivals.
-        parts = []
-        if due_rows.size:
-            refused = ranks >= admit_rejoin[due_rows]
-            if refused.any():
-                parts.append(
-                    (due_rows[refused], due_born[refused], due_tries[refused])
-                )
-        refused_fresh = fresh - admit_fresh
-        if refused_fresh.any():
-            rows = np.repeat(self._trial_ids, refused_fresh)
-            parts.append((
-                rows,
-                np.full(rows.size, round_index, dtype=np.int64),
-                np.zeros(rows.size, dtype=np.int64),
-            ))
-        if len(parts) == 2:
-            # One batched failure: a stable sort by trial keeps each
-            # trial's surplus rejoiners ahead of its surplus fresh
-            # arrivals, i.e. exactly the candidate order.
-            rows = np.concatenate((parts[0][0], parts[1][0]))
-            order = np.argsort(rows, kind="stable")
-            parts = [(
-                rows[order],
-                np.concatenate((parts[0][1], parts[1][1]))[order],
-                np.concatenate((parts[0][2], parts[1][2]))[order],
-            )]
-        if parts:
-            self._fail(*parts[0], _FAIL_ADMISSION)
+        # Candidate order: rejoiners first, then fresh arrivals.
+        admit_fresh = admitted
+        if due is not None:
+            admit_rejoin = np.minimum(n_due, admitted)
+            ranks = _row_ranks(due[0], n_due)
+            taken = ranks < admit_rejoin[due[0]]
+            rows, born, tries = due[:, taken]
+            slots = self.occupancy[rows] + ranks[taken]
+            self.born[rows, slots] = born
+            if self._track:
+                self.admitted_at[rows, slots] = round_index
+                self.tries[rows, slots] = tries
+            self.occupancy += admit_rejoin
+            admit_fresh = admitted - admit_rejoin
+            if rows.size < taken.size:
+                self._hold(due[:, ~taken])
+        rows = self._trial_ids.repeat(admit_fresh)
+        if rows.size:
+            slots = self.occupancy[rows] + _row_ranks(rows, admit_fresh)
+            if self._track:
+                self._buf[rows, slots] = (round_index, round_index, 0)
+            else:
+                self.born[rows, slots] = round_index
+            self.occupancy += admit_fresh
+        if rows.size < arrived:
+            if self._plain:
+                store.dropped += arrived - rows.size
+            else:
+                self._fresh[1] = round_index
+                self._hold(self._fresh.repeat(fresh - admit_fresh, axis=1))
 
     def complete(
         self, rows: np.ndarray, winner_draws: np.ndarray, round_index: int
     ) -> None:
         """Depart one uniformly-drawn winner per successful trial."""
-        winner = (winner_draws * self.occupancy[rows]).astype(np.int64)
-        last = self.occupancy[rows] - 1
+        occupancy = self.occupancy[rows]
+        winner = (winner_draws * occupancy).astype(np.int64)
+        last = occupancy - 1
         if self._track:
             departed = self._buf[rows, winner]
             born = departed[:, _F_BORN]
@@ -489,20 +499,52 @@ class _BatchLifecycle:
             self.born[rows, winner] = self.born[rows, last]
         if self._ring is not None:
             self._ring[rows, admitted % self.timeout] -= 1
-        self.occupancy[rows] -= 1
+        self.occupancy[rows] = last
         measured = born > self.warmup
         if measured.any():
             self.store.record_many(round_index - born[measured] + 1)
 
     def end_round(self, round_index: int) -> None:
-        """Evict requests whose current buffer stay hit the timeout."""
-        if self.timeout is None:
-            return
+        """Evict timed-out requests, then settle the round's failures."""
+        if self.timeout is not None:
+            self._expire(round_index)
+        if self._failed:
+            self._fail()
+
+    def finish(self) -> None:
+        self.store.in_flight += int(self.occupancy.sum())
+        self.store.in_orbit += self._orbit.shape[1]
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _hold(self, refused: np.ndarray) -> None:
+        """Keep admission refusals for this round's failure pass."""
+        self._failed.append(refused)
+        self._refused += refused.shape[1]
+
+    def _release(self, round_index: int) -> np.ndarray | None:
+        """Due orbit entries as (trial, born, tries) columns, or None.
+
+        Stable: by trial, then insertion order.
+        """
+        orbit = self._orbit
+        if orbit.shape[1] == 0:
+            return None
+        due = orbit[0] == round_index
+        if not due.any():
+            return None
+        self._orbit = orbit[:, ~due]
+        released = orbit[1:, due]
+        return released[:, np.argsort(released[0], kind="stable")]
+
+    def _expire(self, round_index: int) -> None:
+        """Evict the requests whose current buffer stay hit the timeout."""
         cutoff = round_index - self.timeout + 1
         if cutoff < 0:
             return
-        col = cutoff % self.timeout
-        affected = np.flatnonzero(self._ring[:, col])
+        n_expired = self._ring[:, cutoff % self.timeout]
+        affected = n_expired.nonzero()[0]
         if affected.size == 0:
             return
         occ = self.occupancy[affected]
@@ -513,133 +555,61 @@ class _BatchLifecycle:
         live = self._slot_ids[None, :width] < occ[:, None]
         expired = live & (stamps == cutoff)
         local_rows, slots = np.nonzero(expired)
-        keep_local, keep_slots = np.nonzero(live & ~expired)
-        keep_ranks, keep_counts = _row_ranks(keep_local, affected.size)
-        rows = affected[local_rows]
+        # Expired entries are live ones, so the exclusive or keeps the rest.
+        keep_local, keep_slots = np.nonzero(live ^ expired)
+        keep_counts = occ - n_expired[affected]
+        keep_ranks = _row_ranks(keep_local, keep_counts)
         keep_rows = affected[keep_local]
-        if self._track:
-            victims = self._buf[rows, slots]
-            born = victims[:, _F_BORN]
-            tries = victims[:, _F_TRIES]
-            self._buf[keep_rows, keep_ranks] = self._buf[keep_rows, keep_slots]
-        else:
-            born = self.born[rows, slots]
-            tries = np.zeros(rows.size, dtype=np.int64)
-            self.born[keep_rows, keep_ranks] = self.born[keep_rows, keep_slots]
         self.occupancy[affected] = keep_counts
-        self._ring[:, col] = 0
-        self._fail(rows, born, tries, _FAIL_TIMEOUT)
-
-    def finish(self) -> None:
-        self.store.in_flight += int(self.occupancy.sum())
-        self.store.in_orbit += int(self.orb_n.sum())
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _append_buffer(
-        self, rows: np.ndarray, born: np.ndarray, tries: np.ndarray
-    ) -> None:
-        if rows.size == 0:
+        n_expired[:] = 0
+        if not self._track:
+            self.born[keep_rows, keep_ranks] = self.born[keep_rows, keep_slots]
+            self.store.timed_out += slots.size
             return
-        ranks, counts = _row_ranks(rows, self.trials)
-        slots = self.occupancy[rows] + ranks
-        if self._track:
-            entry = np.empty((rows.size, 3), dtype=np.int64)
-            entry[:, _F_BORN] = born
-            entry[:, _F_ADMITTED] = self._round
-            entry[:, _F_TRIES] = tries
-            self._buf[rows, slots] = entry
-        else:
-            self.born[rows, slots] = born
-        if self._ring is not None:
-            self._ring[:, self._round % self.timeout] += counts
-        self.occupancy += counts
+        rows = affected[local_rows]
+        victims = self._buf[rows, slots]
+        self._buf[keep_rows, keep_ranks] = self._buf[keep_rows, keep_slots]
+        failed = np.empty((3, rows.size), dtype=np.int64)
+        failed[0] = rows
+        failed[1] = victims[:, _F_BORN]
+        failed[2] = victims[:, _F_TRIES]
+        self._failed.append(failed)
 
-    def _release(
-        self, round_index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Due orbit entries, stable: by trial, then insertion order."""
-        empty = np.empty(0, dtype=np.int64)
-        none = np.zeros(self.trials, dtype=np.int64)
-        chunks = self._orbit.pop(round_index, None)
-        if chunks is None:
-            return empty, empty, empty, none
-        if len(chunks) == 1:
-            # A lone chunk is already row-major (one _fail batch).
-            rows, born, tries = chunks[0]
-        else:
-            rows = np.concatenate([chunk[0] for chunk in chunks])
-            born = np.concatenate([chunk[1] for chunk in chunks])
-            tries = np.concatenate([chunk[2] for chunk in chunks])
-            # Chunks arrive in insertion order and are each row-major,
-            # so a stable sort by trial recovers the release order the
-            # scalar oracle's list scan produces.
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            born = born[order]
-            tries = tries[order]
-        n_due = np.bincount(rows, minlength=self.trials)
-        self.orb_n -= n_due
-        return rows, born, tries, n_due
+    def _fail(self) -> None:
+        """Resolve the round's failures through the retry policy.
 
-    def _append_orbit(
-        self,
-        rows: np.ndarray,
-        rejoin: np.ndarray,
-        born: np.ndarray,
-        tries: np.ndarray,
-    ) -> None:
-        self.orb_n += np.bincount(rows, minlength=self.trials)
-        # One stable sort groups the batch by rejoin round while keeping
-        # the row-major failure order within each group; the buckets
-        # then take contiguous slices instead of per-value masks.
-        order = np.argsort(rejoin, kind="stable")
-        rejoin = rejoin[order]
-        rows = rows[order]
-        born = born[order]
-        tries = tries[order]
-        bounds = np.flatnonzero(rejoin[1:] != rejoin[:-1]) + 1
-        starts = (0, *bounds.tolist(), rejoin.size)
-        for lo, hi in zip(starts, starts[1:]):
-            self._orbit.setdefault(int(rejoin[lo]), []).append(
-                (rows[lo:hi], born[lo:hi], tries[lo:hi])
-            )
-
-    def _fail(
-        self,
-        rows: np.ndarray,
-        born: np.ndarray,
-        tries: np.ndarray,
-        kind: int,
-    ) -> None:
-        """Resolve failure events (row-major order) through the policy."""
+        The held blocks are row-major each: surplus rejoiners, surplus
+        fresh arrivals, then timeouts, so every trial's failures stand
+        in candidate order, the first ``_refused`` of them refusals.
+        """
+        parts, refused = self._failed, self._refused
+        self._failed, self._refused = [], 0
+        failed = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         store = self.store
-        allowed = self.retry.allows(tries)
-        if allowed is True:
-            allowed = np.ones(rows.size, dtype=bool)
+        allowed = self.retry.allows(failed[2])
         deaths = ~allowed
         if deaths.any():
-            first = int((tries[deaths] == 0).sum())
-            if kind == _FAIL_ADMISSION:
-                store.dropped += first
-            else:
-                store.timed_out += first
-            store.abandoned += int(deaths.sum()) - first
-        if not allowed.any():
-            return
-        retry_rows = rows[allowed]
-        retry_tries = tries[allowed]
-        store.retried += retry_rows.size
+            first = deaths & (failed[2] == 0)
+            dropped = int(np.count_nonzero(first[:refused]))
+            timed_out = int(np.count_nonzero(first[refused:]))
+            store.dropped += dropped
+            store.timed_out += timed_out
+            store.abandoned += int(np.count_nonzero(deaths)) - dropped - timed_out
+            failed = failed[:, allowed]
+            if failed.shape[1] == 0:
+                return
+        store.retried += failed.shape[1]
         jitter_u = None
         if self.retry.needs_draws:
-            ranks, counts = _row_ranks(retry_rows, self.trials)
-            offsets = self._fail_rank[retry_rows] + ranks
-            self._fail_rank += counts
-            jitter_u = weyl_uniforms(self._retry_draws[retry_rows], offsets)
-        delays = self.retry.delays(retry_tries + 1, jitter_u)
-        self._append_orbit(
-            retry_rows, self._round + delays, born[allowed], retry_tries + 1
+            if len(parts) > 1:
+                failed = failed[:, np.argsort(failed[0], kind="stable")]
+            rows = failed[0]
+            ranks = _row_ranks(rows, np.bincount(rows, minlength=self.trials))
+            jitter_u = weyl_uniforms(self._retry_draws[rows], ranks)
+        failed[2] += 1
+        rejoin = self._round + self.retry.delays(failed[2], jitter_u)
+        self._orbit = np.concatenate(
+            (self._orbit, np.concatenate((rejoin[None], failed))), axis=1
         )
 
 
@@ -782,25 +752,48 @@ def _round_draws(
 
 
 class _OpenScheduleSource:
-    """Open probability source of schedule protocols: an epoch counter.
+    """Open band source of schedule protocols: an epoch counter.
 
-    Each trial's probability is an array lookup at its epoch position;
-    a one-shot schedule that ran out restarts from the top (the scalar
-    oracle's fresh-session-after-ScheduleExhausted path).
+    Each trial's band edges are a lookup at its epoch position and
+    occupancy in a (schedule position x occupancy ``0..capacity``)
+    table built once by :func:`~repro.channel.batch._band_edges`.  A
+    one-shot schedule that ran out restarts from the top (the scalar
+    oracle's fresh-session-after-ScheduleExhausted path), so for either
+    kind of schedule the table row is the epoch position modulo the
+    schedule length.  A table past :data:`_BAND_TABLE_CELLS` cells is
+    not built; the edges are then computed every round.
     """
 
-    def __init__(self, protocol: UniformProtocol, trials: int) -> None:
+    def __init__(
+        self, protocol: UniformProtocol, trials: int, capacity: int
+    ) -> None:
         schedule = protocol.batch_schedule()
         assert schedule is not None
         self._probabilities = np.asarray(schedule.probabilities, dtype=float)
-        self._cycle = schedule.cycle
+        self._length = self._probabilities.size
+        self._width = capacity + 1
         self._epoch_round = np.zeros(trials, dtype=np.int64)
+        self._lo = self._hi = None
+        if self._length * self._width <= _BAND_TABLE_CELLS:
+            # One contiguous 1-D row per position, as the per-round call
+            # receives its inputs, so numpy computes each power with the
+            # same loop either way.
+            occupancies = np.arange(self._width, dtype=float)
+            rows = [
+                _band_edges(np.full(self._width, p), occupancies)
+                for p in self._probabilities
+            ]
+            self._lo = np.concatenate([lo for lo, _ in rows])
+            self._hi = np.concatenate([hi for _, hi in rows])
 
-    def probabilities(self) -> np.ndarray:
-        length = self._probabilities.size
-        if not self._cycle:
-            self._epoch_round[self._epoch_round >= length] = 0
-        return self._probabilities[self._epoch_round % length]
+    def edges(self, occupancy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        position = self._epoch_round % self._length
+        if self._lo is None:
+            return _band_edges(
+                self._probabilities[position], occupancy.astype(float)
+            )
+        cell = position * self._width + occupancy
+        return self._lo[cell], self._hi[cell]
 
     def restart(self, where: np.ndarray) -> None:
         self._epoch_round[where] = 0
@@ -808,11 +801,11 @@ class _OpenScheduleSource:
     def advance(
         self, round_index: int, contended: np.ndarray, codes: np.ndarray
     ) -> None:
-        self._epoch_round[contended] += 1
+        self._epoch_round += contended
 
 
 class _OpenHistorySource:
-    """Open probability source of history-driven protocols: trie nodes.
+    """Open band source of history-driven protocols: trie nodes.
 
     Each trial carries a node id into the shared history-trie arena of
     :mod:`repro.channel.batch`, so probabilities are memoized per
@@ -839,14 +832,14 @@ class _OpenHistorySource:
         self._collision_detection = channel.collision_detection
         self._rounds = rounds
 
-    def probabilities(self) -> np.ndarray:
+    def edges(self, occupancy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         arena = self._arena
         node = self._node
         if arena.any_exhausted:
             exhausted = arena.exhausted[node]
             if exhausted.any():
                 node[exhausted] = self._root
-        return arena.probability[node]
+        return _band_edges(arena.probability[node], occupancy.astype(float))
 
     def restart(self, where: np.ndarray) -> None:
         self._node[where] = self._root
@@ -885,10 +878,11 @@ def _run_open_batch(
 
     It owns the block pre-draw, the request lifecycle, the band compare
     and the fault perturbation.  ``source`` supplies each trial's
-    protocol side: ``probabilities()`` this round, ``restart(where)``
-    at the empty history (after a delivered success, and whenever a
-    backlog drains) and ``advance`` of the trials that contended without
-    success, given the round's delivered feedback codes.
+    protocol side: ``edges(occupancy)``, this round's band edges,
+    ``restart(where)`` at the empty history (after a delivered success,
+    and whenever a backlog drains) and ``advance`` of the trials that
+    contended without success, given the round's delivered feedback
+    codes.
     """
     trials = len(processes)
     lifecycle = _BatchLifecycle(
@@ -912,19 +906,19 @@ def _run_open_batch(
         )
         occupancy = lifecycle.occupancy
 
-        p = source.probabilities()
-        codes = _trichotomy(channel_draws[:, column, 0], p, occupancy)
+        codes = _trichotomy(channel_draws[:, column, 0], *source.edges(occupancy))
         if fault_state is not None:
             codes = fault_state.perturb(round_index, codes, fault_draws)
 
-        success = (codes == FB_SUCCESS) & (occupancy > 0)
-        if success.any():
-            rows = np.flatnonzero(success)
+        busy = occupancy > 0
+        success = (codes == FB_SUCCESS) & busy
+        rows = success.nonzero()[0]
+        if rows.size:
             lifecycle.complete(rows, channel_draws[rows, column, 1], round_index)
             source.restart(rows)
-        # Contended non-success rows move on (success rows just restarted;
-        # their occupancy decrement cannot re-satisfy the mask).
-        source.advance(round_index, ~success & (occupancy > 0), codes)
+        # Contended non-success rows move on; a success row is a busy row,
+        # so the exclusive or drops it.
+        source.advance(round_index, busy ^ success, codes)
 
         lifecycle.end_round(round_index)
         source.restart(lifecycle.occupancy == 0)
@@ -1110,7 +1104,7 @@ def run_open(
         )
     else:
         source = (
-            _OpenScheduleSource(protocol, trials)
+            _OpenScheduleSource(protocol, trials, capacity)
             if engine == ENGINE_OPEN_SCHEDULE
             else _OpenHistorySource(protocol, trials, channel, rounds)
         )
