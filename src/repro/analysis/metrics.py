@@ -50,7 +50,18 @@ class Record:
     :meth:`from_dict` reads each field back by its declared type, ``int``
     or a float whose ``null`` reads as NaN; a missing field takes its
     default, and a missing field without one raises :class:`KeyError`.
+    Every ``int`` field is a count: construction, and so
+    :meth:`from_dict`, refuses a negative one with a :class:`ValueError`
+    naming the field.
     """
+
+    def __post_init__(self) -> None:
+        for name in _counts(type(self)):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(
+                    f"{type(self).__name__} {name} must be >= 0, got {value}"
+                )
 
     def to_dict(self) -> dict:
         """JSON-native dict (NaN statistics encode as ``null``)."""
@@ -78,6 +89,12 @@ def _readers(cls: type) -> tuple:
         )
         for spec_field in fields(cls)
     )
+
+
+@functools.cache
+def _counts(cls: type) -> tuple[str, ...]:
+    """The ``int`` fields of a :class:`Record` class, in order."""
+    return tuple(name for name, read, _ in _readers(cls) if read is int)
 
 
 @dataclass(frozen=True)
@@ -219,6 +236,14 @@ class ProportionEstimate(Record):
 
     successes: int
     trials: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.successes > self.trials:
+            raise ValueError(
+                f"ProportionEstimate successes {self.successes} outside "
+                f"0..{self.trials}"
+            )
 
     @property
     def rate(self) -> float:

@@ -268,7 +268,12 @@ class LatencyStore:
             raise ValueError("latency histogram bin 0 must be zero")
         store._hist = hist
         for counter in cls.COUNTERS:
-            setattr(store, counter, int(data.get(counter, 0)))
+            value = int(data.get(counter, 0))
+            if value < 0:
+                raise ValueError(
+                    f"latency store {counter} must be >= 0, got {value}"
+                )
+            setattr(store, counter, value)
         return store
 
     def __eq__(self, other: object) -> bool:
