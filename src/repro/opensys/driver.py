@@ -185,8 +185,8 @@ _OPEN_BLOCK_ROUNDS = 32
 #: run builds: 2**20 cells, 16 MiB for both edges.
 _BAND_TABLE_CELLS = 1 << 20
 
-#: Failure kinds handed to the retry policy (they differ only in which
-#: counter a first-attempt death lands in).
+#: Failure kinds the oracle's lifecycle hands to the retry policy (they
+#: differ only in which counter a first-attempt death lands in).
 _FAIL_ADMISSION = 0
 _FAIL_TIMEOUT = 1
 
@@ -330,7 +330,7 @@ def _row_ranks(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     trial's number of entries; the rank is each entry's 0-based position
     within its trial's segment.
     """
-    return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    return np.arange(rows.size) - (counts.cumsum() - counts)[rows]
 
 
 class _BatchLifecycle:
@@ -500,9 +500,7 @@ class _BatchLifecycle:
         if self._ring is not None:
             self._ring[rows, admitted % self.timeout] -= 1
         self.occupancy[rows] = last
-        measured = born > self.warmup
-        if measured.any():
-            self.store.record_many(round_index - born[measured] + 1)
+        self.store.record_many(round_index - born[born > self.warmup] + 1)
 
     def end_round(self, round_index: int) -> None:
         """Evict timed-out requests, then settle the round's failures."""
@@ -536,7 +534,7 @@ class _BatchLifecycle:
             return None
         self._orbit = orbit[:, ~due]
         released = orbit[1:, due]
-        return released[:, np.argsort(released[0], kind="stable")]
+        return released[:, released[0].argsort(kind="stable")]
 
     def _expire(self, round_index: int) -> None:
         """Evict the requests whose current buffer stay hit the timeout."""
@@ -554,9 +552,9 @@ class _BatchLifecycle:
         ]
         live = self._slot_ids[None, :width] < occ[:, None]
         expired = live & (stamps == cutoff)
-        local_rows, slots = np.nonzero(expired)
+        local_rows, slots = expired.nonzero()
         # Expired entries are live ones, so the exclusive or keeps the rest.
-        keep_local, keep_slots = np.nonzero(live ^ expired)
+        keep_local, keep_slots = (live ^ expired).nonzero()
         keep_counts = occ - n_expired[affected]
         keep_ranks = _row_ranks(keep_local, keep_counts)
         keep_rows = affected[keep_local]
@@ -602,7 +600,7 @@ class _BatchLifecycle:
         jitter_u = None
         if self.retry.needs_draws:
             if len(parts) > 1:
-                failed = failed[:, np.argsort(failed[0], kind="stable")]
+                failed = failed[:, failed[0].argsort(kind="stable")]
             rows = failed[0]
             ranks = _row_ranks(rows, np.bincount(rows, minlength=self.trials))
             jitter_u = weyl_uniforms(self._retry_draws[rows], ranks)
