@@ -34,7 +34,6 @@ from repro.opensys import (
     run_open,
 )
 from repro.core.protocol import ProtocolError
-from repro.opensys import driver as open_driver
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.fixed_probability import FixedProbabilityProtocol
 from repro.protocols.jiang_zheng import JiangZhengProtocol
@@ -375,34 +374,6 @@ class TestRefusalAndTimeoutInOneRound:
         assert vectorized.store == scalar.store, name
         assert vectorized.store.retried > 0
         assert vectorized.store.abandoned > 0
-
-
-class TestScheduleBandTable:
-    """A schedule whose band table would pass the cell budget computes
-    its edges every round instead, with the same result."""
-
-    def test_untabled_edges_match_the_table_and_the_oracle(self, monkeypatch):
-        kwargs = dict(
-            arrivals=PoissonArrivals(0.3),
-            capacity=12,
-            timeout=24,
-            retry=ExponentialBackoffPolicy(base=2, cap=32, jitter=4, budget=5),
-        )
-        protocol = JiangZhengProtocol(N, cycle=False)
-        tabled, scalar = run_pair(protocol, without_collision_detection(), **kwargs)
-        monkeypatch.setattr(open_driver, "_BAND_TABLE_CELLS", 0)
-        untabled = run_open(
-            protocol,
-            kwargs.pop("arrivals"),
-            channel=without_collision_detection(),
-            trials=12,
-            rounds=256,
-            warmup=32,
-            seed=7,
-            **kwargs,
-        )
-        assert untabled.engine == ENGINE_OPEN_SCHEDULE
-        assert untabled.store == tabled.store == scalar.store
 
 
 class TestZeroPolicyPinning:
