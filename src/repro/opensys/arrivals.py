@@ -53,10 +53,19 @@ class ArrivalProcess(ABC):
 
     Subclasses must be stateless across ``sample_rounds`` calls *or*
     restore their stream position on :meth:`reset`; the driver calls
-    :meth:`clone` once per trial so trials never share mutable state.
+    :meth:`clone` once per trial so trials never share mutable state,
+    and a process that ``sample_rounds`` never mutates may return
+    itself.  The driver draws each trial's counts in 32-round blocks at
+    absolute boundaries, so a process's draws may depend on the block
+    width; a process whose draws do not (one call of ``a + b`` rounds
+    draws exactly what calls of ``a`` and then ``b`` rounds draw) says
+    so with :attr:`width_free`, and the vectorized engines then draw
+    two blocks in one call.
     """
 
     name: str
+    #: True when ``sample_rounds``' draws do not depend on the width.
+    width_free = False
 
     @abstractmethod
     def sample_rounds(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
@@ -68,7 +77,8 @@ class ArrivalProcess(ABC):
         """Mean requests injected per round."""
 
     def clone(self) -> "ArrivalProcess":
-        """An independent copy with freshly-reset stream position."""
+        """An independent copy with freshly-reset stream position (the
+        process itself when ``sample_rounds`` never mutates it)."""
         fresh = copy.deepcopy(self)
         fresh.reset()
         return fresh
@@ -78,7 +88,13 @@ class ArrivalProcess(ABC):
 
 
 class PoissonArrivals(ArrivalProcess):
-    """Memoryless arrivals: ``count ~ Poisson(rate)`` each round."""
+    """Memoryless arrivals: ``count ~ Poisson(rate)`` each round.
+
+    Stateless, so :meth:`clone` returns the process itself, and width
+    free: every round's count is one Poisson draw in round order.
+    """
+
+    width_free = True
 
     def __init__(self, rate: float, *, name: str = "") -> None:
         if not (rate > 0.0) or not math.isfinite(rate):
@@ -88,6 +104,9 @@ class PoissonArrivals(ArrivalProcess):
 
     def sample_rounds(self, rng: np.random.Generator, rounds: int) -> np.ndarray:
         return rng.poisson(self.rate, size=rounds).astype(np.int64, copy=False)
+
+    def clone(self) -> "PoissonArrivals":
+        return self
 
     @property
     def offered_load(self) -> float:
@@ -106,6 +125,8 @@ class ZipfHotspotArrivals(ArrivalProcess):
     ``i**-alpha`` - the hotspot-key pattern where a popular object's
     requesters collide together.  ``alpha`` large -> mostly singletons;
     ``alpha`` near 0 -> near-uniform batch sizes up to ``max_batch``.
+    Stateless, so :meth:`clone` returns the process itself; not width
+    free, since a call draws all its event counts before their sizes.
     """
 
     def __init__(
@@ -148,6 +169,9 @@ class ZipfHotspotArrivals(ArrivalProcess):
         sizes = np.searchsorted(self._cdf, rng.random(total), side="right") + 1
         np.add.at(counts, np.repeat(np.arange(rounds), events), sizes)
         return counts
+
+    def clone(self) -> "ZipfHotspotArrivals":
+        return self
 
     @property
     def offered_load(self) -> float:

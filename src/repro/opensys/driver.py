@@ -79,9 +79,20 @@ and ``(trial_offset + t, 1)`` (channel stream) - exactly the
 ``.spawn(2)`` children of ``SeedSequence(seed, spawn_key=(trial_offset
 + t,))``, the :func:`~repro.scenarios.sweep.derive_point_seeds`
 discipline, built directly - and consumed in fixed-width
-:data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute boundaries.  Each
-trial's arrival counts are checked for shape and integer dtype as they
-are drawn, and the block's counts for negatives once per block.  The
+:data:`_OPEN_BLOCK_ROUNDS`-round blocks with absolute boundaries.  The
+oracle builds numpy's ``SeedSequence`` objects (:func:`_trial_streams`)
+and refills one block at a time; the vectorized engines hash every
+trial's seed words in one pass of a numpy port of ``SeedSequence``
+(:func:`_spawn_states`, handed to each ``PCG64`` through
+:class:`_SpawnedState`) and refill two blocks per call in place, into
+buffers allocated once per run (:func:`_refill_blocks`).  A two-block
+span draws a width-free process's counts
+(:attr:`~repro.opensys.arrivals.ArrivalProcess.width_free`, Poisson) in
+one call and every other family's in one call per block, so every
+trial gets the numbers the oracle draws, and the oracle comparison
+checks the seeding kernel and the two-block refill.  Each call's
+arrival counts are checked for shape and integer dtype as they are
+drawn, and a refill's counts for negatives once per refill.  The
 uniform columns per round are positional - band draw, winner draw, then
 one fault column (fault-drawing models), one admission column
 (``shed``), and one retry column (``backoff`` with jitter) - so the
@@ -135,8 +146,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, product
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from ..analysis.montecarlo import (
     ENGINE_OPEN_HISTORY,
@@ -176,7 +190,8 @@ __all__ = [
 ]
 
 #: Rounds of arrivals and channel uniforms pre-drawn per trial at each
-#: absolute block boundary (rounds 1, 1+B, 1+2B, ...).  Boundaries and
+#: absolute block boundary (rounds 1, 1+B, 1+2B, ...); the vectorized
+#: engines refill two blocks per call, the oracle one.  Boundaries and
 #: shapes depend only on (rounds, trial), never on the population, so
 #: every engine consumes identical per-trial streams.
 _OPEN_BLOCK_ROUNDS = 32
@@ -217,19 +232,15 @@ def _column_layout(
     admission: AdmissionPolicy,
     retry: RetryPolicy,
 ) -> _Columns:
-    index = 2
-    fault = admission_col = retry_col = None
-    if model is not None and model.needs_fault_draws:
-        fault = index
-        index += 1
-    if admission.needs_draws:
-        admission_col = index
-        index += 1
-    if retry.needs_draws:
-        retry_col = index
-        index += 1
+    wanted = (
+        model is not None and model.needs_fault_draws,
+        admission.needs_draws,
+        retry.needs_draws,
+    )
+    # A wanted column takes the next index after the band and winner.
+    index = list(accumulate(wanted, initial=2))
     return _Columns(
-        fault=fault, admission=admission_col, retry=retry_col, total=index
+        *(at if want else None for at, want in zip(index, wanted)), total=index[-1]
     )
 
 
@@ -265,43 +276,128 @@ def _trial_streams(
     return streams
 
 
+_MASK32 = 0xFFFFFFFF
+#: ``SeedSequence``'s (initial constant, multiplier) of the pool mix and
+#: of the state output.
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int, call: int) -> np.ndarray:
+    """``SeedSequence``'s hash step at its ``call``-th use: the constant
+    advances on every call, whatever the data, so one call serves every
+    trial at once."""
+    xor, times = (const * pow(mult, k, 1 << 32) & _MASK32 for k in (call, call + 1))
+    value = (value ^ xor) * times
+    return value ^ (value >> 16)
+
+
+def _spawn_states(seed: int, keys: Sequence[int], child: int) -> np.ndarray:
+    """Rows of ``SeedSequence(seed, spawn_key=(key, child)).generate_state(
+    4, np.uint64)``, one per non-negative key, in one vectorized pass per
+    key length.
+
+    The entropy is the seed's little-endian 32-bit words (``0`` is one
+    zero word), zero-padded to four words since a spawn key is present,
+    then the key's words and the child's word.  The pool after the seed
+    words is numpy's own ``SeedSequence(seed).pool`` (unpadded, a short
+    seed fills the pool as its zero words would), by which point the
+    hash constant has taken four steps per padded seed word; each later
+    word ``w`` mixes into every pool word ``x`` as ``0xca01f9dd * x -
+    0x4973f715 * hashmix(w)``, xor-shifted.
+    """
+    sequence = np.random.SeedSequence(seed)
+    prefix = sequence.pool[:, None]
+    calls = 4 * max(4, -(-int(sequence.entropy).bit_length() // 32))
+    rest = np.array(keys, dtype=object)
+    key_words = [(rest & _MASK32).astype(np.uint32)]
+    lengths = np.ones(rest.size, dtype=np.int64)
+    while ((rest := rest >> 32) > 0).any():
+        key_words.append((rest & _MASK32).astype(np.uint32))
+        lengths += rest > 0
+    states = np.empty((lengths.size, 4), dtype=np.uint64)
+    for length in range(1, len(key_words) + 1):
+        rows = (lengths == length).nonzero()[0]
+        entropy = [part[rows] for part in key_words[:length]]
+        entropy.append(np.array([child], dtype=np.uint32))
+        pool = list(prefix)
+        for call, (word, dst) in enumerate(product(entropy, range(4)), calls):
+            mixed = pool[dst] * 0xCA01F9DD - _hashmix(word, *_HASH_A, call) * 0x4973F715
+            pool[dst] = mixed ^ (mixed >> 16)
+        out = [_hashmix(pool[i % 4], *_HASH_B, i) for i in range(8)]
+        out = np.array(out, dtype=np.uint64)
+        states[rows] = (out[0::2] | out[1::2] << 32).T
+    return states
+
+
+class _SpawnedState(ISeedSequence):
+    """Hands a ``PCG64`` one precomputed :func:`_spawn_states` row."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a spawned state holds exactly 4 uint64 words")
+        return self._state
+
+
+def _seeded_streams(seed: int, trials: int, trial_offset: int) -> list:
+    """:func:`_trial_streams`'s generators, seeded by :func:`_spawn_states`."""
+    keys = range(trial_offset, trial_offset + trials)
+    states = zip(*(_spawn_states(seed, keys, child) for child in (0, 1)))
+    return [
+        (Generator(PCG64(_SpawnedState(a))), Generator(PCG64(_SpawnedState(c))))
+        for a, c in states
+    ]
+
+
 def _refill_blocks(
     processes: Sequence[ArrivalProcess],
     streams: Sequence[tuple[np.random.Generator, np.random.Generator]],
     round_index: int,
     rounds: int,
     columns: int,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw one block of per-trial arrivals and channel uniforms.
+    """Pre-draw the per-trial arrivals and channel uniforms of a span.
 
-    The shared half of the engines' stream contract (the vectorized
-    loop and the scalar oracle call exactly this, the oracle with
-    one-trial slices): per trial, ``width`` arrival counts from its
-    arrival generator, then a ``(width, columns)`` uniform block from its
-    channel generator, written in place.  Each trial's counts must be an
-    integer array of shape ``(width,)``; negative counts are caught once
-    per block, naming the first offending trial's process.
+    The shared half of the engines' stream contract.  The span is as
+    wide as ``buffers`` (filled in place: the vectorized loop's two
+    blocks) or, without them, one block in new arrays (the scalar
+    oracle, with one-trial slices).  Per trial, the span's arrival
+    counts come from its arrival generator in one call when the process
+    is :attr:`~repro.opensys.arrivals.ArrivalProcess.width_free`, else
+    one call per block, then a ``(width, columns)`` uniform block from
+    its channel generator.  Each call's counts must be an integer array
+    of its width's shape; negative counts are caught once per refill,
+    naming the first offending trial's process.
     """
-    width = min(_OPEN_BLOCK_ROUNDS, rounds - round_index + 1)
-    trials = len(processes)
-    arrival_counts = np.empty((trials, width), dtype=np.int64)
-    channel_draws = np.empty((trials, width, columns))
+    remaining = rounds - round_index + 1
+    if buffers is None:
+        shape = (len(processes), min(_OPEN_BLOCK_ROUNDS, remaining))
+        buffers = (np.empty(shape, dtype=np.int64), np.empty((*shape, columns)))
+    arrival_counts, channel_draws = buffers
+    width = min(arrival_counts.shape[1], remaining)
     for t, (process, (arrival_rng, channel_rng)) in enumerate(
         zip(processes, streams)
     ):
-        counts = np.asarray(process.sample_rounds(arrival_rng, width))
-        if counts.shape != (width,):
-            raise ValueError(
-                f"arrival process {process.name!r} returned shape "
-                f"{counts.shape}, expected ({width},)"
-            )
-        if counts.dtype.kind not in "iu":
-            raise ValueError(
-                f"arrival process {process.name!r} returned "
-                f"{counts.dtype} counts, expected integers"
-            )
-        arrival_counts[t] = counts
-        channel_rng.random(out=channel_draws[t])
+        step = width if process.width_free else _OPEN_BLOCK_ROUNDS
+        for start in range(0, width, step):
+            block = min(step, width - start)
+            counts = np.asarray(process.sample_rounds(arrival_rng, block))
+            if counts.shape != (block,):
+                raise ValueError(
+                    f"arrival process {process.name!r} returned shape "
+                    f"{counts.shape}, expected ({block},)"
+                )
+            if counts.dtype.kind not in "iu":
+                raise ValueError(
+                    f"arrival process {process.name!r} returned "
+                    f"{counts.dtype} counts, expected integers"
+                )
+            arrival_counts[t, start : start + block] = counts
+        channel_rng.random(out=channel_draws[t, :width])
     if arrival_counts.min() < 0:
         t = int(np.flatnonzero((arrival_counts < 0).any(axis=1))[0])
         raise ValueError(
@@ -731,22 +827,12 @@ def _round_draws(
     channel_draws: np.ndarray, column: int, layout: _Columns
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """(fault, admission, retry) draw vectors of one round (or None)."""
-    fault = (
-        channel_draws[:, column, layout.fault]
-        if layout.fault is not None
-        else None
+    draws = channel_draws[:, column]
+    return (
+        None if layout.fault is None else draws[:, layout.fault],
+        None if layout.admission is None else draws[:, layout.admission],
+        None if layout.retry is None else draws[:, layout.retry],
     )
-    admission = (
-        channel_draws[:, column, layout.admission]
-        if layout.admission is not None
-        else None
-    )
-    retry = (
-        channel_draws[:, column, layout.retry]
-        if layout.retry is not None
-        else None
-    )
-    return fault, admission, retry
 
 
 class _OpenScheduleSource:
@@ -874,8 +960,9 @@ def _run_open_batch(
 ) -> None:
     """The one vectorized open loop, rounds across all trials at once.
 
-    It owns the block pre-draw, the request lifecycle, the band compare
-    and the fault perturbation.  ``source`` supplies each trial's
+    It owns the block pre-draw (two blocks per refill, into buffers
+    allocated once), the request lifecycle, the band compare and the
+    fault perturbation.  ``source`` supplies each trial's
     protocol side: ``edges(occupancy)``, this round's band edges,
     ``restart(where)`` at the empty history (after a delivered success,
     and whenever a backlog drains) and ``advance`` of the trials that
@@ -889,12 +976,15 @@ def _run_open_batch(
     fault_state = model.batch_state(trials) if model is not None else None
     layout = _column_layout(model, admission, retry)
 
-    arrival_counts = channel_draws = None
+    span = min(2 * _OPEN_BLOCK_ROUNDS, rounds)
+    arrival_counts = np.empty((trials, span), dtype=np.int64)
+    channel_draws = np.empty((trials, span, layout.total))
     for round_index in range(1, rounds + 1):
-        column = (round_index - 1) % _OPEN_BLOCK_ROUNDS
+        column = (round_index - 1) % span
         if column == 0:
-            arrival_counts, channel_draws = _refill_blocks(
-                processes, streams, round_index, rounds, layout.total
+            _refill_blocks(
+                processes, streams, round_index, rounds, layout.total,
+                (arrival_counts, channel_draws),
             )
         fault_draws, adm_draws, retry_draws = _round_draws(
             channel_draws, column, layout
@@ -1093,9 +1183,9 @@ def run_open(
     engine = route(protocol, batch, model=model, open_system=True).engine
 
     processes = [arrivals.clone() for _ in range(trials)]
-    streams = _trial_streams(seed, trials, trial_offset)
     store = LatencyStore()
     if engine == ENGINE_OPEN_SCALAR:
+        streams = _trial_streams(seed, trials, trial_offset)
         _run_open_scalar(
             protocol, processes, streams, channel, model, rounds, warmup,
             capacity, timeout, admission, retry, store,
@@ -1106,6 +1196,7 @@ def run_open(
             if engine == ENGINE_OPEN_SCHEDULE
             else _OpenHistorySource(protocol, trials, channel, rounds)
         )
+        streams = _seeded_streams(seed, trials, trial_offset)
         _run_open_batch(
             source, processes, streams, model, rounds, warmup, capacity,
             timeout, admission, retry, store,

@@ -80,7 +80,10 @@ class TestThinned:
         rng = np.random.default_rng(0)
         process.sample_rounds(rng, 2)  # advance the original
         clone = process.clone()
+        assert clone is not process and clone.wrapped is not process.wrapped
         assert (clone.sample_rounds(rng, 3) == [1, 2, 3]).all()
+        # The clone drew from its own cursor; the original's did not move.
+        assert (process.sample_rounds(rng, 2) == [3, 1]).all()
 
     def test_markov_stationary_offered_load(self):
         burst = MarkovBurstArrivals(
@@ -101,6 +104,23 @@ class TestThinned:
             ThinnedArrivals(TraceArrivals([1]), thin=0.0)
         with pytest.raises(TypeError):
             ThinnedArrivals(object(), thin=0.5)
+
+
+class TestStatelessClone:
+    """A process ``sample_rounds`` never mutates is its own clone."""
+
+    @pytest.mark.parametrize(
+        "process",
+        [PoissonArrivals(0.4), ZipfHotspotArrivals(0.3, alpha=1.2, max_batch=16)],
+        ids=["poisson", "zipf-hotspot"],
+    )
+    def test_clone_is_the_process_itself(self, process):
+        before = vars(process).copy()
+        assert process.clone() is process
+        process.sample_rounds(np.random.default_rng(0), 64)
+        assert vars(process).keys() == before.keys()
+        for name, value in before.items():
+            assert np.array_equal(vars(process)[name], value), name
 
 
 class TestClampedSizeSource:
