@@ -332,7 +332,10 @@ class OpenScenarioResult(JsonCodec):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OpenScenarioResult":
-        return cls(
+        """Read a result back; a saved ``summary`` (optional, since the
+        store alone determines it) must be the one its store gives, or a
+        :class:`ValueError` names the first field that differs."""
+        result = cls(
             spec=OpenScenarioSpec.from_dict(data["spec"]),
             engine=str(data["engine"]),
             store=LatencyStore.from_dict(
@@ -341,6 +344,16 @@ class OpenScenarioResult(JsonCodec):
             metadata=dict(data.get("metadata", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )
+        if "summary" in data:
+            saved = _require_mapping(data["summary"], "latency summary")
+            saved = LatencySummary.from_dict(saved).to_dict()
+            for name, value in result.summary.to_dict().items():
+                if saved[name] != value:
+                    raise ValueError(
+                        f"open result summary {name} is {saved[name]!r}, "
+                        f"but its store gives {value!r}"
+                    )
+        return result
 
     def render(self) -> str:
         """Human-readable report for the CLI."""

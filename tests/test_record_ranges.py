@@ -5,7 +5,8 @@ exceed its trials.  The gate sits in the record's constructor, so a
 record built in code and one read back from a journal line or a store
 entry pass the same check: an edited journal fails its resume naming
 the point, and an edited store entry is a clean miss that is computed
-again.
+again.  An open result's saved latency summary must also be the one its
+store gives, so an edit to it fails the same way.
 """
 
 import dataclasses
@@ -18,6 +19,8 @@ from repro.cli import EXAMPLE_SWEEP, main
 from repro.opensys import LatencyStore, LatencySummary
 from repro.scenarios import (
     EXAMPLE_OPEN_SCENARIO,
+    EXAMPLE_OPEN_SWEEP,
+    OpenScenarioResult,
     OpenScenarioSpec,
     ResultStore,
     Sweep,
@@ -141,3 +144,87 @@ class TestEditedStoreEntry:
         payload["result"]["store"]["dropped"] = -3
         entry.write_text(json.dumps(payload))
         assert store.get(spec) is None
+
+
+class TestEditedOpenSummary:
+    """An open result's saved ``summary`` must be the one its store gives.
+
+    The summary is derived from the store, so a result read back checks
+    the saved copy instead of ignoring it: an edit the record gate lets
+    through (a larger p99) is refused as firmly as one it refuses (a
+    negative count).  The cases edit the first point of the open sweep
+    example.
+    """
+
+    EDITS = [
+        ({"dropped": -3, "p99": 12345.0}, "dropped"),
+        ({"p99": 12345.0}, "p99"),
+        ({"completed": 1}, "completed"),
+    ]
+    IDS = ["negative-count-and-p99", "p99", "completed"]
+
+    @staticmethod
+    def open_result() -> dict:
+        from repro.scenarios import run_open_scenario
+
+        spec = Sweep.from_dict(EXAMPLE_OPEN_SWEEP).points()[0]
+        return run_open_scenario(spec).to_dict()
+
+    @pytest.mark.parametrize("edit, field", EDITS, ids=IDS)
+    def test_from_dict_names_the_first_differing_field(self, edit, field):
+        data = self.open_result()
+        data["summary"].update(edit)
+        with pytest.raises(ValueError, match=field):
+            OpenScenarioResult.from_dict(data)
+
+    def test_a_result_without_a_summary_is_read(self):
+        data = self.open_result()
+        expected = OpenScenarioResult.from_dict(data)
+        del data["summary"]
+        assert OpenScenarioResult.from_dict(data) == expected
+
+    def test_null_statistics_match_their_store(self):
+        from repro.scenarios import run_open_scenario
+
+        spec = OpenScenarioSpec.from_dict(
+            dict(EXAMPLE_OPEN_SCENARIO, trials=1, rounds=2, warmup=1)
+        )
+        result = run_open_scenario(spec)
+        data = json.loads(result.to_json())
+        assert data["summary"]["completed"] == 0 and data["summary"]["p50"] is None
+        assert OpenScenarioResult.from_dict(data) == result
+
+    @pytest.mark.parametrize("edit, field", EDITS[:2], ids=IDS[:2])
+    def test_resume_fails_naming_the_point(self, tmp_path, capsys, edit, field):
+        sweep_path = tmp_path / "open-sweep.json"
+        sweep_path.write_text(json.dumps(EXAMPLE_OPEN_SWEEP))
+        journal = tmp_path / "open-sweep.journal"
+        argv = ["scenario", "sweep", str(sweep_path), "--resume", str(journal)]
+        assert main(argv) == 0
+        lines = journal.read_text().splitlines()
+        for number, line in enumerate(lines[1:], start=1):
+            record = json.loads(line)
+            for entry in record["entries"]:
+                if entry["index"] == 0:
+                    entry["result"]["summary"].update(edit)
+            lines[number] = json.dumps(record)
+        journal.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unreadable result for point 0" in err
+        assert field in err
+
+    def test_store_entry_misses_and_the_point_runs_again(self, tmp_path):
+        sweep = Sweep.from_dict(EXAMPLE_OPEN_SWEEP)
+        cold = run_sweep(sweep, executor="serial", cache=tmp_path)
+        point = sweep.points()[0]
+        key = spec_key(point)
+        entry = tmp_path / key[:2] / f"{key}.json"
+        payload = json.loads(entry.read_text())
+        payload["result"]["summary"].update(dropped=-3, p99=12345.0)
+        entry.write_text(json.dumps(payload))
+        assert ResultStore(tmp_path, memory_items=0).get(point) is None
+        warm = run_sweep(sweep, executor="serial", cache=tmp_path)
+        assert warm.cache_hits == len(warm.results) - 1
+        assert warm.results == cold.results
