@@ -1,9 +1,9 @@
-"""Print the cold import set of the example run and the fused CD sweep.
+"""Print the cold import set of the example runs and the fused CD sweep.
 
-Runs the example ``scenario run`` and the fused ``--cd-grid`` sweep,
-each in a fresh interpreter, and prints per command how many ``repro``
-modules it loaded, their raw source lines, and whether ``numpy.ma`` was
-loaded.  Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``
+Runs the example ``scenario run``, the fused ``--cd-grid`` sweep and the
+open example's ``scenario run`` (``scenario example --open``), each in a
+fresh interpreter, and prints per command how many ``repro`` modules it
+loaded, their raw source lines, and whether ``numpy.ma`` was loaded.  Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``
 or a read-only tree), every cold start compiles each module it imports,
 so these counts track the repository's share of a cold start beside the
 size that ``tools/code_lines.py`` prints.
@@ -42,20 +42,23 @@ print(json.dumps([code, len(modules), lines, "numpy.ma" in sys.modules]))
 def main() -> int:
     sys.path.insert(0, str(SRC))
     from repro.cli import EXAMPLE_SCENARIO
-    from repro.scenarios import EXAMPLE_CD_SWEEP
+    from repro.scenarios import EXAMPLE_CD_SWEEP, EXAMPLE_OPEN_SCENARIO
 
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *filter(None, [path])]))
     failed = 0
     with tempfile.TemporaryDirectory() as scratch:
         run, sweep = Path(scratch, "run.json"), Path(scratch, "cd-grid.json")
+        open_run = Path(scratch, "open.json")
         run.write_text(json.dumps(EXAMPLE_SCENARIO))
         sweep.write_text(json.dumps(EXAMPLE_CD_SWEEP))
+        open_run.write_text(json.dumps(EXAMPLE_OPEN_SCENARIO))
         commands = {
             "scenario run": ["scenario", "run", str(run), "--json"],
             "fused --cd-grid sweep": [
                 "scenario", "sweep", str(sweep), "--executor", "fused", "--json"
             ],
+            "open scenario run": ["scenario", "run", str(open_run), "--json"],
         }
         for label, argv in commands.items():
             completed = subprocess.run(
