@@ -146,7 +146,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -232,15 +232,19 @@ def _column_layout(
     admission: AdmissionPolicy,
     retry: RetryPolicy,
 ) -> _Columns:
-    wanted = (
-        model is not None and model.needs_fault_draws,
-        admission.needs_draws,
-        retry.needs_draws,
-    )
-    # A wanted column takes the next index after the band and winner.
-    index = list(accumulate(wanted, initial=2))
+    index = 2
+    fault = admission_col = retry_col = None
+    if model is not None and model.needs_fault_draws:
+        fault = index
+        index += 1
+    if admission.needs_draws:
+        admission_col = index
+        index += 1
+    if retry.needs_draws:
+        retry_col = index
+        index += 1
     return _Columns(
-        *(at if want else None for at, want in zip(index, wanted)), total=index[-1]
+        fault=fault, admission=admission_col, retry=retry_col, total=index
     )
 
 
@@ -827,12 +831,22 @@ def _round_draws(
     channel_draws: np.ndarray, column: int, layout: _Columns
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """(fault, admission, retry) draw vectors of one round (or None)."""
-    draws = channel_draws[:, column]
-    return (
-        None if layout.fault is None else draws[:, layout.fault],
-        None if layout.admission is None else draws[:, layout.admission],
-        None if layout.retry is None else draws[:, layout.retry],
+    fault = (
+        channel_draws[:, column, layout.fault]
+        if layout.fault is not None
+        else None
     )
+    admission = (
+        channel_draws[:, column, layout.admission]
+        if layout.admission is not None
+        else None
+    )
+    retry = (
+        channel_draws[:, column, layout.retry]
+        if layout.retry is not None
+        else None
+    )
+    return fault, admission, retry
 
 
 class _OpenScheduleSource:
