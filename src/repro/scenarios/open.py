@@ -332,10 +332,7 @@ class OpenScenarioResult(JsonCodec):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OpenScenarioResult":
-        """Read a result back; a saved ``summary`` (optional, since the
-        store alone determines it) must be the one its store gives, or a
-        :class:`ValueError` names the first field that differs."""
-        result = cls(
+        return cls(
             spec=OpenScenarioSpec.from_dict(data["spec"]),
             engine=str(data["engine"]),
             store=LatencyStore.from_dict(
@@ -344,6 +341,17 @@ class OpenScenarioResult(JsonCodec):
             metadata=dict(data.get("metadata", {})),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         )
+
+    @classmethod
+    def from_saved(cls, data: Mapping) -> "OpenScenarioResult":
+        """Read back a result a store entry or journal line saved.
+
+        :meth:`from_dict` rebuilds the result from its store alone; a
+        saved copy must also carry the summary its store gives (or no
+        ``summary``), or a :class:`ValueError` names the first field
+        that differs.
+        """
+        result = cls.from_dict(data)
         if "summary" in data:
             saved = _require_mapping(data["summary"], "latency summary")
             saved = LatencySummary.from_dict(saved).to_dict()

@@ -756,12 +756,14 @@ class ScenarioSpec(SpecCodec):
 @dataclass(frozen=True)
 class SpecFamily:
     """A spec family: its :func:`~repro.scenarios.store.spec_key` tag,
-    spec, runner and result."""
+    spec, runner and result, and ``load``, which reads back a result a
+    store entry or journal line saved."""
 
     kind: str
     spec: type
     run: Callable
     result: type
+    load: Callable
 
 
 #: Keys only an open-system spec takes.
@@ -796,9 +798,11 @@ def spec_family(spec) -> SpecFamily:
             open_module.OpenScenarioSpec,
             open_module.run_open_scenario,
             open_module.OpenScenarioResult,
+            open_module.OpenScenarioResult.from_saved,
         )
     from . import runner
 
+    result = runner.ScenarioResult
     return SpecFamily(
-        "scenario", ScenarioSpec, runner.run_scenario, runner.ScenarioResult
+        "scenario", ScenarioSpec, runner.run_scenario, result, result.from_dict
     )

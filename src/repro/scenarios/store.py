@@ -168,7 +168,7 @@ class ResultStore:
         while len(self._memory) > self.memory_items:
             self._memory.popitem(last=False)
 
-    def _load_disk(self, key: str, result_from_dict: Callable) -> object | None:
+    def _load_disk(self, key: str, load: Callable) -> object | None:
         path = self._entry_path(key)
         if path is None or not path.is_file():
             return None
@@ -181,7 +181,7 @@ class ResultStore:
         if payload.get("schema") != SCHEMA_VERSION or payload.get("key") != key:
             return None  # stale format (or a file moved under a wrong name)
         try:
-            return result_from_dict(payload["result"])
+            return load(payload["result"])
         except (KeyError, TypeError, ValueError):
             return None
 
@@ -197,7 +197,7 @@ class ResultStore:
             self.stats.hits += 1
             self.stats.memory_hits += 1
             return self._memory[key]
-        result = self._load_disk(key, spec_family(spec).result.from_dict)
+        result = self._load_disk(key, spec_family(spec).load)
         if result is None:
             self.stats.misses += 1
             return None
@@ -378,7 +378,7 @@ class SweepJournal:
         try:
             payload = entry["result"]
             family = spec_family(payload["spec"])
-            self.replayed[index] = family.result.from_dict(payload)
+            self.replayed[index] = family.load(payload)
         except (KeyError, TypeError, ValueError) as error:
             raise ScenarioError(
                 f"{where}: unreadable result for point {index}: {error!r}"

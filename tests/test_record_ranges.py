@@ -149,10 +149,12 @@ class TestEditedStoreEntry:
 class TestEditedOpenSummary:
     """An open result's saved ``summary`` must be the one its store gives.
 
-    The summary is derived from the store, so a result read back checks
-    the saved copy instead of ignoring it: an edit the record gate lets
-    through (a larger p99) is refused as firmly as one it refuses (a
-    negative count).  The cases edit the first point of the open sweep
+    The summary is derived from the store, so a result read back from a
+    store entry or a journal line (``OpenScenarioResult.from_saved``)
+    checks the saved copy instead of ignoring it: an edit the record
+    gate lets through (a larger p99) is refused as firmly as one it
+    refuses (a negative count).  ``from_dict`` rebuilds the result from
+    its store alone.  The cases edit the first point of the open sweep
     example.
     """
 
@@ -171,17 +173,23 @@ class TestEditedOpenSummary:
         return run_open_scenario(spec).to_dict()
 
     @pytest.mark.parametrize("edit, field", EDITS, ids=IDS)
-    def test_from_dict_names_the_first_differing_field(self, edit, field):
+    def test_from_saved_names_the_first_differing_field(self, edit, field):
         data = self.open_result()
         data["summary"].update(edit)
         with pytest.raises(ValueError, match=field):
-            OpenScenarioResult.from_dict(data)
+            OpenScenarioResult.from_saved(data)
+
+    def test_from_dict_reads_the_store_alone(self):
+        data = self.open_result()
+        expected = OpenScenarioResult.from_saved(data)
+        data["summary"].update(p99=12345.0)
+        assert OpenScenarioResult.from_dict(data) == expected
 
     def test_a_result_without_a_summary_is_read(self):
         data = self.open_result()
         expected = OpenScenarioResult.from_dict(data)
         del data["summary"]
-        assert OpenScenarioResult.from_dict(data) == expected
+        assert OpenScenarioResult.from_saved(data) == expected
 
     def test_null_statistics_match_their_store(self):
         from repro.scenarios import run_open_scenario
@@ -192,7 +200,7 @@ class TestEditedOpenSummary:
         result = run_open_scenario(spec)
         data = json.loads(result.to_json())
         assert data["summary"]["completed"] == 0 and data["summary"]["p50"] is None
-        assert OpenScenarioResult.from_dict(data) == result
+        assert OpenScenarioResult.from_saved(data) == result
 
     @pytest.mark.parametrize("edit, field", EDITS[:2], ids=IDS[:2])
     def test_resume_fails_naming_the_point(self, tmp_path, capsys, edit, field):
