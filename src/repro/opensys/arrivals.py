@@ -56,15 +56,15 @@ class ArrivalProcess(ABC):
     :meth:`clone` once per trial so trials never share mutable state,
     and a process that ``sample_rounds`` never mutates may return
     itself.  The driver draws each trial's counts in 32-round blocks at
-    absolute boundaries, so a process's draws may depend on the block
-    width; a process whose draws do not (one call of ``a + b`` rounds
-    draws exactly what calls of ``a`` and then ``b`` rounds draw) says
-    so with :attr:`width_free`, and the vectorized engines then draw
-    two blocks in one call.
+    absolute boundaries, one call per block, so a process's draws may
+    depend on the block width.
     """
 
     name: str
-    #: True when ``sample_rounds``' draws do not depend on the width.
+    #: Internal to the built-in families: True only on
+    #: :class:`PoissonArrivals`, whose one call of ``a + b`` rounds draws
+    #: what calls of ``a`` and then ``b`` rounds draw, so the vectorized
+    #: engines draw two of its blocks in one call.
     width_free = False
 
     @abstractmethod
