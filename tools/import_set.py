@@ -3,9 +3,10 @@
 Runs the example ``scenario run``, the fused ``--cd-grid`` sweep and the
 open example's ``scenario run`` (``scenario example --open``), each in a
 fresh interpreter, and prints per command how many ``repro`` modules it
-loaded, their raw source lines, and whether ``numpy.ma`` was loaded.  Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE``
-or a read-only tree), every cold start compiles each module it imports,
-so these counts track the repository's share of a cold start beside the
+loaded, their raw source lines, and whether ``numpy.ma`` was loaded.
+Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE`` or a
+read-only tree), every cold start compiles each module it imports, so
+these counts track the repository's share of a cold start beside the
 size that ``tools/code_lines.py`` prints.
 
 Usage::
