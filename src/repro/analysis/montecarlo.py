@@ -34,13 +34,14 @@ from typing import TYPE_CHECKING, Protocol
 import numpy as np
 
 from ..channel.batch import run_history_stacked, run_schedule_stacked
-from ..channel.batch_players import (
-    checked_advice_source,
-    run_players_batch,
-    run_players_stacked,
-)
+from ..channel.batch_players import run_players_batch, run_players_stacked
 from ..channel.channel import Channel
-from ..channel.simulator import _check_channel, run_players, run_uniform
+from ..channel.simulator import (
+    _check_channel,
+    checked_advice_source,
+    run_players,
+    run_uniform,
+)
 from ..core.advice import AdviceFunction
 from ..core.protocol import PlayerProtocol, UniformProtocol
 from .metrics import ProportionEstimate, Summary

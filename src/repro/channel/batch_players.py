@@ -45,45 +45,28 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.advice import AdviceError, AdviceFunction, NullAdvice
+from ..core.advice import AdviceError, AdviceFunction
 from ..core.feedback import FB_COLLISION, FB_SILENCE, FB_SUCCESS
 from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
     OBS_SILENCE,
     PlayerProtocol,
-    ProtocolError,
 )
 from .channel import Channel
-from .simulator import DEFAULT_MAX_ROUNDS, _check_budget, _check_channel
+from .simulator import (
+    DEFAULT_MAX_ROUNDS,
+    _check_budget,
+    _check_channel,
+    checked_advice_source,
+)
 from .trace import BatchExecutionResult
 
 __all__ = [
     "run_players_batch",
     "run_players_stacked",
     "pack_participants",
-    "checked_advice_source",
 ]
-
-
-def checked_advice_source(
-    protocol: PlayerProtocol, advice_function: AdviceFunction | None
-) -> AdviceFunction:
-    """The advice function to evaluate, with the budget contract enforced.
-
-    ``None`` means :class:`~repro.core.advice.NullAdvice`; a mismatch
-    between the protocol's declared ``advice_bits`` and the function's
-    budget is an error - the pair is co-designed (Section 3.1).  Shared
-    by the batch engine and the fused estimators so the contract (and
-    its message) lives in one place.
-    """
-    advice_source = advice_function if advice_function is not None else NullAdvice()
-    if advice_source.bits != protocol.advice_bits:
-        raise ProtocolError(
-            f"protocol expects {protocol.advice_bits} advice bits but the "
-            f"advice function provides {advice_source.bits}"
-        )
-    return advice_source
 
 
 def pack_participants(

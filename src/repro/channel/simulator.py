@@ -39,6 +39,7 @@ from .trace import ExecutionResult, RoundRecord
 __all__ = [
     "run_uniform",
     "run_players",
+    "checked_advice_source",
     "DEFAULT_MAX_ROUNDS",
 ]
 
@@ -70,6 +71,26 @@ def _check_budget(max_rounds: int) -> None:
         )
     if max_rounds < 1:
         raise ValueError(f"round budget must be >= 1, got {max_rounds}")
+
+
+def checked_advice_source(
+    protocol: PlayerProtocol, advice_function: AdviceFunction | None
+) -> AdviceFunction:
+    """The advice function to evaluate, with the budget contract enforced.
+
+    ``None`` means :class:`~repro.core.advice.NullAdvice`; a mismatch
+    between the protocol's declared ``advice_bits`` and the function's
+    budget is an error - the pair is co-designed (Section 3.1).  Shared
+    by the scalar and batch player engines and the fused estimators so
+    the contract (and its message) lives in one place.
+    """
+    advice_source = advice_function if advice_function is not None else NullAdvice()
+    if advice_source.bits != protocol.advice_bits:
+        raise ProtocolError(
+            f"protocol expects {protocol.advice_bits} advice bits but the "
+            f"advice function provides {advice_source.bits}"
+        )
+    return advice_source
 
 
 def run_uniform(
@@ -169,12 +190,7 @@ def run_players(
     _check_budget(max_rounds)
     _check_channel(protocol.requires_collision_detection, channel)
 
-    advice_source = advice_function if advice_function is not None else NullAdvice()
-    if advice_source.bits != protocol.advice_bits:
-        raise ProtocolError(
-            f"protocol expects {protocol.advice_bits} advice bits but the "
-            f"advice function provides {advice_source.bits}"
-        )
+    advice_source = checked_advice_source(protocol, advice_function)
     advice = advice_source.checked_advise(participants, n)
 
     # Player order is fixed (sorted) so executions are reproducible; the

@@ -4,21 +4,18 @@
 runner); ``repro list`` prints it.
 """
 
-from .base import ExperimentConfig, ExperimentResult
-from .registry import (
-    EXPERIMENTS,
-    experiment_ids,
-    get_experiment,
-    run_all,
-    run_experiment,
-)
+from .. import _lazy
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "EXPERIMENTS",
-    "experiment_ids",
-    "get_experiment",
-    "run_experiment",
-    "run_all",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "ExperimentConfig": ".base",
+    "ExperimentResult": ".base",
+    "EXPERIMENTS": ".registry",
+    "experiment_ids": ".registry",
+    "get_experiment": ".registry",
+    "run_experiment": ".registry",
+    "run_all": ".registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

@@ -6,26 +6,19 @@ model's divergence (Theorems 2.12/2.16) - so as the model converges, the
 protocols "improve for free".
 """
 
-from .base import SizePredictor
-from .estimators import (
-    DecayingHistogramLearner,
-    HistogramLearner,
-    SlidingWindowLearner,
-)
-from .online import (
-    OnlineRecord,
-    OnlineReport,
-    prediction_protocol_for,
-    run_online,
-)
+from .. import _lazy
 
-__all__ = [
-    "SizePredictor",
-    "HistogramLearner",
-    "DecayingHistogramLearner",
-    "SlidingWindowLearner",
-    "OnlineRecord",
-    "OnlineReport",
-    "run_online",
-    "prediction_protocol_for",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    "SizePredictor": ".base",
+    "HistogramLearner": ".estimators",
+    "DecayingHistogramLearner": ".estimators",
+    "SlidingWindowLearner": ".estimators",
+    "OnlineRecord": ".online",
+    "OnlineReport": ".online",
+    "run_online": ".online",
+    "prediction_protocol_for": ".online",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

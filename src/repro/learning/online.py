@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channel.batch import is_batchable, run_uniform_batch
+from ..channel.batch import run_uniform_batch
 from ..channel.channel import Channel
 from ..channel.simulator import run_uniform
 from ..core.predictions import Prediction
@@ -162,10 +162,12 @@ def run_online(
     oracle_rounds = np.empty(instances, dtype=np.int64)
     for group_truth, members in _group_by_identity(truths):
         protocol = prediction_protocol_for(Prediction(group_truth), channel)
-        oracle_rounds[members] = _arm_rounds(
-            protocol, ks[members], rng, channel, max_rounds
-        )
-    baseline_rounds = _arm_rounds(baseline, ks, rng, channel, max_rounds)
+        oracle_rounds[members] = run_uniform_batch(
+            protocol, ks[members], rng, channel=channel, max_rounds=max_rounds
+        ).rounds
+    baseline_rounds = run_uniform_batch(
+        baseline, ks, rng, channel=channel, max_rounds=max_rounds
+    ).rounds
 
     report = OnlineReport()
     for instance in range(instances):
@@ -206,29 +208,6 @@ def _group_by_identity(
         (representative[key], np.asarray(members[key], dtype=np.intp))
         for key in order
     ]
-
-
-def _arm_rounds(
-    protocol: UniformProtocol,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-    channel: Channel,
-    max_rounds: int,
-) -> np.ndarray:
-    """Rounds for one comparison arm: batched when possible, else scalar."""
-    if is_batchable(protocol):
-        return run_uniform_batch(
-            protocol, ks, rng, channel=channel, max_rounds=max_rounds
-        ).rounds
-    return np.asarray(
-        [
-            run_uniform(
-                protocol, int(k), rng, channel=channel, max_rounds=max_rounds
-            ).rounds
-            for k in ks
-        ],
-        dtype=np.int64,
-    )
 
 
 def _run_online_scalar(

@@ -21,63 +21,41 @@ percentiles and throughput as a function of offered load.
 Scenario/CLI integration lives in :mod:`repro.scenarios.open`.
 """
 
-from .arrivals import (
-    ARRIVAL_FAMILIES,
-    ArrivalProcess,
-    ClampedArrivalSizeSource,
-    PoissonArrivals,
-    ThinnedArrivals,
-    ZipfHotspotArrivals,
-    arrival_process_from_dict,
-)
-from .driver import (
-    ENGINE_OPEN_HISTORY,
-    ENGINE_OPEN_SCALAR,
-    ENGINE_OPEN_SCHEDULE,
-    OpenRunResult,
-    run_open,
-)
-from .latency import LatencyStore, LatencySummary
-from .policies import (
-    ADMISSION_POLICIES,
-    RETRY_POLICIES,
-    AdmissionPolicy,
-    ExponentialBackoffPolicy,
-    GiveUpPolicy,
-    HardCapacityPolicy,
-    ImmediateRetryPolicy,
-    OccupancySheddingPolicy,
-    RetryPolicy,
-    TokenBucketPolicy,
-    admission_policy_from_dict,
-    retry_policy_from_dict,
-)
+from .. import _lazy
 
-__all__ = [
-    "ARRIVAL_FAMILIES",
-    "ArrivalProcess",
-    "ClampedArrivalSizeSource",
-    "PoissonArrivals",
-    "ThinnedArrivals",
-    "ZipfHotspotArrivals",
-    "arrival_process_from_dict",
-    "ENGINE_OPEN_HISTORY",
-    "ENGINE_OPEN_SCALAR",
-    "ENGINE_OPEN_SCHEDULE",
-    "OpenRunResult",
-    "run_open",
-    "LatencyStore",
-    "LatencySummary",
-    "ADMISSION_POLICIES",
-    "RETRY_POLICIES",
-    "AdmissionPolicy",
-    "ExponentialBackoffPolicy",
-    "GiveUpPolicy",
-    "HardCapacityPolicy",
-    "ImmediateRetryPolicy",
-    "OccupancySheddingPolicy",
-    "RetryPolicy",
-    "TokenBucketPolicy",
-    "admission_policy_from_dict",
-    "retry_policy_from_dict",
-]
+#: Public name -> the module defining it, imported on first use.
+_EXPORTS = {
+    # arrival processes
+    "ARRIVAL_FAMILIES": ".arrivals",
+    "ArrivalProcess": ".arrivals",
+    "ClampedArrivalSizeSource": ".arrivals",
+    "PoissonArrivals": ".arrivals",
+    "ThinnedArrivals": ".arrivals",
+    "ZipfHotspotArrivals": ".arrivals",
+    "arrival_process_from_dict": ".arrivals",
+    # open-loop engines
+    "ENGINE_OPEN_HISTORY": ".driver",
+    "ENGINE_OPEN_SCALAR": ".driver",
+    "ENGINE_OPEN_SCHEDULE": ".driver",
+    "OpenRunResult": ".driver",
+    "run_open": ".driver",
+    # latency
+    "LatencyStore": ".latency",
+    "LatencySummary": ".latency",
+    # request-lifecycle policies
+    "ADMISSION_POLICIES": ".policies",
+    "RETRY_POLICIES": ".policies",
+    "AdmissionPolicy": ".policies",
+    "ExponentialBackoffPolicy": ".policies",
+    "GiveUpPolicy": ".policies",
+    "HardCapacityPolicy": ".policies",
+    "ImmediateRetryPolicy": ".policies",
+    "OccupancySheddingPolicy": ".policies",
+    "RetryPolicy": ".policies",
+    "TokenBucketPolicy": ".policies",
+    "admission_policy_from_dict": ".policies",
+    "retry_policy_from_dict": ".policies",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.exports(__name__, globals(), _EXPORTS)

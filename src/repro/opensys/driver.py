@@ -147,6 +147,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -160,9 +161,8 @@ from ..analysis.montecarlo import (
 )
 from ..channel.batch import _arena_for_run, _band_edges, _run_tokens
 from ..channel.channel import Channel
-from ..channel.models import FB_COLLISION, FB_SILENCE, FB_SUCCESS, ChannelModel
 from ..channel.simulator import _check_channel
-from ..core.feedback import Observation
+from ..core.feedback import FB_COLLISION, FB_SILENCE, FB_SUCCESS, Observation
 from ..core.protocol import (
     OBS_COLLISION,
     OBS_QUIET,
@@ -180,6 +180,9 @@ from .policies import (
     RetryPolicy,
     weyl_uniforms,
 )
+
+if TYPE_CHECKING:
+    from ..channel.models import ChannelModel
 
 __all__ = [
     "ENGINE_OPEN_SCHEDULE",

@@ -1,10 +1,12 @@
 """Golden pins for the open engines' random outputs.
 
-The vectorized open engines and the ``open-scalar`` oracle draw every
-random number through the same per-trial stream plumbing
-(``_trial_streams`` and ``_refill_blocks`` in :mod:`repro.opensys.driver`),
-so the oracle comparison of ``TestBitIdentity`` cannot notice a change
-there: both sides would move together.  These pins do.  Each case runs
+The vectorized open engines seed every trial through ``_seeded_streams``
+and refill two blocks at a time, while the ``open-scalar`` oracle keeps
+``_trial_streams`` and one-block refills; the two sides share only
+``_refill_blocks`` and ``_column_layout`` (in
+:mod:`repro.opensys.driver`), so the oracle comparison of
+``TestBitIdentity`` cannot notice a change there: both sides would move
+together.  These pins do.  Each case runs
 one arrival family under one request lifecycle on one engine, vectorized
 and again through the oracle, and pins the store's arrivals, completed
 and attempts counters plus a SHA-256 prefix of its serialized form.

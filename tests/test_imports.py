@@ -64,6 +64,41 @@ LAZY_PACKAGES = (
     "repro.channel",
     "repro.infotheory",
     "repro.protocols",
+    "repro.opensys",
+    "repro.lowerbounds",
+    "repro.learning",
+    "repro.experiments",
+)
+
+#: The open driver and what only it uses: a closed run whose workload is
+#: an open arrival family needs ``repro.opensys.arrivals`` alone.
+OPEN_DRIVER = (
+    "repro.opensys.driver",
+    "repro.opensys.latency",
+    "repro.opensys.policies",
+)
+
+#: A closed run on a ``poisson`` workload (one round's arrivals per trial).
+POISSON_SCENARIO = {
+    "name": "decay-poisson",
+    "protocol": {"id": "decay", "params": {}},
+    "workload": {"kind": "poisson", "params": {"rate": 4.0}},
+    "channel": "nocd",
+    "n": 1024,
+    "trials": 200,
+    "max_rounds": 256,
+    "seed": 2021,
+}
+
+#: The lower-bound modules of Theorems 2.4-3.5 that the exact solvers,
+#: which use one success-probability lemma, never need.
+THEOREM_MODULES = (
+    "repro.lowerbounds.bounds",
+    "repro.lowerbounds.noninteractive",
+    "repro.lowerbounds.parallel_advice",
+    "repro.lowerbounds.selective_families",
+    "repro.lowerbounds.target_distance_coding",
+    "repro.lowerbounds.tree_construction",
 )
 
 
@@ -101,16 +136,22 @@ print(json.dumps([eager_ma, sorted(sys.modules)]))
 
 def cold_load(tmp_path, *commands: str) -> tuple[set[str], bool]:
     """Modules a fresh interpreter loads running the example ``commands``
-    (``"run"``, ``"sweep"``), and whether ``import numpy`` loaded numpy.ma."""
+    (``"run"``, ``"sweep"``, ``"open"``, ``"poisson"``), and whether
+    ``import numpy`` loaded numpy.ma."""
     from repro.cli import EXAMPLE_SCENARIO
-    from repro.scenarios import EXAMPLE_CD_SWEEP
+    from repro.scenarios import EXAMPLE_CD_SWEEP, EXAMPLE_OPEN_SCENARIO
 
     run_path, sweep_path = tmp_path / "run.json", tmp_path / "sweep.json"
     run_path.write_text(json.dumps(EXAMPLE_SCENARIO))
     sweep_path.write_text(json.dumps(EXAMPLE_CD_SWEEP))
+    open_path, poisson_path = tmp_path / "open.json", tmp_path / "poisson.json"
+    open_path.write_text(json.dumps(EXAMPLE_OPEN_SCENARIO))
+    poisson_path.write_text(json.dumps(POISSON_SCENARIO))
     argv = {
         "run": ["scenario", "run", str(run_path), "--json"],
         "sweep": ["scenario", "sweep", str(sweep_path), "--executor", "fused", "--json"],
+        "open": ["scenario", "run", str(open_path), "--json"],
+        "poisson": ["scenario", "run", str(poisson_path), "--json"],
     }
     eager_ma, loaded = run_fresh(CLI_PROBE, json.dumps([argv[c] for c in commands]))
     return set(loaded), eager_ma
@@ -130,6 +171,32 @@ def test_cold_run_loads_no_prediction_code_or_cd_protocol(tmp_path):
     assert sorted(set(NOT_LOADED + RUN_NOT_LOADED) & loaded) == []
     if not eager_ma:
         assert "numpy.ma" not in loaded
+
+
+def test_cold_poisson_workload_run_loads_arrivals_but_no_open_driver(tmp_path):
+    loaded, _ = cold_load(tmp_path, "poisson")
+    assert {"repro.cli", "repro.opensys.arrivals"} <= loaded  # it ran
+    assert sorted(set(OPEN_DRIVER) & loaded) == []
+
+
+def test_cold_faithful_open_run_loads_no_channel_model(tmp_path):
+    loaded, _ = cold_load(tmp_path, "open")
+    assert {"repro.cli", "repro.opensys.driver"} <= loaded  # it ran
+    assert "repro.channel.models" not in loaded
+
+
+EXACT_PROBE = """
+import json, sys
+import repro.analysis.exact
+
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_exact_solvers_load_no_lower_bound_theorem_module():
+    loaded = set(run_fresh(EXACT_PROBE))
+    assert "repro.lowerbounds.success_bounds" in loaded  # the lemma they use
+    assert sorted(set(THEOREM_MODULES) & loaded) == []
 
 
 EXPORTS_PROBE = """
@@ -155,6 +222,23 @@ def test_every_public_name_is_listed_resolves_and_star_imports():
         assert unlisted == [], f"{package}: missing from dir()"
         assert unresolved == [], f"{package}: names that do not resolve"
         assert unbound == [], f"{package}: names 'import *' does not bind"
+
+
+SUBMODULE_FIRST_PROBE = """
+import importlib, json, sys
+
+report = []
+for name in json.loads(sys.argv[1]):
+    importlib.import_module(name)  # the submodule, before its package's name is read
+    package, _, attribute = name.rpartition(".")
+    report.append(callable(getattr(sys.modules[package], attribute)))
+print(json.dumps(report))
+"""
+
+
+def test_a_name_shared_with_its_submodule_stays_the_function():
+    names = ["repro.infotheory.entropy", "repro.lowerbounds.rf_construction"]
+    assert run_fresh(SUBMODULE_FIRST_PROBE, json.dumps(names)) == [True, True]
 
 
 SUPERVISED_PROBE = """

@@ -1,8 +1,9 @@
 """Print the cold import set of the example runs and the fused CD sweep.
 
-Runs the example ``scenario run``, the fused ``--cd-grid`` sweep and the
-open example's ``scenario run`` (``scenario example --open``), each in a
-fresh interpreter, and prints per command how many ``repro`` modules it
+Runs the example ``scenario run``, the fused ``--cd-grid`` sweep, the
+open example's ``scenario run`` (``scenario example --open``) and a
+closed ``scenario run`` on a ``poisson`` workload, each in a fresh
+interpreter, and prints per command how many ``repro`` modules it
 loaded, their raw source lines, and whether ``numpy.ma`` was loaded.
 Where no bytecode cache is written (``PYTHONDONTWRITEBYTECODE`` or a
 read-only tree), every cold start compiles each module it imports, so
@@ -39,6 +40,19 @@ lines = sum(len(Path(m.__file__).read_bytes().splitlines()) for m in modules)
 print(json.dumps([code, len(modules), lines, "numpy.ma" in sys.modules]))
 """
 
+#: A closed run whose workload is an open arrival family: it needs
+#: ``repro.opensys.arrivals`` but none of the open driver.
+POISSON_SCENARIO = {
+    "name": "decay-poisson",
+    "protocol": {"id": "decay", "params": {}},
+    "workload": {"kind": "poisson", "params": {"rate": 4.0}},
+    "channel": "nocd",
+    "n": 1024,
+    "trials": 200,
+    "max_rounds": 256,
+    "seed": 2021,
+}
+
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
@@ -50,16 +64,18 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as scratch:
         run, sweep = Path(scratch, "run.json"), Path(scratch, "cd-grid.json")
-        open_run = Path(scratch, "open.json")
+        open_run, poisson = Path(scratch, "open.json"), Path(scratch, "poisson.json")
         run.write_text(json.dumps(EXAMPLE_SCENARIO))
         sweep.write_text(json.dumps(EXAMPLE_CD_SWEEP))
         open_run.write_text(json.dumps(EXAMPLE_OPEN_SCENARIO))
+        poisson.write_text(json.dumps(POISSON_SCENARIO))
         commands = {
             "scenario run": ["scenario", "run", str(run), "--json"],
             "fused --cd-grid sweep": [
                 "scenario", "sweep", str(sweep), "--executor", "fused", "--json"
             ],
             "open scenario run": ["scenario", "run", str(open_run), "--json"],
+            "poisson-workload run": ["scenario", "run", str(poisson), "--json"],
         }
         for label, argv in commands.items():
             completed = subprocess.run(
